@@ -1,275 +1,208 @@
-"""High-precision internals behind the moment-based orthogonalizer.
+"""High-precision core behind the moment-based orthogonalizer.
 
 Building monic orthogonal matrix polynomials from raw moments is a
 Hankel-type problem whose double-precision error grows roughly like 4**n
 for this family; the acceptance tolerances (1e-8 relative at degrees 15-20)
 are unreachable that way. The moments, however, are exact closed forms, so
-this module redoes the small amount of arithmetic that matters - moments,
-inner products, Gram-Schmidt, Cholesky factors - with mpmath at fixed
-precision, and rounds to complex128 only at the boundary.
+this module computes them, runs the monic three-term recurrence on them (the
+Stieltjes procedure) and factors the squared norms at ``DPS`` digits, and
+rounds to complex128 only at the boundary.
 
-Everything here is private to :mod:`matorth.orthogonal`.
+All of it runs in a private mpmath context: mpmath's global precision is
+never read or changed. Matrices are numpy object arrays of that context's
+numbers. This is the only module that touches mpmath; everything here is
+private to :mod:`matorth.orthogonal`.
 """
 from __future__ import annotations
 
-import math
-import numpy as np
-from mpmath import mp, mpc, mpf
+from functools import lru_cache
 
-from .weights import WeightParams
+import mpmath
+import numpy as np
+
+from .weights import (CACHE_SIZE, WeightParams, alpha_coeff, odd_series,
+                      scale_diagonals)
 
 DPS = 50
 
-_contexts: dict[WeightParams, "_MpFamily"] = {}
+_ctx = mpmath.MPContext()
+_ctx.dps = DPS
+# exact: every complex128 value is representable at DPS digits
+_from_complex = np.frompyfunc(_ctx.mpc, 1, 1)
 
 
+@lru_cache(maxsize=CACHE_SIZE)
 def family(p: WeightParams) -> "_MpFamily":
-    ctx = _contexts.get(p)
-    if ctx is None:
-        ctx = _contexts[p] = _MpFamily(p)
-    return ctx
+    return _MpFamily(p)
 
 
-# -- tiny matrix helpers on nested lists of mpc -------------------------------
-
-def _zeros(n: int) -> list[list[mpc]]:
-    return [[mpc(0) for _ in range(n)] for _ in range(n)]
+def _conj_t(a: np.ndarray) -> np.ndarray:
+    return np.conjugate(a).T
 
 
-def _eye(n: int) -> list[list[mpc]]:
-    out = _zeros(n)
-    for i in range(n):
-        out[i][i] = mpc(1)
-    return out
-
-
-def _mmul(a, b, n: int):
-    out = _zeros(n)
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for k in range(n):
-            aik = ai[k]
-            if aik:
-                bk = b[k]
-                for j in range(n):
-                    oi[j] += aik * bk[j]
-    return out
-
-
-def _msub(a, b, n: int):
-    return [[a[i][j] - b[i][j] for j in range(n)] for i in range(n)]
-
-
-def _mscale(a, s, n: int):
-    return [[s * a[i][j] for j in range(n)] for i in range(n)]
-
-
-def _conj_t(a, n: int):
-    return [[a[j][i].conjugate() for j in range(n)] for i in range(n)]
-
-
-def _minv(a, n: int):
-    """Gauss-Jordan inverse with partial pivoting."""
-    work = [[a[i][j] for j in range(n)] + [mpc(1) if j == i else mpc(0) for j in range(n)]
-            for i in range(n)]
-    for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(work[r][col]))
-        if work[piv][col] == 0:
-            raise ArithmeticError("singular matrix in high-precision inverse")
-        work[col], work[piv] = work[piv], work[col]
-        inv_p = 1 / work[col][col]
-        work[col] = [v * inv_p for v in work[col]]
-        for r in range(n):
-            if r != col and work[r][col]:
-                f = work[r][col]
-                work[r] = [vr - f * vc for vr, vc in zip(work[r], work[col])]
-    return [row[n:] for row in work]
-
-
-def _chol_upper(a, n: int):
+def _chol_upper(a: np.ndarray) -> np.ndarray:
     """Factor a Hermitian positive definite matrix as U U* with U upper
     triangular and positive diagonal (diagonal input gives diagonal U)."""
-    flip = [[a[n - 1 - i][n - 1 - j] for j in range(n)] for i in range(n)]
-    low = _zeros(n)
-    for i in range(n):
-        for j in range(i + 1):
-            s = flip[i][j]
-            for k in range(j):
-                s -= low[i][k] * low[j][k].conjugate()
-            if i == j:
-                re = s.real
-                if re <= 0:
-                    raise ArithmeticError("matrix is not positive definite")
-                low[i][j] = mp.sqrt(re)
-            else:
-                low[i][j] = s / low[j][j]
-    return [[low[n - 1 - i][n - 1 - j] for j in range(n)] for i in range(n)]
-
-
-def to_complex(a) -> np.ndarray:
     n = len(a)
-    out = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            v = a[i][j]
-            out[i, j] = complex(float(v.real), float(v.imag))
+    u = np.full((n, n), _ctx.mpc(0), dtype=object)
+    for j in range(n - 1, -1, -1):
+        d = (a[j, j] - sum(u[j, k] * u[j, k].conjugate() for k in range(j + 1, n))).real
+        if d <= 0:
+            raise ArithmeticError("matrix is not positive definite")
+        u[j, j] = _ctx.sqrt(d)
+        for i in range(j):
+            s = a[i, j] - sum(u[i, k] * u[j, k].conjugate() for k in range(j + 1, n))
+            u[i, j] = s / u[j, j]
+    return u
+
+
+def _inv_upper(u: np.ndarray) -> np.ndarray:
+    """Inverse of an upper triangular matrix by back substitution."""
+    n = len(u)
+    out = np.full((n, n), _ctx.mpc(0), dtype=object)
+    for j in range(n):
+        out[j, j] = 1 / u[j, j]
+        for i in range(j - 1, -1, -1):
+            s = sum(u[i, k] * out[k, j] for k in range(i + 1, j + 1))
+            out[i, j] = -s / u[i, i]
     return out
-
-
-def _gauss_moment(power: int, scale: mpf, cache: dict) -> mpf:
-    key = (power, scale)
-    got = cache.get(key)
-    if got is None:
-        if power % 2:
-            got = mpf(0)
-        else:
-            m = power // 2
-            dfac = mpf(1)
-            k = 2 * m - 1
-            while k > 1:
-                dfac *= k
-                k -= 2
-            got = mp.sqrt(mp.pi) * dfac / (mpf(2) ** m * scale ** (m + mpf(1) / 2))
-        cache[key] = got
-    return got
 
 
 class _MpFamily:
-    """Per-parameter high-precision state: moments and the monic sequence."""
+    """Per-parameter high-precision state: moments, the monic sequence, its
+    recurrence coefficients and its normalizers."""
 
     def __init__(self, p: WeightParams):
-        self.p = p
-        self.n = p.size
-        with mp.workdps(DPS):
-            self._build_structure()
-        self._moments: list = []
-        self._gauss_cache: dict = {}
-        self.polys: list[list[list[list[mpc]]]] = []   # polys[k][power] = matrix
-        self.norms: list = []
-        self._norm_invs: list = []
-        self._deltas: list = []
-
-    def _build_structure(self):
-        p, n = self.p, self.n
-        b = mpf(p.b)
-        shift = _zeros(n)
-        for i, v in enumerate(p.a):
-            shift[i][i + 1] = mpc(v.real, v.imag)
-        psi = [1 + (b - 1) * k / (n - 1) for k in range(n)]
-        self.gauss_scales = [-b / (2 * pk) for pk in psi]
-        nil = _zeros(n)
-        power = shift
-        sq = _mmul(shift, shift, n)
-        for j in range(n // 2):
-            if j == 0:
-                alpha = mpf(1)
-            else:
-                alpha = ((1 - b) ** j * mpf(2 * j + 1) ** (j - 1)
-                         / ((4 * b) ** j * mpf(n - 1) ** j * math.factorial(j)))
-            nil = [[nil[i][k] + alpha * power[i][k] for k in range(n)] for i in range(n)]
-            power = _mmul(power, sq, n)
-        exp_coeffs = [_eye(n)]
+        n = self.n = p.size
+        b = _ctx.mpf(p.b)
+        shift = np.diag(np.array([_ctx.mpc(v) for v in p.a], dtype=object), 1)
+        nil = odd_series(shift, [alpha_coeff(n, b, j) for j in range(n // 2)])
+        exp_coeffs = [np.identity(n, dtype=object)]
         for k in range(1, n):
-            nxt = _mscale(_mmul(exp_coeffs[-1], nil, n), mpf(1) / k, n)
-            exp_coeffs.append(nxt)
-        self.exp_coeffs = exp_coeffs
+            exp_coeffs.append(exp_coeffs[-1] @ nil / k)
+        # column c of W's factor is sum_j exp_coeffs[j][:, c] t**j times
+        # exp(-s_c t**2 / 2); outers[c][d] gathers its products of total power d
+        self._scales = [-2 * g for g in scale_diagonals(n, b)[1]]
+        self._outers = []
+        for c in range(n):
+            outer = [0] * (2 * n - 1)
+            for j1, e1 in enumerate(exp_coeffs):
+                for j2, e2 in enumerate(exp_coeffs):
+                    outer[j1 + j2] = outer[j1 + j2] + np.multiply.outer(
+                        e1[:, c], np.conjugate(e2[:, c]))
+            self._outers.append(outer)
+        self._gauss: dict[tuple[int, int], object] = {}
+        self._moments: list[np.ndarray] = []
+        self.polys: list[list[np.ndarray]] = []   # polys[k][power] = matrix
+        self.norms: list[np.ndarray] = []
+        self._chols: list[np.ndarray] = []        # upper Cholesky factors
+        self._deltas: list[np.ndarray] = []       # their inverses
+        self._bhat: list[np.ndarray] = []
+        self._chat: list[np.ndarray] = []
+        self._float_polys: list[tuple[list[np.ndarray], list[np.ndarray]]] = []
 
-    def moment(self, m: int):
-        with mp.workdps(DPS):
-            while len(self._moments) <= m:
-                self._moments.append(self._compute_moment(len(self._moments)))
+    @property
+    def top(self) -> int:
+        return len(self.polys) - 1
+
+    def _gauss_moment(self, power: int, c: int):
+        """``integral t**power exp(-s_c t**2) dt`` for even ``power``."""
+        got = self._gauss.get((power, c))
+        if got is None:
+            half = _ctx.mpf(power + 1) / 2
+            got = self._gauss[power, c] = _ctx.gamma(half) / self._scales[c] ** half
+        return got
+
+    def moment(self, m: int) -> np.ndarray:
+        while len(self._moments) <= m:
+            k = len(self._moments)
+            out = np.full((self.n, self.n), _ctx.mpc(0), dtype=object)
+            for c, outer in enumerate(self._outers):
+                for d, o in enumerate(outer):
+                    if (d + k) % 2 == 0:
+                        out = out + o * self._gauss_moment(d + k, c)
+            self._moments.append(out)
         return self._moments[m]
 
-    def _compute_moment(self, m: int):
-        n = self.n
-        out = _zeros(n)
-        for col in range(n):
-            scale = -2 * self.gauss_scales[col]
-            for j1, e1 in enumerate(self.exp_coeffs):
-                for j2, e2 in enumerate(self.exp_coeffs):
-                    g = _gauss_moment(j1 + j2 + m, scale, self._gauss_cache)
-                    if not g:
-                        continue
-                    for i in range(n):
-                        v1 = e1[i][col]
-                        if not v1:
-                            continue
-                        for j in range(n):
-                            v2 = e2[j][col]
-                            if v2:
-                                out[i][j] += g * v1 * v2.conjugate()
-        return out
+    def _row(self, coeffs: list[np.ndarray], length: int) -> list[np.ndarray]:
+        """``V_l = <P, t**l I> = sum_k C_k S_{k+l}`` for l < ``length``."""
+        return [sum(c @ self.moment(k + l) for k, c in enumerate(coeffs))
+                for l in range(length)]
 
-    def pair(self, pc, qc):
-        """<P, Q> = sum_{j,k} P_j S_{j+k} Q_k* for coefficient lists."""
-        n = self.n
-        self.moment(len(pc) + len(qc) - 2)
-        with mp.workdps(DPS):
-            out = _zeros(n)
-            q_conj = [_conj_t(c, n) for c in qc]
-            for j, cj in enumerate(pc):
-                if not any(any(row) for row in cj):
-                    continue
-                for k, ck in enumerate(q_conj):
-                    term = _mmul(_mmul(cj, self._moments[j + k], n), ck, n)
-                    for i in range(n):
-                        oi, ti = out[i], term[i]
-                        for l in range(n):
-                            oi[l] += ti[l]
-            return out
+    def _norm_inv(self, k: int) -> np.ndarray:
+        return _conj_t(self._deltas[k]) @ self._deltas[k]
+
+    def _append(self, coeffs: list[np.ndarray]):
+        """Add the next monic polynomial P with its squared norm H, the
+        Cholesky factor and normalizer of H, and the recurrence coefficients
+        ``B = <t P, P> H^-1`` and ``C = H H_prev^-1``. Raises ArithmeticError,
+        adding nothing, when H is not positive definite."""
+        row = self._row(coeffs, len(coeffs) + 1)
+        norm = sum(row[l] @ _conj_t(c) for l, c in enumerate(coeffs))
+        chol = _chol_upper(norm)
+        self._chat.append(norm @ self._norm_inv(self.top) if self.polys
+                          else np.zeros((self.n, self.n), dtype=object))
+        self.polys.append(coeffs)
+        self.norms.append(norm)
+        self._chols.append(chol)
+        self._deltas.append(_inv_upper(chol))
+        shifted = sum(row[l + 1] @ _conj_t(c) for l, c in enumerate(coeffs))
+        self._bhat.append(shifted @ self._norm_inv(self.top))
 
     def extend(self, nmax: int):
-        """Grow the monic sequence up to degree nmax by block Gram-Schmidt
-        against the exact moments (single pass; the arithmetic is exact to
-        working precision, so no re-orthogonalization is needed)."""
-        n = self.n
-        with mp.workdps(DPS):
-            if not self.polys:
-                self.polys.append([_eye(n)])
-                self.norms.append(self.moment(0))
-                self._norm_invs.append(_minv(self.norms[0], n))
-            while len(self.polys) - 1 < nmax:
-                deg = len(self.polys)
-                coeffs = [_zeros(n) for _ in range(deg)] + [_eye(n)]
-                for m in range(deg):
-                    proj = _mmul(self.pair(coeffs, self.polys[m]),
-                                 self._norm_invs[m], n)
-                    for k, pk in enumerate(self.polys[m]):
-                        coeffs[k] = _msub(coeffs[k], _mmul(proj, pk, n), n)
-                self.polys.append(coeffs)
-                norm = self.pair(coeffs, coeffs)
-                _chol_upper(norm, n)  # positive definiteness guard
-                self.norms.append(norm)
-                self._norm_invs.append(_minv(norm, n))
+        """Grow the monic sequence up to degree ``nmax`` by the recurrence
+        ``P_{k+1} = (t - B_k) P_k - C_k P_{k-1}`` (the Stieltjes procedure)."""
+        if not self.polys:
+            self._append([np.identity(self.n, dtype=object)])
+        while self.top < nmax:
+            k = self.top
+            nxt = [np.zeros((self.n, self.n), dtype=object)] + self.polys[k]
+            for j, c in enumerate(self.polys[k]):
+                nxt[j] = nxt[j] - self._bhat[k] @ c
+            if k:
+                for j, c in enumerate(self.polys[k - 1]):
+                    nxt[j] = nxt[j] - self._chat[k] @ c
+            self._append(nxt)
 
-    def delta(self, k: int):
-        """Inverse upper Cholesky factor of the k-th norm (the orthonormalizer)."""
-        with mp.workdps(DPS):
-            while len(self._deltas) <= k:
-                i = len(self._deltas)
-                self._deltas.append(_minv(_chol_upper(self.norms[i], self.n), self.n))
-        return self._deltas[k]
+    # -- complex128 views ------------------------------------------------------
 
-    # -- float views ---------------------------------------------------------
+    def poly(self, k: int) -> list[np.ndarray]:
+        return [c.astype(complex) for c in self.polys[k]]
 
-    def poly_float(self, k: int) -> list[np.ndarray]:
-        return [to_complex(c) for c in self.polys[k]]
+    def norm(self, k: int) -> np.ndarray:
+        return self.norms[k].astype(complex)
 
-    def norm_float(self, k: int) -> np.ndarray:
-        return to_complex(self.norms[k])
+    def monic_table(self, count: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """``B_0..B_{count-2}`` and ``C_0..C_{count-1}`` of the monic
+        recurrence; ``C_0`` is a zero pad."""
+        self.extend(count - 1)
+        return ([b.astype(complex) for b in self._bhat[:count - 1]],
+                [c.astype(complex) for c in self._chat[:count]])
+
+    def orthonormal_table(self, count: int):
+        """Orthonormal ``A_0..A_{count-1}`` (``A_0`` a zero pad),
+        ``B_0..B_{count-2}`` and the normalizers ``Delta_0..Delta_{count-1}``:
+        ``A_k = Delta_{k-1} U_k`` and ``B_k = Delta_k Bhat_k U_k`` with
+        ``U_k`` the upper Cholesky factor of ``H_k`` and ``Delta_k`` its
+        inverse."""
+        self.extend(count - 1)
+        a = [np.zeros((self.n, self.n), dtype=complex)] + [
+            (self._deltas[k - 1] @ self._chols[k]).astype(complex)
+            for k in range(1, count)]
+        b = [(self._deltas[k] @ self._bhat[k] @ self._chols[k]).astype(complex)
+             for k in range(count - 1)]
+        return a, b, [d.astype(complex) for d in self._deltas[:count]]
 
     def pair_float(self, i: int, j: int) -> np.ndarray:
-        return to_complex(self.pair(self.polys[i], self.polys[j]))
-
-    def monic_b(self, k: int):
-        """Subdiagonal recurrence coefficient from coefficient comparison:
-        coeff_{n-1} of P_n minus coeff_n of P_{n+1}."""
-        n = self.n
-        with mp.workdps(DPS):
-            low = self.polys[k][k - 1] if k >= 1 else _zeros(n)
-            return _msub(low, self.polys[k + 1][k], n)
-
-    def monic_c(self, k: int):
-        with mp.workdps(DPS):
-            return _mmul(self.norms[k], self._norm_invs[k - 1], self.n)
+        """``<P_i, P_j>`` of the complex128 polynomials that ``poly`` returns,
+        paired exactly against the DPS-digit moments."""
+        if i < j:
+            return self.pair_float(j, i).conj().T
+        self.extend(i)
+        while len(self._float_polys) <= i:
+            k = len(self._float_polys)
+            coeffs = [_from_complex(c) for c in self.poly(k)]
+            self._float_polys.append((coeffs, self._row(coeffs, k + 1)))
+        row = self._float_polys[i][1]
+        pairing = sum(row[l] @ _conj_t(c) for l, c in enumerate(self._float_polys[j][0]))
+        return pairing.astype(complex)

@@ -12,9 +12,10 @@ import sys
 import numpy as np
 
 from . import closed_forms as cf
+from .linalg import worst
 from .orthogonal import monic_sequence, orthonormalize_sequence, recurrence_from_sequence
-from .suite import (RunConfig, export_tables, params_to_dict, run_parameter_sweep,
-                    run_suite)
+from .suite import (RunConfig, _matrix_to_json, export_tables, params_to_dict,
+                    run_parameter_sweep, run_suite)
 from .weights import WeightParams, build_structure
 
 __all__ = ["main"]
@@ -69,8 +70,11 @@ def _print_matrix(name: str, m: np.ndarray):
         print(np.array2string(m))
 
 
-def _matrix_json(m: np.ndarray):
-    return [[[v.real, v.imag] for v in row] for row in m]
+def _write_json(path: str, doc: dict):
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
+    print(f"wrote {path}")
 
 
 def _cmd_structure(args) -> int:
@@ -78,15 +82,12 @@ def _cmd_structure(args) -> int:
     s = build_structure(config.params)
     if config.out:
         doc = {"params": params_to_dict(config.params),
-               "shift": _matrix_json(s.shift), "number": _matrix_json(s.number),
-               "diag_scale": _matrix_json(s.diag_scale),
-               "gauss_diag": _matrix_json(s.gauss_diag),
-               "nilpotent": _matrix_json(s.nilpotent),
+               "shift": _matrix_to_json(s.shift), "number": _matrix_to_json(s.number),
+               "diag_scale": _matrix_to_json(s.diag_scale),
+               "gauss_diag": _matrix_to_json(s.gauss_diag),
+               "nilpotent": _matrix_to_json(s.nilpotent),
                "odd_coeffs": list(s.odd_coeffs)}
-        with open(config.out, "w") as fh:
-            json.dump(doc, fh, indent=1)
-            fh.write("\n")
-        print(f"wrote {config.out}")
+        _write_json(config.out, doc)
     else:
         for name in ("shift", "number", "diag_scale", "gauss_diag", "nilpotent"):
             _print_matrix(name, getattr(s, name))
@@ -111,10 +112,7 @@ def _cmd_verify(args) -> int:
     print(f"overall: {'pass' if summary.overall else 'FAIL'} "
           f"({summary.total_seconds:.2f}s)")
     if config.out:
-        with open(config.out, "w") as fh:
-            json.dump(summary.to_dict(), fh, indent=1)
-            fh.write("\n")
-        print(f"wrote {config.out}")
+        _write_json(config.out, summary.to_dict())
     return 0 if summary.overall else 1
 
 
@@ -131,13 +129,10 @@ def _cmd_orthopoly(args) -> int:
                 _print_matrix(f"P_{n} coeff t^{k}", c)
     if config.out:
         doc = {"params": params_to_dict(config.params),
-               "polys": [[_matrix_json(c) for c in poly.coeffs]
+               "polys": [[_matrix_to_json(c) for c in poly.coeffs]
                          for poly in seq.polys],
-               "norms": [_matrix_json(m) for m in seq.norms]}
-        with open(config.out, "w") as fh:
-            json.dump(doc, fh, indent=1)
-            fh.write("\n")
-        print(f"wrote {config.out}")
+               "norms": [_matrix_to_json(m) for m in seq.norms]}
+        _write_json(config.out, doc)
     return 0
 
 
@@ -152,18 +147,15 @@ def _cmd_recurrence(args) -> int:
         if n < len(orth.B):
             _print_matrix("B_n", orth.B[n])
         _print_matrix("Chat_n", monic.C[n])
-    print(f"max recurrence identity residual: {max(monic.residuals):.3e}")
+    print(f"max recurrence identity residual: {worst(monic.residuals):.3e}")
     if config.out:
         doc = {"params": params_to_dict(config.params),
-               "orthonormal_A": [_matrix_json(m) for m in orth.A],
-               "orthonormal_B": [_matrix_json(m) for m in orth.B],
-               "monic_Bhat": [_matrix_json(m) for m in monic.B],
-               "monic_Chat": [_matrix_json(m) for m in monic.C],
+               "orthonormal_A": [_matrix_to_json(m) for m in orth.A],
+               "orthonormal_B": [_matrix_to_json(m) for m in orth.B],
+               "monic_Bhat": [_matrix_to_json(m) for m in monic.B],
+               "monic_Chat": [_matrix_to_json(m) for m in monic.C],
                "residuals": list(monic.residuals)}
-        with open(config.out, "w") as fh:
-            json.dump(doc, fh, indent=1)
-            fh.write("\n")
-        print(f"wrote {config.out}")
+        _write_json(config.out, doc)
     return 0
 
 
@@ -171,19 +163,16 @@ def _cmd_norms(args) -> int:
     config = _config(args)
     seq = monic_sequence(config.params, config.nmax)
     doc = {"params": params_to_dict(config.params),
-           "monic_norms": [_matrix_json(m) for m in seq.norms]}
+           "monic_norms": [_matrix_to_json(m) for m in seq.norms]}
     for n, m in enumerate(seq.norms):
         print(f"n={n}: diag {np.real(np.diag(m)).tolist()}")
     if config.params.size == 2:
         doc["closed_monic"] = []
         for n in range(len(seq.norms)):
             closed, _ = cf.closed_norms(config.params, n)
-            doc["closed_monic"].append(_matrix_json(closed))
+            doc["closed_monic"].append(_matrix_to_json(closed))
     if config.out:
-        with open(config.out, "w") as fh:
-            json.dump(doc, fh, indent=1)
-            fh.write("\n")
-        print(f"wrote {config.out}")
+        _write_json(config.out, doc)
     return 0
 
 
@@ -203,12 +192,9 @@ def _cmd_asymptotics(args) -> int:
             print(f"n={n:4d}  error={rep.error_at(n):.6e}")
     if config.out:
         doc = {"params": params_to_dict(p),
-               "limit": _matrix_json(rep.limit),
+               "limit": _matrix_to_json(rep.limit),
                "errors": [float(v) for v in rep.errors]}
-        with open(config.out, "w") as fh:
-            json.dump(doc, fh, indent=1)
-            fh.write("\n")
-        print(f"wrote {config.out}")
+        _write_json(config.out, doc)
     return 0
 
 

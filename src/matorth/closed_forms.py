@@ -15,10 +15,10 @@ from typing import Sequence
 import numpy as np
 
 from .gausserf import ERF, GAUSS, GaussErfMatrix, atom
-from .linalg import MatrixPolynomial, max_abs
+from .linalg import MatrixPolynomial, max_abs, worst
 from .operator import build_operator, eigenvalue_matrix
 from .orthogonal import MonicSequence, RecurrenceTable, orthonormalize_sequence
-from .weights import WeightParams, weight_inverse_symbolic_2x2
+from .weights import CACHE_SIZE, WeightParams, weight_inverse_symbolic_2x2
 
 __all__ = [
     "AsymptoticReport",
@@ -82,7 +82,7 @@ def hermite_coefficients(n: int) -> np.ndarray:
     return np.array(_hermite_coeff_tuple(n))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _scaled_hermite(n: int, b: float) -> np.ndarray:
     """Coefficients of H_n(sqrt(b) t); cached, reused across matrix entries."""
     out = hermite_coefficients(n) * b ** (np.arange(n + 1) / 2.0)
@@ -387,7 +387,7 @@ def rodrigues_pde_residual(p: WeightParams, n: int, ts: Sequence[float]) -> floa
             - kern.poly_mul(m1).derivative()
             + kern.poly_mul(m0)
             - kern.lmul(lam))
-    return max(max_abs(expr(t)) for t in ts)
+    return worst(max_abs(expr(t)) for t in ts)
 
 
 def normalized_recurrence_from_moments(p: WeightParams, seq: MonicSequence) -> RecurrenceTable:

@@ -18,7 +18,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .linalg import MatrixPolynomial, as_square, max_abs
+from .linalg import MatrixPolynomial, as_square, max_abs, worst
 
 __all__ = ["Atom", "GaussErfMatrix", "PLAIN", "GAUSS", "ERF", "gauss_integral"]
 
@@ -200,7 +200,7 @@ class GaussErfMatrix:
         return out
 
     def max_coeff(self) -> float:
-        return max((max_abs(c) for c in self.terms.values()), default=0.0)
+        return worst(max_abs(c) for c in self.terms.values())
 
     def to_polynomial(self, residual_tol: float = 1e-9) -> MatrixPolynomial:
         """Collapse to a matrix polynomial, requiring all transcendental atoms

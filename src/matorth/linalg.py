@@ -19,6 +19,7 @@ __all__ = [
     "hermitian_residual",
     "max_abs",
     "nilpotent_exp",
+    "worst",
 ]
 
 
@@ -37,6 +38,13 @@ def max_abs(a: np.ndarray) -> float:
     if a.size == 0:
         return 0.0
     return float(np.max(np.abs(a)))
+
+
+def worst(values: Iterable[float]) -> float:
+    """Largest of ``values``, 0 for none, and NaN if any is NaN: unlike a
+    fold with ``max``, which keeps its running value when it meets NaN, a NaN
+    residual can never be reduced away."""
+    return float(np.max(np.fromiter(values, dtype=float), initial=0.0))
 
 
 def hermitian_residual(m: np.ndarray) -> float:
@@ -165,7 +173,7 @@ class MatrixPolynomial:
         return MatrixPolynomial([c.conj().T for c in self._coeffs], dim=self.dim)
 
     def max_coeff(self) -> float:
-        return max((max_abs(c) for c in self._coeffs), default=0.0)
+        return worst(max_abs(c) for c in self._coeffs)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MatrixPolynomial):

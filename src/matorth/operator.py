@@ -14,8 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import MatrixPolynomial, ad_power, max_abs
-from .weights import (WeightParams, build_structure, exp_factor,
+from .linalg import MatrixPolynomial, ad_power, max_abs, worst
+from .weights import (CACHE_SIZE, WeightParams, build_structure, exp_factor,
                       moment_pairing, weight_eval, weight_symbolic)
 
 __all__ = [
@@ -50,7 +50,7 @@ class DifferentialOperator:
         return self.f2.dim
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def build_operator(p: WeightParams) -> DifferentialOperator:
     """Assemble the symmetric operator's coefficients from the structure."""
     s = build_structure(p)
@@ -102,8 +102,8 @@ class SymmetryReport:
 
     @property
     def max_residual(self) -> float:
-        return max(self.residual_ccp, self.residual_first_order,
-                   self.residual_second_order)
+        return worst((self.residual_ccp, self.residual_first_order,
+                      self.residual_second_order))
 
 
 def check_symmetry_equations(p: WeightParams, ts: Sequence[float]) -> SymmetryReport:
@@ -128,20 +128,16 @@ def check_symmetry_equations(p: WeightParams, ts: Sequence[float]) -> SymmetryRe
     eq_first = 2.0 * f2w.derivative() - f1w - wf1s
     eq_second = f2w.derivative(2) - f1w.derivative() + f0w - wf0s
 
-    r_ccp = r_first = r_second = 0.0
-    for t in ts:
-        r_ccp = max(r_ccp, max_abs(eq_ccp(t)))
-        r_first = max(r_first, max_abs(eq_first(t)))
-        r_second = max(r_second, max_abs(eq_second(t)))
+    r_ccp, r_first, r_second = (worst(max_abs(eq(t)) for t in ts)
+                                for eq in (eq_ccp, eq_first, eq_second))
 
     tb = 8.0 / math.sqrt(min(1.0, p.b))
     decay = f2w.derivative() - f1w
-    bval = max(max_abs(f2w(t)) * abs(t) ** 10 for t in (-tb, tb))
-    bval = max(bval, max(max_abs(decay(t)) * abs(t) ** 10 for t in (-tb, tb)))
+    bval = worst(max_abs(f(t)) * abs(t) ** 10 for f in (f2w, decay) for t in (-tb, tb))
     return SymmetryReport(r_ccp, r_first, r_second, bval, bval < 1e-6)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _first_order_factor(p: WeightParams) -> MatrixPolynomial:
     """The polynomial F with T' = F T, built from the terminating
     commutator expansion of the conjugated Gaussian diagonal."""
@@ -186,17 +182,17 @@ def check_chi_xi(p: WeightParams, ts: Sequence[float]) -> ChiXiReport:
     diag_target = lambda t: b + 2.0 * b * t * t * d + 2.0 * b * np.arange(n)
     off = np.ones((n, n)) - np.eye(n)
 
-    r_stable = r_literal = r_off = r_diag = 0.0
+    rows = []
     for t in ts:
         xi = xi_poly(t)
-        r_off = max(r_off, max_abs(xi * off))
-        r_diag = max(r_diag, float(np.max(np.abs(np.diag(xi) - diag_target(t)))))
         chi = xi * np.exp(t * t * (d[np.newaxis, :] - d[:, np.newaxis]))
-        r_literal = max(r_literal, max_abs(chi - chi.conj().T))
         m_t = m_poly(t)
         w_t = weight_eval(p, t)[1]
-        r_stable = max(r_stable, max_abs(m_t @ w_t - w_t @ m_t.conj().T))
-    return ChiXiReport(r_stable, r_literal, r_off, r_diag)
+        rows.append((max_abs(m_t @ w_t - w_t @ m_t.conj().T),
+                     max_abs(chi - chi.conj().T),
+                     max_abs(xi * off),
+                     max_abs(np.diag(xi) - diag_target(t))))
+    return ChiXiReport(*(worst(col) for col in zip(*rows)))
 
 
 def symmetry_bilinear_check(p: WeightParams, lhs: MatrixPolynomial,

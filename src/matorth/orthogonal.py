@@ -17,7 +17,7 @@ from scipy.special import roots_hermite
 
 from . import _mp
 from .linalg import MatrixPolynomial, hermitian_residual, max_abs
-from .weights import WeightParams, weight_moment
+from .weights import WeightParams
 
 __all__ = [
     "MonicSequence",
@@ -28,10 +28,6 @@ __all__ = [
     "recurrence_from_sequence",
 ]
 
-# The build runs at _mp.DPS digits, so its results stay double-accurate while
-# the equilibrated moment system condition is below ~10**(DPS - 20); beyond
-# that the sequence truncates rather than degrade silently.
-COND_LIMIT = 10.0 ** (_mp.DPS - 20)
 DEFAULT_NMAX = 25
 
 
@@ -56,7 +52,8 @@ class MonicSequence:
         return len(self.polys) - 1
 
     def pairing(self, i: int, j: int) -> np.ndarray:
-        """``integral P_i W P_j*`` evaluated through the exact-moment path."""
+        """``integral P_i W P_j*`` of the returned complex128 polynomials,
+        taken exactly against the high-precision moments."""
         return _mp.family(self.params).pair_float(i, j)
 
 
@@ -77,88 +74,50 @@ class RecurrenceTable:
     residuals: tuple[float, ...] | None = None
 
 
-def _hankel_condition(p: WeightParams, deg: int) -> float:
-    """Condition estimate of the diagonally equilibrated block moment matrix
-    (blocks S_{j+k}, j,k <= deg). Raw moments span hundreds of orders of
-    magnitude, so the unequilibrated condition number would say nothing."""
-    n = p.size
-    size = (deg + 1) * n
-    h = np.empty((size, size), dtype=complex)
-    for j in range(deg + 1):
-        for k in range(deg + 1):
-            h[j * n:(j + 1) * n, k * n:(k + 1) * n] = weight_moment(p, j + k)
-    d = np.sqrt(np.abs(np.real(np.diag(h))))
-    d[d == 0] = 1.0
-    h = h / np.outer(d, d)
-    return float(np.linalg.cond(h))
-
-
-_sequence_cache: dict[tuple[WeightParams, int], MonicSequence] = {}
-
-
 def monic_sequence(p: WeightParams, nmax: int = DEFAULT_NMAX) -> MonicSequence:
     """Build the monic orthogonal sequence up to degree ``nmax``.
 
-    Degrees stop early (with a diagnostic, never a silent regularization)
-    if the equilibrated moment system's condition estimate passes 1e12 or a
-    squared norm stops being positive definite.
+    Degrees stop early, with a diagnostic and never a silent regularization,
+    at the first degree whose squared norm is not positive definite at the
+    build's working precision.
     """
     if nmax < 0:
         raise ValueError("nmax must be >= 0")
-    cached = _sequence_cache.get((p, nmax))
-    if cached is not None:
-        return cached
     fam = _mp.family(p)
     truncated_at = None
     reason = None
-    built = len(fam.polys) - 1
-    for deg in range(built + 1, nmax + 1):
-        cond = _hankel_condition(p, deg)
-        if cond > COND_LIMIT:
-            truncated_at = deg
-            reason = (f"moment system condition estimate {cond:.3e} exceeds "
-                      f"{COND_LIMIT:.0e} at degree {deg}")
-            break
-        try:
-            fam.extend(deg)
-        except ArithmeticError as exc:
-            truncated_at = deg
-            reason = f"norm positive definiteness lost at degree {deg}: {exc}"
-            break
-    top = min(len(fam.polys) - 1, nmax)
-    polys = tuple(MatrixPolynomial(fam.poly_float(k)) for k in range(top + 1))
-    norms = tuple(fam.norm_float(k) for k in range(top + 1))
-    seq = MonicSequence(p, polys, norms, truncated_at, reason)
-    _sequence_cache[(p, nmax)] = seq
-    return seq
+    try:
+        fam.extend(nmax)
+    except ArithmeticError as exc:
+        truncated_at = fam.top + 1
+        reason = f"norm positive definiteness lost at degree {truncated_at}: {exc}"
+    top = min(fam.top, nmax)
+    polys = tuple(MatrixPolynomial(fam.poly(k)) for k in range(top + 1))
+    norms = tuple(fam.norm(k) for k in range(top + 1))
+    return MonicSequence(p, polys, norms, truncated_at, reason)
 
 
 def recurrence_from_sequence(seq: MonicSequence) -> RecurrenceTable:
-    """Extract the monic recurrence ``t P_n = P_{n+1} + B_n P_n + C_n P_{n-1}``.
+    """The monic recurrence ``t P_n = P_{n+1} + B_n P_n + C_n P_{n-1}``.
 
-    B_n comes from comparing subleading coefficients, C_n from the norm
-    quotient; each row's identity residual is measured on the returned
-    double-precision data.
+    B_n and C_n are the coefficients the high-precision build used to
+    produce the sequence; each row's identity residual is measured on the
+    returned double-precision data.
     """
     count = len(seq.polys)
     if count < 2:
         raise ValueError("need at least two polynomials to read a recurrence")
-    fam = _mp.family(seq.params)
-    n = seq.params.size
-    eye = np.eye(n, dtype=complex)
-    rows = count - 1
+    b, c = _mp.family(seq.params).monic_table(count)
+    eye = np.eye(seq.params.size, dtype=complex)
     a = tuple(eye.copy() for _ in range(count))
-    b = tuple(_mp.to_complex(fam.monic_b(k)) for k in range(rows))
-    c = (np.zeros((n, n), dtype=complex),) + tuple(
-        _mp.to_complex(fam.monic_c(k)) for k in range(1, count))
     residuals = []
-    for k in range(rows):
+    for k in range(count - 1):
         shifted = MatrixPolynomial.monomial(eye, 1) * seq.polys[k]
         resid = shifted - seq.polys[k + 1] - seq.polys[k].lmul(b[k])
         if k >= 1:
             resid = resid - seq.polys[k - 1].lmul(c[k])
         residuals.append(resid.max_coeff() / max(1.0, shifted.max_coeff()))
-    return RecurrenceTable("monic", a, b, c, tuple(residuals))
+    return RecurrenceTable("monic", a, tuple(b), tuple(c), tuple(residuals))
 
 
 def orthonormalize_sequence(seq: MonicSequence) -> tuple[RecurrenceTable, tuple[np.ndarray, ...]]:
@@ -170,26 +129,13 @@ def orthonormalize_sequence(seq: MonicSequence) -> tuple[RecurrenceTable, tuple[
     entry. Returns the orthonormal table (C_n = A_n* by construction) and
     the Delta_n sequence.
     """
-    count = len(seq.polys)
-    fam = _mp.family(seq.params)
-    n = seq.params.size
-    with _mp.mp.workdps(_mp.DPS):
-        deltas_mp = [fam.delta(k) for k in range(count)]
-        chols_mp = [_mp._minv(d, n) for d in deltas_mp]
-        a = [np.zeros((n, n), dtype=complex)]
-        for k in range(1, count):
-            a.append(_mp.to_complex(_mp._mmul(deltas_mp[k - 1], chols_mp[k], n)))
-        b = []
-        for k in range(count - 1):
-            bd = _mp._mmul(_mp._mmul(deltas_mp[k], fam.monic_b(k), n), chols_mp[k], n)
-            b.append(_mp.to_complex(bd))
-    deltas = tuple(_mp.to_complex(d) for d in deltas_mp)
+    a, b, deltas = _mp.family(seq.params).orthonormal_table(len(seq.polys))
     for k, bk in enumerate(b):
         if hermitian_residual(bk) > 1e-6 * max(1.0, max_abs(bk)):
             raise ArithmeticError(
                 f"orthogonalization defect: B_{k} is not Hermitian")
     c = tuple(m.conj().T for m in a)
-    return RecurrenceTable("orthonormal", tuple(a), tuple(b), c), deltas
+    return RecurrenceTable("orthonormal", tuple(a), tuple(b), c), tuple(deltas)
 
 
 def _lifted_hermite_rule(m: int) -> tuple[np.ndarray, np.ndarray]:

@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from . import closed_forms as cf
-from .linalg import MatrixPolynomial, max_abs
+from .linalg import MatrixPolynomial, max_abs, worst
 from .operator import (apply_operator, build_operator, check_chi_xi,
                        check_symmetry_equations, eigenvalue_matrix)
 from .orthogonal import (monic_sequence, orthonormalize_sequence,
@@ -156,21 +156,15 @@ def run_suite(config: RunConfig) -> VerificationSummary:
         return 0.0, f"size {p.size}, series terms {len(s.odd_coeffs)}"
 
     def c_identities():
-        worst, skipped = 0.0, ()
-        for t in grid:
-            rep = verify_structure_identities(p, t)
-            worst = max(worst, rep.max_residual)
-            skipped = rep.skipped
+        reports = [verify_structure_identities(p, t) for t in grid]
+        skipped = reports[-1].skipped
         note = f"skipped: {', '.join(skipped)}" if skipped else ""
-        return worst, note
+        return worst(rep.max_residual for rep in reports), note
 
     def c_abel():
         rng = np.random.default_rng(config.seed)
-        worst = 0.0
-        for _ in range(50):
-            k, z, w = draw_abel_case(rng)
-            worst = max(worst, abel_identity_check(k, z, w)[2])
-        return worst, "50 draws, k <= 30"
+        return (worst(abel_identity_check(*draw_abel_case(rng))[2] for _ in range(50)),
+                "50 draws, k <= 30")
 
     def symmetry_report():
         if "sym" not in state:
@@ -185,87 +179,80 @@ def run_suite(config: RunConfig) -> VerificationSummary:
 
     def c_chi_xi():
         rep = check_chi_xi(p, grid)
-        worst = max(rep.chi_hermitian_residual, rep.xi_offdiagonal_residual,
-                    rep.xi_diagonal_residual)
-        return worst, f"literal chi residual {rep.chi_literal_residual:.2e}"
+        return (worst((rep.chi_hermitian_residual, rep.xi_offdiagonal_residual,
+                       rep.xi_diagonal_residual)),
+                f"literal chi residual {rep.chi_literal_residual:.2e}")
 
     def c_oracle():
-        worst = 0.0
-        for m in range(0, min(30, 2 * config.nmax) + 1):
+        def deviation(m):
             exact = weight_moment(p, m)
             approx = quadrature_oracle(
                 p, lambda t: t ** m * weight_eval(p, t)[1],
                 degree_hint=m + 2 * p.size + 10)
-            worst = max(worst, max_abs(approx - exact) / max(1.0, max_abs(exact)))
-        return worst, ""
+            return max_abs(approx - exact) / max(1.0, max_abs(exact))
+        return worst(deviation(m) for m in range(min(30, 2 * config.nmax) + 1)), ""
 
     def c_orthogonality():
         s = seq()
-        worst = 0.0
-        for n in range(len(s.polys)):
-            for m in range(n):
-                scale = math.sqrt(max_abs(s.norms[n]) * max_abs(s.norms[m]))
-                worst = max(worst, max_abs(s.pairing(n, m)) / max(1.0, scale))
-        note = s.truncation_reason or ""
-        return worst, note
+
+        def defect(n, m):
+            scale = math.sqrt(max_abs(s.norms[n]) * max_abs(s.norms[m]))
+            return max_abs(s.pairing(n, m)) / max(1.0, scale)
+        return (worst(defect(n, m) for n in range(len(s.polys)) for m in range(n)),
+                s.truncation_reason or "")
 
     def c_eigen():
         s = seq()
         op = build_operator(p)
-        worst = 0.0
-        for n in range(len(s.polys)):
-            lam = eigenvalue_matrix(p, n)
-            rhs = s.polys[n].lmul(lam)
-            worst = max(worst, (apply_operator(op, s.polys[n]) - rhs).max_coeff()
-                        / max(1.0, rhs.max_coeff()))
-        return worst, ""
+
+        def deviation(n):
+            rhs = s.polys[n].lmul(eigenvalue_matrix(p, n))
+            return ((apply_operator(op, s.polys[n]) - rhs).max_coeff()
+                    / max(1.0, rhs.max_coeff()))
+        return worst(deviation(n) for n in range(len(s.polys))), ""
 
     def c_rodrigues_explicit():
-        worst = 0.0
-        for n in range(1, min(config.nmax, 12) + 1):
-            worst = max(worst, _poly_rel_dev(cf.rodrigues_polynomial(p, n),
-                                             cf.explicit_polynomial(p, n)))
-        return worst, ""
+        return worst(_poly_rel_dev(cf.rodrigues_polynomial(p, n),
+                                   cf.explicit_polynomial(p, n))
+                     for n in range(1, min(config.nmax, 12) + 1)), ""
 
     def c_recurrence_closed():
         s = seq()
         monic = recurrence_from_sequence(s)
         orth, _ = orthonormalize_sequence(s)
         tilde = cf.normalized_recurrence_from_moments(p, s)
-        worst = 0.0
         top = min(len(s.polys) - 2, 15)
-        for n in range(1, top + 1):
+
+        def deviations(n):
             a_cl, b_cl = cf.orthonormal_recurrence(p, n)
             rec = cf.recurrence_closed_forms(p, n)
-            worst = max(worst,
-                        _rel_dev(orth.A[n], a_cl), _rel_dev(orth.B[n], b_cl),
-                        _rel_dev(monic.B[n], rec.monic_b),
-                        _rel_dev(monic.C[n], rec.monic_c),
-                        _rel_dev(tilde.A[n], rec.rodrigues_a),
-                        _rel_dev(tilde.B[n], rec.rodrigues_b),
-                        _rel_dev(tilde.C[n], rec.rodrigues_c))
-        return worst, f"degrees 1..{top}"
+            return (_rel_dev(orth.A[n], a_cl), _rel_dev(orth.B[n], b_cl),
+                    _rel_dev(monic.B[n], rec.monic_b),
+                    _rel_dev(monic.C[n], rec.monic_c),
+                    _rel_dev(tilde.A[n], rec.rodrigues_a),
+                    _rel_dev(tilde.B[n], rec.rodrigues_b),
+                    _rel_dev(tilde.C[n], rec.rodrigues_c))
+        return (worst(d for n in range(1, top + 1) for d in deviations(n)),
+                f"degrees 1..{top}")
 
     def c_recurrence_identity():
-        table = recurrence_from_sequence(seq())
-        return max(table.residuals), ""
+        return worst(recurrence_from_sequence(seq()).residuals), ""
 
     def c_norms():
         s = seq()
-        worst = 0.0
         top = min(len(s.polys) - 1, 15)
-        for n in range(top + 1):
+
+        def deviations(n):
             monic_cl, rodr_cl = cf.closed_norms(p, n)
-            worst = max(worst, _rel_dev(s.norms[n], monic_cl))
             lead = cf.normalization(p, n).leading
-            worst = max(worst, _rel_dev(lead @ s.norms[n] @ lead.conj().T, rodr_cl))
-        return worst, f"degrees 0..{top}"
+            return (_rel_dev(s.norms[n], monic_cl),
+                    _rel_dev(lead @ s.norms[n] @ lead.conj().T, rodr_cl))
+        return (worst(d for n in range(top + 1) for d in deviations(n)),
+                f"degrees 0..{top}")
 
     def c_rodrigues_equation():
-        worst = 0.0
-        for n in range(1, min(config.nmax, 10) + 1):
-            worst = max(worst, cf.rodrigues_pde_residual(p, n, grid))
-        return worst, ""
+        return worst(cf.rodrigues_pde_residual(p, n, grid)
+                     for n in range(1, min(config.nmax, 10) + 1)), ""
 
     def c_asymptotics():
         rep = cf.asymptotic_report(p, horizon=200)
@@ -304,15 +291,16 @@ def run_parameter_sweep(count: int, seed: int,
     draws = [draw_params(rng) for _ in range(count)]
     summary = VerificationSummary(draws[0]) if draws else VerificationSummary(
         WeightParams(2, (1.0,), 2.0))
-    worst_idn = worst_sym = worst_chi = 0.0
+    idn, sym, chi = [], [], []
     start = time.perf_counter()
     for p in draws:
-        for t in (-2.0, 0.3, 1.9):
-            worst_idn = max(worst_idn, verify_structure_identities(p, t).max_residual)
-        worst_sym = max(worst_sym, check_symmetry_equations(p, grid).max_residual)
+        idn.extend(verify_structure_identities(p, t).max_residual
+                   for t in (-2.0, 0.3, 1.9))
+        sym.append(check_symmetry_equations(p, grid).max_residual)
         rep = check_chi_xi(p, grid)
-        worst_chi = max(worst_chi, rep.chi_hermitian_residual,
-                        rep.xi_offdiagonal_residual, rep.xi_diagonal_residual)
+        chi.extend((rep.chi_hermitian_residual, rep.xi_offdiagonal_residual,
+                    rep.xi_diagonal_residual))
+    worst_idn, worst_sym, worst_chi = worst(idn), worst(sym), worst(chi)
     elapsed = time.perf_counter() - start
     note = f"{count} draws, seed {seed}"
     summary.checks.append(CheckResult("sweep-structure-identities", worst_idn,

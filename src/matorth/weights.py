@@ -10,6 +10,7 @@ truncates to its first term.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -17,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .gausserf import GAUSS, GaussErfMatrix, atom
-from .linalg import MatrixPolynomial, max_abs, nilpotent_exp
+from .linalg import MatrixPolynomial, max_abs, nilpotent_exp, worst
 
 __all__ = [
     "IdentityReport",
@@ -33,6 +34,11 @@ __all__ = [
     "weight_moment",
     "weight_symbolic",
 ]
+
+# Entries kept by every per-parameter cache. One verify run needs up to 31
+# moments of one parameter set, so it never recomputes one; a long parameter
+# sweep keeps only the most recent sets.
+CACHE_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -52,10 +58,10 @@ class WeightParams:
             raise ValueError(
                 f"need {self.size - 1} off-diagonal parameters, got {len(self.a)}")
         for i, v in enumerate(self.a):
-            if v == 0:
-                raise ValueError(f"a_{i + 1} must be nonzero")
-        if self.b <= 0:
-            raise ValueError(f"b must be positive, got {self.b}")
+            if v == 0 or not cmath.isfinite(v):
+                raise ValueError(f"a_{i + 1} must be finite and nonzero, got {v}")
+        if not (math.isfinite(self.b) and self.b > 0):
+            raise ValueError(f"b must be finite and positive, got {self.b}")
 
     @property
     def degenerate_b(self) -> bool:
@@ -89,38 +95,52 @@ class StructureMatrices:
 
 
 def alpha_coeff(size: int, b: float, j: int) -> float:
-    """Series coefficient weighting the (2j+1)-th power of the shift matrix."""
+    """Series coefficient weighting the (2j+1)-th power of the shift matrix.
+
+    Also evaluates at an mpmath ``b``, to that number's precision."""
     if j == 0:
         return 1.0
     return ((1.0 - b) ** j * (2 * j + 1) ** (j - 1)
             / ((4.0 * b) ** j * (size - 1) ** j * math.factorial(j)))
 
 
-@lru_cache(maxsize=None)
+def scale_diagonals(size: int, b) -> tuple[list, list]:
+    """Diagonals of ``diag_scale`` and ``gauss_diag``, at the precision of
+    ``b`` (a float or an mpmath number)."""
+    psi = [1 + (b - 1) * k / (size - 1) for k in range(size)]
+    return psi, [-b / (2 * v) for v in psi]
+
+
+def odd_series(shift: np.ndarray, coeffs) -> np.ndarray:
+    """``sum_j coeffs[j] shift**(2j+1)``, the nilpotent generator; also for
+    object arrays of mpmath numbers (array on the left, so that numpy, not
+    mpmath, handles the product)."""
+    out = np.zeros_like(shift)
+    power, sq = shift, shift @ shift
+    for alpha in coeffs:
+        out = out + power * alpha
+        power = power @ sq
+    return out
+
+
+@lru_cache(maxsize=CACHE_SIZE)
 def build_structure(p: WeightParams) -> StructureMatrices:
     """Assemble the structure matrices for one set of parameters."""
     n, b = p.size, p.b
-    shift = np.zeros((n, n), dtype=complex)
-    for i, v in enumerate(p.a):
-        shift[i, i + 1] = v
+    shift = np.diag(np.array(p.a, dtype=complex), 1)
     number = np.diag(np.arange(n, dtype=float)).astype(complex)
-    psi = 1.0 + (b - 1.0) * np.arange(n) / (n - 1)
+    psi, gauss = scale_diagonals(n, b)
     diag_scale = np.diag(psi).astype(complex)
-    gauss_diag = np.diag(-b / (2.0 * psi)).astype(complex)
+    gauss_diag = np.diag(gauss).astype(complex)
     coeffs = tuple(alpha_coeff(n, b, j) for j in range(n // 2))
-    nilpotent = np.zeros((n, n), dtype=complex)
-    power = shift.copy()
-    sq = shift @ shift
-    for j, alpha in enumerate(coeffs):
-        nilpotent += alpha * power
-        power = power @ sq
+    nilpotent = odd_series(shift, coeffs)
     for m in (shift, number, diag_scale, gauss_diag, nilpotent):
         m.setflags(write=False)
     return StructureMatrices(shift, number, diag_scale, gauss_diag,
                              nilpotent, coeffs)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def exp_factor(p: WeightParams, sign: int = 1) -> MatrixPolynomial:
     """Polynomial ``exp(sign * nilpotent * t)``; sign=-1 gives the inverse."""
     s = build_structure(p)
@@ -135,7 +155,7 @@ def weight_eval(p: WeightParams, t: float) -> tuple[np.ndarray, np.ndarray]:
     return big_t, big_t @ big_t.conj().T
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def weight_symbolic(p: WeightParams) -> GaussErfMatrix:
     """The weight as an exact polynomial-times-Gaussian function matrix."""
     s = build_structure(p)
@@ -153,10 +173,11 @@ def weight_symbolic(p: WeightParams) -> GaussErfMatrix:
     return t_sym @ t_sym.conj_t()
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def weight_moment(p: WeightParams, m: int) -> np.ndarray:
     """Exact m-th moment ``integral t**m W(t) dt`` via per-atom Gaussian
-    integrals; memoized because the orthogonalizer asks repeatedly."""
+    integrals, in double precision; memoized because ``moment_pairing``
+    asks for the same orders repeatedly."""
     if m < 0:
         raise ValueError("moment order must be >= 0")
     out = weight_symbolic(p).integrate(extra_power=m)
@@ -219,7 +240,7 @@ class IdentityReport:
 
     @property
     def max_residual(self) -> float:
-        return max(self.residuals.values(), default=0.0)
+        return worst(self.residuals.values())
 
 
 def verify_structure_identities(p: WeightParams, t: float) -> IdentityReport:

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from matorth import WeightParams
 from matorth.linalg import max_abs
@@ -23,3 +26,31 @@ def flagship() -> WeightParams:
 @pytest.fixture
 def grid() -> np.ndarray:
     return np.linspace(-3.0, 3.0, 11)
+
+
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+FINITE = st.floats(-1e3, 1e3)
+GOOD_A = st.builds(complex, st.floats(0.1, 10.0), FINITE)
+
+
+@st.composite
+def invalid_params(draw):
+    """(size, a, b) with exactly one kind of fault: a size below 2, a wrong
+    number of a's, an a that is zero or not finite, or a b that is not
+    finite and positive."""
+    fault = draw(st.sampled_from(["size", "count", "a", "b"]))
+    size = draw(st.integers(2, 5))
+    a = draw(st.lists(GOOD_A, min_size=size - 1, max_size=size - 1))
+    b = draw(st.floats(0.1, 10.0))
+    if fault == "size":
+        size = draw(st.integers(-3, 1))
+        a = []
+    elif fault == "count":
+        a = draw(st.lists(GOOD_A, max_size=6).filter(lambda v: len(v) != size - 1))
+    elif fault == "a":
+        a[draw(st.integers(0, size - 2))] = draw(st.one_of(
+            st.just(0j), st.builds(complex, NON_FINITE, FINITE),
+            st.builds(complex, FINITE, NON_FINITE)))
+    else:
+        b = draw(st.one_of(NON_FINITE, st.floats(max_value=0.0, allow_nan=False)))
+    return size, tuple(a), b

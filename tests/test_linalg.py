@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from matorth.linalg import MatrixPolynomial, ad_power, max_abs, nilpotent_exp
+from matorth.linalg import MatrixPolynomial, ad_power, max_abs, nilpotent_exp, worst
 
 I2 = np.eye(2, dtype=complex)
 
@@ -130,3 +132,13 @@ class TestAdPower:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             ad_power(np.eye(2), np.eye(3), 1)
+
+
+class TestWorst:
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(st.lists(st.floats(0.0, 1e300), max_size=8), st.data())
+    def test_nan_anywhere_propagates(self, values, data):
+        assert worst(values) == max(values, default=0.0)
+        values.insert(data.draw(st.integers(0, len(values))), math.nan)
+        assert math.isnan(worst(values))
+

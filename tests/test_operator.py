@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from matorth.linalg import MatrixPolynomial, hermitian_residual, max_abs
-from matorth.operator import (_first_order_factor, apply_operator,
-                              build_operator, check_chi_xi,
+from matorth.operator import (SymmetryReport, _first_order_factor,
+                              apply_operator, build_operator, check_chi_xi,
                               check_symmetry_equations, eigenvalue_matrix,
                               symmetry_bilinear_check)
 from matorth.orthogonal import monic_sequence, orthonormalize_sequence
@@ -109,6 +111,10 @@ class TestSymmetryEquations:
         # exercises the decay sample point scaling ~ 1/sqrt(b)
         rep = check_symmetry_equations(WeightParams(2, (1.0,), 0.25), grid)
         assert rep.boundary_decay_ok
+
+    def test_nan_residual_is_never_dropped(self):
+        rep = SymmetryReport(0.0, math.nan, 1e-3, 0.0, True)
+        assert math.isnan(rep.max_residual)
 
 
 class TestChiXi:

@@ -1,9 +1,9 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
-import matorth.orthogonal as og
 from conftest import rel_dev
 from matorth.closed_forms import (explicit_polynomial, gamma_value,
                                   normalization, orthonormal_recurrence,
@@ -57,13 +57,30 @@ class TestMonicSequence:
         for norm in seq.norms:
             assert np.linalg.eigvalsh(norm).min() > 0.0
 
-    def test_condition_truncation_diagnostic(self, monkeypatch):
-        monkeypatch.setattr(og, "COND_LIMIT", 10.0)
-        p = WeightParams(2, (0.9,), 1.9)  # params unused elsewhere: fresh cache
-        seq = og.monic_sequence(p, 12)
-        assert seq.truncated_at is not None
-        assert "condition estimate" in seq.truncation_reason
+    def test_condition_truncation_diagnostic(self):
+        # Gaussian scales 1e6 apart: the moment system is so ill conditioned
+        # that a squared norm stops being positive definite at degree 10
+        p = WeightParams(2, (1.0,), 1e6)
+        seq = monic_sequence(p, 12)
+        assert seq.truncated_at == 10
+        assert "positive definiteness lost at degree 10" in seq.truncation_reason
         assert len(seq.polys) == seq.truncated_at
+        assert monic_sequence(p, 9).truncated_at is None
+
+    def test_global_mpmath_precision_untouched(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("global mpmath precision changed")
+        monkeypatch.setattr(mpmath.mp, "workdps", refuse)
+        monkeypatch.setattr(mpmath.mp, "prec", 20)
+        p = WeightParams(2, (0.6 - 0.3j,), 2.7)  # params unused elsewhere: cold build
+        seq = monic_sequence(p, 8)
+        orthonormalize_sequence(seq)
+        seq.pairing(8, 3)
+        assert mpmath.mp.prec == 20
+        for n in range(9):
+            lead = np.linalg.inv(normalization(p, n).leading)
+            closed = explicit_polynomial(p, n).lmul(lead)
+            assert (seq.polys[n] - closed).max_coeff() < 1e-8 * max(1.0, closed.max_coeff())
 
     def test_rejects_negative_nmax(self, flagship):
         with pytest.raises(ValueError):

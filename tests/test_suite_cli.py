@@ -3,13 +3,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import matorth.suite as suite
+from conftest import invalid_params
 from matorth.cli import main
 from matorth.linalg import MatrixPolynomial
 from matorth.suite import RunConfig, export_tables, run_suite
-from matorth.weights import WeightParams
+from matorth.weights import IdentityReport, WeightParams
 
 FLAGSHIP = WeightParams(2, (1.0,), 2.0)
+FLAGSHIP_GRID = (-1.0, 0.0, 1.0)
+
+
+def _cli_number(x: float) -> str:
+    """A float as the CLI parses it; 1e999 spells infinity without an 'i'."""
+    return {math.inf: "1e999", -math.inf: "-1e999"}.get(x, repr(x))
 
 
 def check_map(summary):
@@ -49,6 +58,21 @@ class TestRunSuite:
         summary = run_suite(config)
         assert not summary.overall
         assert len(summary.checks) == 15  # every check still ran
+
+    def test_nan_residual_fails_the_check(self, monkeypatch):
+        real = suite.verify_structure_identities
+
+        def nan_at_second_point(p, t):
+            rep = real(p, t)
+            if t == FLAGSHIP_GRID[1]:
+                rep = IdentityReport({**rep.residuals, "bracket_series": math.nan},
+                                     rep.skipped)
+            return rep
+        monkeypatch.setattr(suite, "verify_structure_identities", nan_at_second_point)
+        summary = run_suite(RunConfig(FLAGSHIP, nmax=1, t_grid=FLAGSHIP_GRID))
+        check = check_map(summary)["structure-identities"]
+        assert math.isnan(check.residual) and not check.passed
+        assert not summary.overall
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
@@ -130,6 +154,18 @@ class TestCli:
     def test_config_error_exit_code(self, capsys):
         assert main(["verify", "--a", "0,1", "--size", "3"]) == 2
         assert "a_1" in capsys.readouterr().err
+
+    @settings(max_examples=40, deadline=None, database=None, derandomize=True)
+    @given(st.data())
+    def test_invalid_parameters_exit_code(self, data):
+        size, a, b = data.draw(invalid_params())
+        tokens = []
+        for v in a:
+            im = _cli_number(v.imag)
+            tokens.append(f"{_cli_number(v.real)}{'' if im.startswith('-') else '+'}{im}j")
+        argv = ["verify", f"--size={size}", f"--a={','.join(tokens)}",
+                f"--b={_cli_number(b)}"]
+        assert main(argv) == 2
 
     def test_bad_grid_exit_code(self, capsys):
         assert main(["verify", "--grid", "nope"]) == 2

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import invalid_params
 from matorth.linalg import max_abs
-from matorth.weights import (WeightParams, abel_identity_check, alpha_coeff,
-                             build_structure, verify_structure_identities,
+from matorth.weights import (IdentityReport, WeightParams, abel_identity_check,
+                             alpha_coeff, build_structure,
+                             verify_structure_identities,
                              weight_eval, weight_inverse_2x2, weight_moment,
                              weight_symbolic)
 
@@ -28,6 +31,13 @@ class TestParams:
     def test_rejects_wrong_parameter_count(self):
         with pytest.raises(ValueError):
             WeightParams(3, (1.0,), 2.0)
+
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(st.data())
+    def test_rejects_invalid_parameters(self, data):
+        size, a, b = data.draw(invalid_params())
+        with pytest.raises(ValueError):
+            WeightParams(size, a, b)
 
     def test_degenerate_flag(self):
         assert WeightParams(2, (1.0,), 1.0).degenerate_b
@@ -206,6 +216,10 @@ class TestStructureIdentities:
         assert rep.skipped == ("even_power_sum",)
         assert len(rep.residuals) == 5
         assert rep.max_residual < 1e-12
+
+    def test_nan_residual_is_never_dropped(self):
+        rep = IdentityReport({"x": 0.0, "y": math.nan, "z": 1e-3}, ())
+        assert math.isnan(rep.max_residual)
 
     def test_fifty_draws_across_sizes(self):
         rng = np.random.default_rng(77)
