@@ -20,10 +20,13 @@ from functools import lru_cache
 import mpmath
 import numpy as np
 
-from .weights import (CACHE_SIZE, WeightParams, alpha_coeff, odd_series,
-                      scale_diagonals)
+from .weights import WeightParams, alpha_coeff, odd_series, scale_diagonals
 
 DPS = 50
+# Families kept at once. One holds megabytes (a size-5 family built to degree
+# 20 with its pairings about 5 MB), far more than an entry of the
+# double-precision caches, and a verify run or sweep member needs only one.
+FAMILY_CACHE_SIZE = 8
 
 _ctx = mpmath.MPContext()
 _ctx.dps = DPS
@@ -31,7 +34,7 @@ _ctx.dps = DPS
 _from_complex = np.frompyfunc(_ctx.mpc, 1, 1)
 
 
-@lru_cache(maxsize=CACHE_SIZE)
+@lru_cache(maxsize=FAMILY_CACHE_SIZE)
 def family(p: WeightParams) -> "_MpFamily":
     return _MpFamily(p)
 

@@ -22,7 +22,12 @@ __all__ = ["main"]
 
 
 def _parse_complex(token: str) -> complex:
-    return complex(token.strip().replace("i", "j"))
+    # only a trailing i is the imaginary unit, so inf and nan reach the
+    # parameter checks instead of failing to parse
+    token = token.strip()
+    if token.endswith("i"):
+        token = token[:-1] + "j"
+    return complex(token)
 
 
 def _parse_a(text: str) -> tuple[complex, ...]:

@@ -207,22 +207,21 @@ class GaussErfMatrix:
         to have cancelled.
 
         A non-plain atom whose coefficient exceeds ``residual_tol`` relative
-        to the largest coefficient signals a construction bug and raises.
+        to the largest coefficient, or any NaN coefficient, signals a
+        construction bug and raises.
         Sub-tolerance residue (including plain dust above the true degree) is
         dropped.
         """
-        scale = max(1.0, self.max_coeff())
-        worst = 0.0
+        scale = worst((1.0, self.max_coeff()))
+        residue = worst(max_abs(c) for a, c in self.terms.items() if a.kind != PLAIN)
+        if not residue <= residual_tol * scale:
+            raise ArithmeticError(
+                f"transcendental atoms did not cancel (residual {residue:.3e} "
+                f"vs scale {scale:.3e})")
         parts: dict[int, np.ndarray] = {}
         for a, c in self.terms.items():
             if a.kind == PLAIN:
                 parts[a.power] = parts.get(a.power, 0) + c
-            else:
-                worst = max(worst, max_abs(c))
-        if worst > residual_tol * scale:
-            raise ArithmeticError(
-                f"transcendental atoms did not cancel (residual {worst:.3e} "
-                f"vs scale {scale:.3e})")
         if not parts:
             return MatrixPolynomial.zero(self.dim)
         deg = max(parts)

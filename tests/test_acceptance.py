@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import poly_rel_dev, rel_dev
+from matorth import linalg
 from matorth.closed_forms import (asymptotic_report, closed_norms,
                                   explicit_polynomial, normalization,
                                   normalized_recurrence_from_moments,
@@ -44,8 +45,8 @@ def test_criterion_1_symmetry_equations(draws):
     worst = 0.0
     for p in draws:
         rep = check_symmetry_equations(p, GRID)
-        worst = max(worst, rep.residual_ccp, rep.residual_first_order,
-                    rep.residual_second_order)
+        worst = linalg.worst((worst, rep.residual_ccp, rep.residual_first_order,
+                              rep.residual_second_order))
     elapsed = time.perf_counter() - start
     ok = worst < 1e-9 and elapsed < 5.0
     report(1, "symmetry equations", ok,
@@ -58,12 +59,12 @@ def test_criterion_2_structure_identities_and_binomial_sum(draws):
         for t in (-2.0, 0.3, 1.9):
             rep = verify_structure_identities(p, t)
             assert len(rep.residuals) == 6 and not rep.skipped
-            worst = max(worst, rep.max_residual)
+            worst = linalg.worst((worst, rep.max_residual))
     rng = np.random.default_rng(SEED + 1)
     worst_abel = 0.0
     for _ in range(50):
         k, z, w = draw_abel_case(rng, kmax=30)
-        worst_abel = max(worst_abel, abel_identity_check(k, z, w)[2])
+        worst_abel = linalg.worst((worst_abel, abel_identity_check(k, z, w)[2]))
     ok = worst < 1e-10 and worst_abel < 1e-12
     report(2, "structure identity suite", ok,
            f"six identities worst {worst:.3e} (tol 1e-10), "
@@ -74,10 +75,10 @@ def test_criterion_3_chi_xi(draws):
     worst_chi = worst_off = worst_diag = 0.0
     for p in draws:
         rep = check_chi_xi(p, GRID)
-        worst_chi = max(worst_chi, rep.chi_hermitian_residual)
-        worst_off = max(worst_off, rep.xi_offdiagonal_residual)
-        worst_diag = max(worst_diag, rep.xi_diagonal_residual)
-    ok = max(worst_chi, worst_off, worst_diag) < 1e-9
+        worst_chi = linalg.worst((worst_chi, rep.chi_hermitian_residual))
+        worst_off = linalg.worst((worst_off, rep.xi_offdiagonal_residual))
+        worst_diag = linalg.worst((worst_diag, rep.xi_diagonal_residual))
+    ok = linalg.worst((worst_chi, worst_off, worst_diag)) < 1e-9
     report(3, "chi Hermitian / xi diagonal", ok,
            f"chi {worst_chi:.3e}, xi off-diag {worst_off:.3e}, "
            f"xi diag {worst_diag:.3e} (tol 1e-9)")
@@ -89,8 +90,8 @@ def test_criterion_4_rodrigues_explicit_equivalence():
     for a, b in [(1.0, 2.0), (1.0, 4.0), (1.0 + 1.0j, 0.5), (2.0, 0.25)]:
         p = WeightParams(2, (a,), b)
         for n in range(1, 13):
-            worst = max(worst, poly_rel_dev(rodrigues_polynomial(p, n),
-                                            explicit_polynomial(p, n)))
+            worst = linalg.worst((worst, poly_rel_dev(rodrigues_polynomial(p, n),
+                                                      explicit_polynomial(p, n))))
     elapsed = time.perf_counter() - start
     ok = worst < 1e-9 and elapsed < 10.0
     report(4, "Rodrigues/explicit equivalence", ok,
@@ -110,17 +111,17 @@ def test_criterion_5_recurrence_reproduction():
         monic = recurrence_from_sequence(seq)
         orth, _ = orthonormalize_sequence(seq)
         tilde = normalized_recurrence_from_moments(p, seq)
-        worst_identity = max(worst_identity, max(monic.residuals))
+        worst_identity = linalg.worst((worst_identity, *monic.residuals))
         for n in range(1, 16):
             a_cl, b_cl = orthonormal_recurrence(p, n)
             rec = recurrence_closed_forms(p, n)
-            worst = max(worst,
-                        rel_dev(orth.A[n], a_cl), rel_dev(orth.B[n], b_cl),
-                        rel_dev(monic.B[n], rec.monic_b),
-                        rel_dev(monic.C[n], rec.monic_c),
-                        rel_dev(tilde.A[n], rec.rodrigues_a),
-                        rel_dev(tilde.B[n], rec.rodrigues_b),
-                        rel_dev(tilde.C[n], rec.rodrigues_c))
+            worst = linalg.worst((worst,
+                                  rel_dev(orth.A[n], a_cl), rel_dev(orth.B[n], b_cl),
+                                  rel_dev(monic.B[n], rec.monic_b),
+                                  rel_dev(monic.C[n], rec.monic_c),
+                                  rel_dev(tilde.A[n], rec.rodrigues_a),
+                                  rel_dev(tilde.B[n], rec.rodrigues_b),
+                                  rel_dev(tilde.C[n], rec.rodrigues_c)))
     ok = worst < 1e-8 and worst_identity < 1e-9
     report(5, "recurrence closed forms", ok,
            f"n <= 15, worst table dev {worst:.3e} (tol 1e-8), "
@@ -133,10 +134,10 @@ def test_criterion_6_norm_displays():
         seq = monic_sequence(p, 16)
         for n in range(16):
             monic_cl, rodr_cl = closed_norms(p, n)
-            worst = max(worst, rel_dev(seq.norms[n], monic_cl))
+            worst = linalg.worst((worst, rel_dev(seq.norms[n], monic_cl)))
             lead = normalization(p, n).leading
-            worst = max(worst,
-                        rel_dev(lead @ seq.norms[n] @ lead.conj().T, rodr_cl))
+            worst = linalg.worst((worst,
+                                  rel_dev(lead @ seq.norms[n] @ lead.conj().T, rodr_cl)))
     ok = worst < 1e-8
     report(6, "norm closed forms", ok,
            f"monic and Rodrigues gauges, n <= 15, worst rel dev {worst:.3e} "
@@ -151,8 +152,8 @@ def test_criterion_7_eigenvalue_law():
         for n in range(len(seq.polys)):
             lam = eigenvalue_matrix(p, n)
             rhs = seq.polys[n].lmul(lam)
-            worst = max(worst, (apply_operator(op, seq.polys[n]) - rhs).max_coeff()
-                        / max(1.0, rhs.max_coeff()))
+            worst = linalg.worst((worst, (apply_operator(op, seq.polys[n]) - rhs).max_coeff()
+                                  / max(1.0, rhs.max_coeff())))
         return worst
 
     p2 = WeightParams(2, (1.0,), 2.0)
@@ -164,7 +165,7 @@ def test_criterion_7_eigenvalue_law():
     worst_gen = 0.0
     for size in (3, 4, 5):
         p = draw_params(rng, sizes=(size, size))
-        worst_gen = max(worst_gen, eig_residual(p, 15))
+        worst_gen = linalg.worst((worst_gen, eig_residual(p, 15)))
     ok = worst2 < 1e-8 and worst_gen < 1e-8
     report(7, "eigenvalue law", ok,
            f"size 2 n <= 20: {worst2:.3e}; sizes 3-5 n <= 15: {worst_gen:.3e} "
@@ -189,7 +190,7 @@ def test_criterion_8_asymptotics():
 
 def test_criterion_9_rodrigues_equation():
     p = WeightParams(2, (1.0,), 2.0)
-    worst = max(rodrigues_pde_residual(p, n, GRID) for n in range(1, 11))
+    worst = linalg.worst(rodrigues_pde_residual(p, n, GRID) for n in range(1, 11))
     ok = worst < 1e-10
     report(9, "Rodrigues kernel equation", ok,
            f"n <= 10, worst grid residual {worst:.3e} (tol 1e-10)")
@@ -205,7 +206,8 @@ def test_criterion_10_oracle_agreement():
             approx = quadrature_oracle(
                 p, lambda t: t ** m * weight_eval(p, t)[1],
                 degree_hint=m + 2 * size + 10)
-            worst = max(worst, max_abs(approx - exact) / max(1.0, max_abs(exact)))
+            worst = linalg.worst((worst,
+                                  max_abs(approx - exact) / max(1.0, max_abs(exact))))
     ok = worst < 1e-9
     report(10, "exact moments vs quadrature oracle", ok,
            f"sizes 2-5, m <= 30, worst rel dev {worst:.3e} (tol 1e-9)")

@@ -139,6 +139,12 @@ class TestPolynomialExtraction:
         with pytest.raises(ArithmeticError, match="cancel"):
             f.to_polynomial()
 
+    def test_nan_transcendental_raises(self):
+        eye = np.eye(2, dtype=complex)
+        f = GaussErfMatrix(2, [(atom(0, PLAIN), eye), (atom(1, ERF, 1.0), math.nan * eye)])
+        with pytest.raises(ArithmeticError, match="cancel"):
+            f.to_polynomial()
+
 
 class TestIntegration:
     def test_even_gaussian_moment(self):

@@ -154,6 +154,9 @@ class TestCli:
     def test_config_error_exit_code(self, capsys):
         assert main(["verify", "--a", "0,1", "--size", "3"]) == 2
         assert "a_1" in capsys.readouterr().err
+        for bad in ("inf", "nan"):
+            assert main(["structure", "--a", bad]) == 2
+            assert "finite" in capsys.readouterr().err
 
     @settings(max_examples=40, deadline=None, database=None, derandomize=True)
     @given(st.data())
