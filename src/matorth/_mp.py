@@ -5,56 +5,88 @@ Hankel-type problem whose double-precision error grows roughly like 4**n
 for this family; the acceptance tolerances (1e-8 relative at degrees 15-20)
 are unreachable that way. The moments, however, are exact closed forms, so
 this module computes them, runs the monic three-term recurrence on them (the
-Stieltjes procedure) and factors the squared norms at ``DPS`` digits, and
-rounds to complex128 only at the boundary.
+Stieltjes procedure) and factors the squared norms at ``DIGITS`` significant
+digits, and rounds to complex128 only at the boundary.
 
-All of it runs in a private mpmath context: mpmath's global precision is
-never read or changed. Matrices are numpy object arrays of that context's
-numbers. This is the only module that touches mpmath; everything here is
+Phase gauge: with ``U = diag(u)``, ``u_0 = 1`` and
+``u_{k+1} = u_k conj(a_k / |a_k|)``, the weight for ``a`` is ``U W U*``
+where ``W`` is the real symmetric weight for ``|a|``. The moments, ``P_n``,
+``H_n``, ``Bhat_n``, ``Chat_n``, the Cholesky factors and ``Delta_n`` all
+transform the same way, so the whole state here is real and built from
+``|a_k|``. The phase pattern ``u_i conj(u_j)`` multiplies entry ``(i, j)``
+only when a matrix is rounded to complex128.
+
+Numbers are ``decimal.Decimal`` in numpy object arrays (the C libmpdec
+backend). Arithmetic runs in a private context of ``DIGITS`` digits, entered
+only through ``decimal.localcontext``, which is local to the thread: the
+caller's decimal context is never read or changed. Everything here is
 private to :mod:`matorth.orthogonal`.
 """
 from __future__ import annotations
 
+import math
+import threading
+from decimal import Context, Decimal, localcontext
 from functools import lru_cache
 
-import mpmath
 import numpy as np
 
 from .weights import WeightParams, alpha_coeff, odd_series, scale_diagonals
 
-DPS = 50
+# 51 digits hold at least the 169 bits of a 50-digit binary build; at 50 the
+# b = 1e6 member loses positive definiteness one degree earlier
+DIGITS = 51
 # Families kept at once. One holds megabytes (a size-5 family built to degree
-# 20 with its pairings about 5 MB), far more than an entry of the
+# 20 with its pairings about 4 MB), far more than an entry of the
 # double-precision caches, and a verify run or sweep member needs only one.
 FAMILY_CACHE_SIZE = 8
 
-_ctx = mpmath.MPContext()
-_ctx.dps = DPS
-# exact: every complex128 value is representable at DPS digits
-_from_complex = np.frompyfunc(_ctx.mpc, 1, 1)
+_CONTEXT = Context(prec=DIGITS)
+_PI = Decimal("3.14159265358979323846264338327950288419716939937510582097494459")
+with localcontext(_CONTEXT):
+    _SQRT_PI = _PI.sqrt()
+# exact: every double is a finite decimal fraction
+_from_float = np.frompyfunc(Decimal, 1, 1)
+
+_families_lock = threading.Lock()
+
+
+def family(p: WeightParams) -> "_MpFamily":
+    """The one shared family of ``p``; safe to call from several threads."""
+    with _families_lock:
+        return _family(p)
 
 
 @lru_cache(maxsize=FAMILY_CACHE_SIZE)
-def family(p: WeightParams) -> "_MpFamily":
+def _family(p: WeightParams) -> "_MpFamily":
     return _MpFamily(p)
 
 
-def _conj_t(a: np.ndarray) -> np.ndarray:
-    return np.conjugate(a).T
+def _polar(z: complex) -> tuple[Decimal, Decimal, Decimal]:
+    """``|z|`` and the real and imaginary parts of ``conj(z) / |z|``; exact
+    when ``z`` is real or imaginary."""
+    re, im = Decimal(z.real), Decimal(z.imag)
+    if not im:
+        mod = abs(re)
+    elif not re:
+        mod = abs(im)
+    else:
+        mod = (re * re + im * im).sqrt()
+    return mod, re / mod, -im / mod
 
 
 def _chol_upper(a: np.ndarray) -> np.ndarray:
-    """Factor a Hermitian positive definite matrix as U U* with U upper
+    """Factor a symmetric positive definite matrix as U U^T with U upper
     triangular and positive diagonal (diagonal input gives diagonal U)."""
     n = len(a)
-    u = np.full((n, n), _ctx.mpc(0), dtype=object)
+    u = np.zeros((n, n), dtype=object)
     for j in range(n - 1, -1, -1):
-        d = (a[j, j] - sum(u[j, k] * u[j, k].conjugate() for k in range(j + 1, n))).real
+        d = a[j, j] - sum(u[j, k] * u[j, k] for k in range(j + 1, n))
         if d <= 0:
             raise ArithmeticError("matrix is not positive definite")
-        u[j, j] = _ctx.sqrt(d)
+        u[j, j] = d.sqrt()
         for i in range(j):
-            s = a[i, j] - sum(u[i, k] * u[j, k].conjugate() for k in range(j + 1, n))
+            s = a[i, j] - sum(u[i, k] * u[j, k] for k in range(j + 1, n))
             u[i, j] = s / u[j, j]
     return u
 
@@ -62,7 +94,7 @@ def _chol_upper(a: np.ndarray) -> np.ndarray:
 def _inv_upper(u: np.ndarray) -> np.ndarray:
     """Inverse of an upper triangular matrix by back substitution."""
     n = len(u)
-    out = np.full((n, n), _ctx.mpc(0), dtype=object)
+    out = np.zeros((n, n), dtype=object)
     for j in range(n):
         out[j, j] = 1 / u[j, j]
         for i in range(j - 1, -1, -1):
@@ -71,30 +103,60 @@ def _inv_upper(u: np.ndarray) -> np.ndarray:
     return out
 
 
+def _to_float(x: np.ndarray) -> np.ndarray:
+    """Round to float64; ``+ 0.0`` turns the ``-0.0`` of ``Decimal("-0")``
+    into ``0.0``."""
+    return x.astype(float) + 0.0
+
+
 class _MpFamily:
-    """Per-parameter high-precision state: moments, the monic sequence, its
-    recurrence coefficients and its normalizers."""
+    """Per-parameter high-precision state for ``|a|``: moments, the monic
+    sequence, its recurrence coefficients and its normalizers, plus the
+    phase ``u`` that carries them to ``a``.
+
+    ``extend`` and the float rows of ``pair_float`` grow under the family's
+    lock, so one family may be shared between threads; what has been built
+    is never changed.
+    """
 
     def __init__(self, p: WeightParams):
         n = self.n = p.size
-        b = _ctx.mpf(p.b)
-        shift = np.diag(np.array([_ctx.mpc(v) for v in p.a], dtype=object), 1)
-        nil = odd_series(shift, [alpha_coeff(n, b, j) for j in range(n // 2)])
-        exp_coeffs = [np.identity(n, dtype=object)]
-        for k in range(1, n):
-            exp_coeffs.append(exp_coeffs[-1] @ nil / k)
-        # column c of W's factor is sum_j exp_coeffs[j][:, c] t**j times
-        # exp(-s_c t**2 / 2); outers[c][d] gathers its products of total power d
-        self._scales = [-2 * g for g in scale_diagonals(n, b)[1]]
-        self._outers = []
-        for c in range(n):
-            outer = [0] * (2 * n - 1)
-            for j1, e1 in enumerate(exp_coeffs):
-                for j2, e2 in enumerate(exp_coeffs):
-                    outer[j1 + j2] = outer[j1 + j2] + np.multiply.outer(
-                        e1[:, c], np.conjugate(e2[:, c]))
-            self._outers.append(outer)
-        self._gauss: dict[tuple[int, int], object] = {}
+        self._lock = threading.RLock()
+        with localcontext(_CONTEXT):
+            polar = [_polar(v) for v in p.a]
+            u_re, u_im = [Decimal(1)], [Decimal(0)]
+            for _, c, s in polar:
+                r, i = u_re[-1], u_im[-1]
+                u_re.append(r * c - i * s)
+                u_im.append(r * s + i * c)
+            self._u_re = np.array(u_re, dtype=object)
+            self._u_im = np.array(u_im, dtype=object)
+            # u_i conj(u_j); the diagonal is |u_i|**2 = 1 exactly
+            self._phase_re = (np.multiply.outer(self._u_re, self._u_re)
+                              + np.multiply.outer(self._u_im, self._u_im))
+            self._phase_im = (np.multiply.outer(self._u_im, self._u_re)
+                              - np.multiply.outer(self._u_re, self._u_im))
+            np.fill_diagonal(self._phase_re, 1)
+            np.fill_diagonal(self._phase_im, 0)
+
+            b = Decimal(p.b)
+            shift = np.diag(np.array([m for m, _, _ in polar], dtype=object), 1)
+            nil = odd_series(shift, [alpha_coeff(n, b, j) for j in range(n // 2)])
+            exp_coeffs = [np.identity(n, dtype=object)]
+            for k in range(1, n):
+                exp_coeffs.append(exp_coeffs[-1] @ nil / k)
+            # column c of W's factor is sum_j exp_coeffs[j][:, c] t**j times
+            # exp(-s_c t**2 / 2); outers[c][d] gathers its products of total power d
+            self._scales = [-2 * g for g in scale_diagonals(n, b)[1]]
+            self._outers = []
+            for c in range(n):
+                outer = [0] * (2 * n - 1)
+                for j1, e1 in enumerate(exp_coeffs):
+                    for j2, e2 in enumerate(exp_coeffs):
+                        outer[j1 + j2] = outer[j1 + j2] + np.multiply.outer(
+                            e1[:, c], e2[:, c])
+                self._outers.append(outer)
+        self._gauss: dict[tuple[int, int], Decimal] = {}
         self._moments: list[np.ndarray] = []
         self.polys: list[list[np.ndarray]] = []   # polys[k][power] = matrix
         self.norms: list[np.ndarray] = []
@@ -102,24 +164,28 @@ class _MpFamily:
         self._deltas: list[np.ndarray] = []       # their inverses
         self._bhat: list[np.ndarray] = []
         self._chat: list[np.ndarray] = []
-        self._float_polys: list[tuple[list[np.ndarray], list[np.ndarray]]] = []
+        # per returned polynomial: its coefficients times U, real and
+        # imaginary parts, and their rows against the moments
+        self._float_rows: list[tuple[list, list]] = []
 
     @property
     def top(self) -> int:
         return len(self.polys) - 1
 
-    def _gauss_moment(self, power: int, c: int):
-        """``integral t**power exp(-s_c t**2) dt`` for even ``power``."""
+    def _gauss_moment(self, power: int, c: int) -> Decimal:
+        """``integral t**power exp(-s_c t**2) dt = Gamma(m + 1/2) / s_c**(m + 1/2)``
+        for ``power = 2m``, with ``Gamma(m + 1/2) = (2m)! sqrt(pi) / (4**m m!)``."""
         got = self._gauss.get((power, c))
         if got is None:
-            half = _ctx.mpf(power + 1) / 2
-            got = self._gauss[power, c] = _ctx.gamma(half) / self._scales[c] ** half
+            m, s = power // 2, self._scales[c]
+            gamma = _SQRT_PI * math.factorial(power) / (4 ** m * math.factorial(m))
+            got = self._gauss[power, c] = gamma / (s ** m * s.sqrt())
         return got
 
     def moment(self, m: int) -> np.ndarray:
         while len(self._moments) <= m:
             k = len(self._moments)
-            out = np.full((self.n, self.n), _ctx.mpc(0), dtype=object)
+            out = np.zeros((self.n, self.n), dtype=object)
             for c, outer in enumerate(self._outers):
                 for d, o in enumerate(outer):
                     if (d + k) % 2 == 0:
@@ -133,7 +199,7 @@ class _MpFamily:
                 for l in range(length)]
 
     def _norm_inv(self, k: int) -> np.ndarray:
-        return _conj_t(self._deltas[k]) @ self._deltas[k]
+        return self._deltas[k].T @ self._deltas[k]
 
     def _append(self, coeffs: list[np.ndarray]):
         """Add the next monic polynomial P with its squared norm H, the
@@ -141,7 +207,7 @@ class _MpFamily:
         ``B = <t P, P> H^-1`` and ``C = H H_prev^-1``. Raises ArithmeticError,
         adding nothing, when H is not positive definite."""
         row = self._row(coeffs, len(coeffs) + 1)
-        norm = sum(row[l] @ _conj_t(c) for l, c in enumerate(coeffs))
+        norm = sum(row[l] @ c.T for l, c in enumerate(coeffs))
         chol = _chol_upper(norm)
         self._chat.append(norm @ self._norm_inv(self.top) if self.polys
                           else np.zeros((self.n, self.n), dtype=object))
@@ -149,38 +215,48 @@ class _MpFamily:
         self.norms.append(norm)
         self._chols.append(chol)
         self._deltas.append(_inv_upper(chol))
-        shifted = sum(row[l + 1] @ _conj_t(c) for l, c in enumerate(coeffs))
+        shifted = sum(row[l + 1] @ c.T for l, c in enumerate(coeffs))
         self._bhat.append(shifted @ self._norm_inv(self.top))
 
     def extend(self, nmax: int):
         """Grow the monic sequence up to degree ``nmax`` by the recurrence
         ``P_{k+1} = (t - B_k) P_k - C_k P_{k-1}`` (the Stieltjes procedure)."""
-        if not self.polys:
-            self._append([np.identity(self.n, dtype=object)])
-        while self.top < nmax:
-            k = self.top
-            nxt = [np.zeros((self.n, self.n), dtype=object)] + self.polys[k]
-            for j, c in enumerate(self.polys[k]):
-                nxt[j] = nxt[j] - self._bhat[k] @ c
-            if k:
-                for j, c in enumerate(self.polys[k - 1]):
-                    nxt[j] = nxt[j] - self._chat[k] @ c
-            self._append(nxt)
+        with self._lock, localcontext(_CONTEXT):
+            if not self.polys:
+                self._append([np.identity(self.n, dtype=object)])
+            while self.top < nmax:
+                k = self.top
+                nxt = [np.zeros((self.n, self.n), dtype=object)] + self.polys[k]
+                for j, c in enumerate(self.polys[k]):
+                    nxt[j] = nxt[j] - self._bhat[k] @ c
+                if k:
+                    for j, c in enumerate(self.polys[k - 1]):
+                        nxt[j] = nxt[j] - self._chat[k] @ c
+                self._append(nxt)
 
     # -- complex128 views ------------------------------------------------------
 
+    def _complex(self, x: np.ndarray) -> np.ndarray:
+        """The matrix for ``a`` of the real state ``x`` for ``|a|``,
+        ``u_i conj(u_j) x_ij``, rounded to complex128."""
+        out = np.empty(x.shape, dtype=complex)
+        with localcontext(_CONTEXT):
+            out.real = _to_float(x * self._phase_re)
+            out.imag = _to_float(x * self._phase_im)
+        return out
+
     def poly(self, k: int) -> list[np.ndarray]:
-        return [c.astype(complex) for c in self.polys[k]]
+        return [self._complex(c) for c in self.polys[k]]
 
     def norm(self, k: int) -> np.ndarray:
-        return self.norms[k].astype(complex)
+        return self._complex(self.norms[k])
 
     def monic_table(self, count: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """``B_0..B_{count-2}`` and ``C_0..C_{count-1}`` of the monic
         recurrence; ``C_0`` is a zero pad."""
         self.extend(count - 1)
-        return ([b.astype(complex) for b in self._bhat[:count - 1]],
-                [c.astype(complex) for c in self._chat[:count]])
+        return ([self._complex(b) for b in self._bhat[:count - 1]],
+                [self._complex(c) for c in self._chat[:count]])
 
     def orthonormal_table(self, count: int):
         """Orthonormal ``A_0..A_{count-1}`` (``A_0`` a zero pad),
@@ -189,23 +265,39 @@ class _MpFamily:
         ``U_k`` the upper Cholesky factor of ``H_k`` and ``Delta_k`` its
         inverse."""
         self.extend(count - 1)
-        a = [np.zeros((self.n, self.n), dtype=complex)] + [
-            (self._deltas[k - 1] @ self._chols[k]).astype(complex)
-            for k in range(1, count)]
-        b = [(self._deltas[k] @ self._bhat[k] @ self._chols[k]).astype(complex)
-             for k in range(count - 1)]
-        return a, b, [d.astype(complex) for d in self._deltas[:count]]
+        with localcontext(_CONTEXT):
+            a = [self._deltas[k - 1] @ self._chols[k] for k in range(1, count)]
+            b = [self._deltas[k] @ self._bhat[k] @ self._chols[k]
+                 for k in range(count - 1)]
+        return ([np.zeros((self.n, self.n), dtype=complex)]
+                + [self._complex(m) for m in a],
+                [self._complex(m) for m in b],
+                [self._complex(d) for d in self._deltas[:count]])
 
     def pair_float(self, i: int, j: int) -> np.ndarray:
         """``<P_i, P_j>`` of the complex128 polynomials that ``poly`` returns,
-        paired exactly against the DPS-digit moments."""
+        paired exactly against the DIGITS-digit moments: with ``Y_k = C_k U``
+        for the returned coefficients ``C_k``, the moments for ``a`` are
+        ``U S U*``, so ``<P_i, P_j> = sum Y^i_k S_{k+l} (Y^j_l)*`` with real
+        ``S``, two real products per term."""
         if i < j:
-            return self.pair_float(j, i).conj().T
+            return self.pair_float(j, i).conj().T + 0.0
         self.extend(i)
-        while len(self._float_polys) <= i:
-            k = len(self._float_polys)
-            coeffs = [_from_complex(c) for c in self.poly(k)]
-            self._float_polys.append((coeffs, self._row(coeffs, k + 1)))
-        row = self._float_polys[i][1]
-        pairing = sum(row[l] @ _conj_t(c) for l, c in enumerate(self._float_polys[j][0]))
-        return pairing.astype(complex)
+        with self._lock, localcontext(_CONTEXT):
+            while len(self._float_rows) <= i:
+                k = len(self._float_rows)
+                y_re, y_im = [], []
+                for c in self.poly(k):
+                    c_re, c_im = _from_float(c.real), _from_float(c.imag)
+                    y_re.append(c_re * self._u_re - c_im * self._u_im)
+                    y_im.append(c_re * self._u_im + c_im * self._u_re)
+                self._float_rows.append(((y_re, y_im),
+                                         (self._row(y_re, k + 1), self._row(y_im, k + 1))))
+        v_re, v_im = self._float_rows[i][1]
+        y_re, y_im = self._float_rows[j][0]
+        with localcontext(_CONTEXT):
+            re = sum(v_re[l] @ y_re[l].T + v_im[l] @ y_im[l].T for l in range(j + 1))
+            im = sum(v_im[l] @ y_re[l].T - v_re[l] @ y_im[l].T for l in range(j + 1))
+        out = np.empty((self.n, self.n), dtype=complex)
+        out.real, out.imag = _to_float(re), _to_float(im)
+        return out

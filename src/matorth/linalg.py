@@ -1,9 +1,14 @@
 """Small dense complex linear algebra: matrix polynomials, nilpotent matrix
 exponentials and iterated commutators.
 
-All matrices are plain ``numpy`` arrays of ``complex128``. Every operation is
-a pure function returning fresh arrays; nothing here mutates its inputs, so
-values can be shared freely between threads.
+All matrices are plain ``numpy`` arrays of ``complex128``. Every function
+here returns fresh arrays and writes into none of its inputs. The
+coefficient arrays of a ``MatrixPolynomial`` are read-only; a square
+complex128 array handed to its constructor is kept without a copy, so it
+becomes read-only for the caller as well. These values can therefore be
+read from several threads at once. Writing into a writeable array the
+library returned is safe only while no other thread reads it. For which
+library calls may run concurrently, see the README's "Threads" section.
 """
 from __future__ import annotations
 

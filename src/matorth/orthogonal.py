@@ -51,8 +51,11 @@ class MonicSequence:
         return len(self.polys) - 1
 
     def pairing(self, i: int, j: int) -> np.ndarray:
-        """``integral P_i W P_j*`` of the returned complex128 polynomials,
-        taken exactly against the high-precision moments."""
+        """``integral P_i W P_j*`` of the returned complex128 polynomials.
+
+        Their coefficients are converted exactly to decimal and paired
+        against the 51-digit moments, through the phase gauge of
+        :mod:`matorth._mp`; the result is rounded once, to complex128."""
         return _mp.family(self.params).pair_float(i, j)
 
 
@@ -129,7 +132,8 @@ def orthonormalize_sequence(seq: MonicSequence) -> tuple[RecurrenceTable, tuple[
     the Delta_n sequence.
     """
     a, b, deltas = _mp.family(seq.params).orthonormal_table(len(seq.polys))
-    c = tuple(m.conj().T for m in a)
+    # + 0.0: conjugating a zero imaginary part would give -0.0
+    c = tuple(m.conj().T + 0.0 for m in a)
     return RecurrenceTable("orthonormal", tuple(a), tuple(b), c), tuple(deltas)
 
 

@@ -97,24 +97,24 @@ class StructureMatrices:
 def alpha_coeff(size: int, b: float, j: int) -> float:
     """Series coefficient weighting the (2j+1)-th power of the shift matrix.
 
-    Also evaluates at an mpmath ``b``, to that number's precision."""
+    Also evaluates at a ``decimal.Decimal`` ``b``, in the current decimal
+    context, and returns a number of the type of ``b``."""
     if j == 0:
-        return 1.0
-    return ((1.0 - b) ** j * (2 * j + 1) ** (j - 1)
-            / ((4.0 * b) ** j * (size - 1) ** j * math.factorial(j)))
+        return b ** 0
+    return ((1 - b) ** j * (2 * j + 1) ** (j - 1)
+            / ((4 * b) ** j * (size - 1) ** j * math.factorial(j)))
 
 
 def scale_diagonals(size: int, b) -> tuple[list, list]:
-    """Diagonals of ``diag_scale`` and ``gauss_diag``, at the precision of
-    ``b`` (a float or an mpmath number)."""
+    """Diagonals of ``diag_scale`` and ``gauss_diag``, in the type of ``b``
+    (a float, or a ``decimal.Decimal`` in the current decimal context)."""
     psi = [1 + (b - 1) * k / (size - 1) for k in range(size)]
     return psi, [-b / (2 * v) for v in psi]
 
 
 def odd_series(shift: np.ndarray, coeffs) -> np.ndarray:
     """``sum_j coeffs[j] shift**(2j+1)``, the nilpotent generator; also for
-    object arrays of mpmath numbers (array on the left, so that numpy, not
-    mpmath, handles the product)."""
+    object arrays of ``decimal.Decimal`` with Decimal ``coeffs``."""
     out = np.zeros_like(shift)
     power, sq = shift, shift @ shift
     for alpha in coeffs:

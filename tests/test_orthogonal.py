@@ -1,15 +1,19 @@
+import decimal
 import math
 import os
 import subprocess
 import sys
+import threading
+from fractions import Fraction
 from pathlib import Path
 
-import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import rel_dev
 import matorth
+from matorth import _mp
 from matorth.closed_forms import (explicit_polynomial, gamma_value,
                                   normalization, orthonormal_recurrence,
                                   recurrence_closed_forms)
@@ -72,16 +76,16 @@ class TestMonicSequence:
         assert len(seq.polys) == seq.truncated_at
         assert monic_sequence(p, 9).truncated_at is None
 
-    def test_global_mpmath_precision_untouched(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("global mpmath precision changed")
-        monkeypatch.setattr(mpmath.mp, "workdps", refuse)
-        monkeypatch.setattr(mpmath.mp, "prec", 20)
-        p = WeightParams(2, (0.6 - 0.3j,), 2.7)  # params unused elsewhere: cold build
-        seq = monic_sequence(p, 8)
-        orthonormalize_sequence(seq)
-        seq.pairing(8, 3)
-        assert mpmath.mp.prec == 20
+    def test_global_decimal_context_untouched(self):
+        with decimal.localcontext() as ctx:
+            ctx.prec = 5
+            p = WeightParams(2, (0.55 - 0.35j,), 2.65)  # params unused elsewhere: cold build
+            seq = monic_sequence(p, 8)
+            orthonormalize_sequence(seq)
+            seq.pairing(8, 3)
+            assert decimal.getcontext().prec == 5
+            # no arithmetic ran in this context: it would have raised flags
+            assert not any(ctx.flags.values())
         for n in range(9):
             lead = np.linalg.inv(normalization(p, n).leading)
             closed = explicit_polynomial(p, n).lmul(lead)
@@ -138,7 +142,7 @@ class TestOrthonormalization:
             assert np.array_equal(table.C[n], table.A[n].conj().T)
 
     def test_b_hermitian(self):
-        # B_n = Delta_n <t P_n, P_n> Delta_n* is formed at 50 digits, so it
+        # B_n = Delta_n <t P_n, P_n> Delta_n* is formed at 51 digits, so it
         # is Hermitian to rounding of the returned complex128 entries
         for p, nmax in ((WeightParams(3, (0.9j, 1.4), 3.1), 8),
                         (WeightParams(4, (1.0, 0.5, 1.2j), 0.8), 10)):
@@ -186,13 +190,20 @@ class TestQuadratureOracle:
             degree_hint=16)
         assert max_abs(approx) < 1e-9
 
-    def test_import_loads_no_scipy(self):
+    @staticmethod
+    def _loaded_by_import(package: str) -> str:
         src = str(Path(matorth.__file__).parents[1])
         probe = ("import sys, matorth; "
-                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+                 f"print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))")
         out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                              check=True, env={**os.environ, "PYTHONPATH": src})
-        assert out.stdout.strip() == "[]"
+        return out.stdout.strip()
+
+    def test_import_loads_no_scipy(self):
+        assert self._loaded_by_import("scipy") == "[]"
+
+    def test_import_loads_no_mpmath(self):
+        assert self._loaded_by_import("mpmath") == "[]"
 
     def test_delta_report(self, flagship):
         def integrand(t):
@@ -200,3 +211,104 @@ class TestQuadratureOracle:
         val = quadrature_oracle(flagship, integrand)
         finer = quadrature_oracle(flagship, integrand, degree_hint=128)
         assert max_abs(val - finer) < 1e-12
+
+
+def _tables(p: WeightParams, nmax: int) -> list[np.ndarray]:
+    """Every complex128 table a build returns: polynomial coefficients,
+    norms, monic B and C, orthonormal A, B and C, and the normalizers."""
+    seq = monic_sequence(p, nmax)
+    monic = recurrence_from_sequence(seq)
+    orth, deltas = orthonormalize_sequence(seq)
+    return ([c for poly in seq.polys for c in poly.coeffs] + list(seq.norms)
+            + list(monic.B) + list(monic.C) + list(orth.A) + list(orth.B) + list(orth.C)
+            + list(deltas))
+
+
+@st.composite
+def exact_modulus_a(draw):
+    """``d (p + i q)`` with ``(p, q, r)`` a Pythagorean triple from Euclid's
+    formula, signs and a dyadic ``d`` picked so that ``|a| = d r`` lies in
+    [0.5, 1.5] and is exact in double precision: the ``|a|`` member is then
+    the very member the phase gauge reduces ``a`` to."""
+    m = draw(st.integers(2, 12))
+    n = draw(st.integers(1, m - 1))
+    p, q, r = m * m - n * n, 2 * m * n, m * m + n * n
+    if draw(st.booleans()):
+        p, q = q, p
+    d = max(1, round(draw(st.floats(0.5, 1.5)) * 2 ** 12 / r)) / 2 ** 12
+    return complex(draw(st.sampled_from([1, -1])) * d * p,
+                   draw(st.sampled_from([1, -1])) * d * q)
+
+
+class TestPhaseGauge:
+    @settings(max_examples=25, deadline=None, database=None, derandomize=True)
+    @given(st.integers(2, 4).flatmap(lambda n: st.lists(exact_modulus_a(), min_size=n - 1,
+                                                        max_size=n - 1)),
+           st.floats(0.3, 4.0))
+    def test_tables_follow_phase_pattern(self, a, b):
+        # u_0 = 1, u_{k+1} = u_k conj(a_k / |a_k|), exactly in rationals
+        u = [(Fraction(1), Fraction(0))]
+        for v in a:
+            mod = Fraction(abs(v))
+            assert mod * mod == Fraction(v.real) ** 2 + Fraction(v.imag) ** 2
+            c, s = Fraction(v.real) / mod, -Fraction(v.imag) / mod
+            ur, ui = u[-1]
+            u.append((ur * c - ui * s, ur * s + ui * c))
+        size = len(a) + 1
+        phased = _tables(WeightParams(size, tuple(a), b), 8)
+        plain = _tables(WeightParams(size, tuple(abs(v) for v in a), b), 8)
+        assert len(phased) == len(plain)
+        with decimal.localcontext(decimal.Context(prec=60)):
+            def dec(f: Fraction) -> decimal.Decimal:
+                return decimal.Decimal(f.numerator) / f.denominator
+            # u_i conj(u_j) to 60 digits
+            w_re = np.array([[dec(ri * rj + ii * ij) for rj, ij in u] for ri, ii in u])
+            w_im = np.array([[dec(ii * rj - ri * ij) for rj, ij in u] for ri, ii in u])
+            to_dec = np.frompyfunc(decimal.Decimal, 1, 1)
+            for got, base in zip(phased, plain):
+                assert np.all(base.imag == 0)
+                x = to_dec(base.real)
+                tol = 2 * np.spacing(max(np.max(np.abs(got.real)), np.max(np.abs(got.imag))))
+                assert np.max(np.abs(got.real - (x * w_re).astype(float))) <= tol
+                assert np.max(np.abs(got.imag - (x * w_im).astype(float))) <= tol
+        for m in phased + plain:
+            for part in (m.real, m.imag):
+                assert not np.any(np.signbit(part) & (part == 0)), "negative zero"
+
+
+class TestThreads:
+    def test_shared_cold_build_matches_serial(self):
+        p = WeightParams(3, (0.45 + 0.65j, -1.15 + 0.2j), 1.85)  # cold: params unused elsewhere
+        nmax = 10
+
+        def run(first: int):
+            out = _tables(p, nmax)
+            seq = monic_sequence(p, nmax)
+            # each thread asks for the float rows in another order
+            for i in [first] + list(range(nmax + 1)):
+                out.extend(seq.pairing(i, j) for j in range(i + 1))
+            return [m.tobytes() for m in out]
+
+        results: dict[int, list[bytes]] = {}
+        start = threading.Barrier(4)
+
+        def worker(k: int):
+            start.wait(timeout=30)
+            results[k] = run(nmax - 3 * k)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert sorted(results) == [0, 1, 2, 3]
+        _mp._family.cache_clear()
+        serial = [run(nmax - 3 * k) for k in range(4)]
+        for k in range(4):
+            assert results[k] == serial[k]
