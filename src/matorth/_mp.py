@@ -31,7 +31,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .weights import WeightParams, alpha_coeff, odd_series, scale_diagonals
+from .weights import (WeightParams, alpha_coeff, column_outers, odd_series,
+                      scale_diagonals)
 
 # 51 digits hold at least the 169 bits of a 50-digit binary build; at 50 the
 # b = 1e6 member loses positive definiteness one degree earlier
@@ -145,17 +146,9 @@ class _MpFamily:
             exp_coeffs = [np.identity(n, dtype=object)]
             for k in range(1, n):
                 exp_coeffs.append(exp_coeffs[-1] @ nil / k)
-            # column c of W's factor is sum_j exp_coeffs[j][:, c] t**j times
-            # exp(-s_c t**2 / 2); outers[c][d] gathers its products of total power d
+            # W(t) = sum_c sum_d outers[c][d] t**d exp(-s_c t**2)
             self._scales = [-2 * g for g in scale_diagonals(n, b)[1]]
-            self._outers = []
-            for c in range(n):
-                outer = [0] * (2 * n - 1)
-                for j1, e1 in enumerate(exp_coeffs):
-                    for j2, e2 in enumerate(exp_coeffs):
-                        outer[j1 + j2] = outer[j1 + j2] + np.multiply.outer(
-                            e1[:, c], e2[:, c])
-                self._outers.append(outer)
+            self._outers = column_outers(exp_coeffs)
         self._gauss: dict[tuple[int, int], Decimal] = {}
         self._moments: list[np.ndarray] = []
         self.polys: list[list[np.ndarray]] = []   # polys[k][power] = matrix

@@ -14,8 +14,9 @@ import numpy as np
 from . import closed_forms as cf
 from .linalg import worst
 from .orthogonal import monic_sequence, orthonormalize_sequence, recurrence_from_sequence
-from .suite import (RunConfig, _matrix_to_json, export_tables, params_to_dict,
-                    run_parameter_sweep, run_suite)
+from .suite import (BASE_ABS, BASE_REL, RunConfig, _matrix_to_json,
+                    export_tables, params_to_dict, run_parameter_sweep,
+                    run_suite)
 from .weights import WeightParams, build_structure
 
 __all__ = ["main"]
@@ -52,9 +53,9 @@ def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--b", type=float, default=2.0, help="decay parameter (default 2)")
     parser.add_argument("--nmax", type=int, default=10, help="top polynomial degree")
     parser.add_argument("--grid", default="-3:3:11", help="evaluation grid lo:hi:count")
-    parser.add_argument("--tol-abs", type=float, default=1e-10,
+    parser.add_argument("--tol-abs", type=float, default=BASE_ABS,
                         help="absolute tolerance anchor; scales all absolute checks")
-    parser.add_argument("--tol-rel", type=float, default=1e-8,
+    parser.add_argument("--tol-rel", type=float, default=BASE_REL,
                         help="relative tolerance anchor; scales all relative checks")
     parser.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
     parser.add_argument("--out", default=None, help="output file (or directory for export)")

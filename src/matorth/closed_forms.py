@@ -18,7 +18,7 @@ from .gausserf import ERF, GAUSS, GaussErfMatrix, atom
 from .linalg import MatrixPolynomial, max_abs, worst
 from .operator import build_operator, eigenvalue_matrix
 from .orthogonal import MonicSequence, RecurrenceTable, orthonormalize_sequence
-from .weights import CACHE_SIZE, WeightParams, weight_inverse_symbolic_2x2
+from .weights import WeightParams, weight_inverse_symbolic_2x2
 
 __all__ = [
     "AsymptoticReport",
@@ -82,12 +82,9 @@ def hermite_coefficients(n: int) -> np.ndarray:
     return np.array(_hermite_coeff_tuple(n))
 
 
-@lru_cache(maxsize=CACHE_SIZE)
 def _scaled_hermite(n: int, b: float) -> np.ndarray:
-    """Coefficients of H_n(sqrt(b) t); cached, reused across matrix entries."""
-    out = hermite_coefficients(n) * b ** (np.arange(n + 1) / 2.0)
-    out.setflags(write=False)
-    return out
+    """Coefficients of H_n(sqrt(b) t)."""
+    return hermite_coefficients(n) * b ** (np.arange(n + 1) / 2.0)
 
 
 def gamma_value(p: WeightParams, n: int) -> float:

@@ -145,10 +145,6 @@ class GaussErfMatrix:
         m = as_square(m, self.dim)
         return GaussErfMatrix(self.dim, ((a, m @ c) for a, c in self.terms.items()))
 
-    def rmul(self, m: np.ndarray) -> "GaussErfMatrix":
-        m = as_square(m, self.dim)
-        return GaussErfMatrix(self.dim, ((a, c @ m) for a, c in self.terms.items()))
-
     def poly_mul(self, p: MatrixPolynomial, side: str = "right") -> "GaussErfMatrix":
         """``self(t) @ p(t)`` for side="right", ``p(t) @ self(t)`` for side="left"."""
         if p.dim != self.dim:

@@ -2,13 +2,12 @@
 exponentials and iterated commutators.
 
 All matrices are plain ``numpy`` arrays of ``complex128``. Every function
-here returns fresh arrays and writes into none of its inputs. The
-coefficient arrays of a ``MatrixPolynomial`` are read-only; a square
-complex128 array handed to its constructor is kept without a copy, so it
-becomes read-only for the caller as well. These values can therefore be
-read from several threads at once. Writing into a writeable array the
-library returned is safe only while no other thread reads it. For which
-library calls may run concurrently, see the README's "Threads" section.
+here returns fresh arrays and writes into none of its inputs. A
+``MatrixPolynomial`` keeps read-only copies of the coefficients it is given,
+so the caller's arrays stay writeable and the polynomial can be read from
+several threads at once. Writing into a writeable array the library
+returned is safe only while no other thread reads it. For which library
+calls may run concurrently, see the README's "Threads" section.
 """
 from __future__ import annotations
 
@@ -67,7 +66,7 @@ class MatrixPolynomial:
     __slots__ = ("_coeffs", "dim")
 
     def __init__(self, coeffs: Iterable[np.ndarray | Sequence], dim: int | None = None):
-        mats = [as_square(c) for c in coeffs]
+        mats = [as_square(c).copy() for c in coeffs]
         if mats:
             if dim is not None and mats[0].shape[0] != dim:
                 raise ValueError("coefficients do not match the requested dim")
@@ -167,11 +166,6 @@ class MatrixPolynomial:
         """Constant matrix times polynomial: ``m @ P(t)``."""
         m = as_square(m, self.dim)
         return MatrixPolynomial([m @ c for c in self._coeffs], dim=self.dim)
-
-    def rmul(self, m: np.ndarray) -> "MatrixPolynomial":
-        """Polynomial times constant matrix: ``P(t) @ m``."""
-        m = as_square(m, self.dim)
-        return MatrixPolynomial([c @ m for c in self._coeffs], dim=self.dim)
 
     def conj_t(self) -> "MatrixPolynomial":
         """Coefficient-wise conjugate transpose (the adjoint for real t)."""

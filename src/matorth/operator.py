@@ -75,19 +75,15 @@ def apply_operator(op: DifferentialOperator, poly: MatrixPolynomial) -> MatrixPo
 def eigenvalue_matrix(p: WeightParams, n: int) -> np.ndarray:
     """Eigenvalue of the operator on the degree-n monic polynomial.
 
-    Obtained by matching the t**n coefficient of the differential equation;
-    for size 2 it collapses to the real diagonal ``diag(-2bn, -2b(n-1))``.
+    Matching the t**n coefficient of ``P'' f2 + P' f1 + P f0 = Lambda P``
+    gives ``n(n-1) f2[2] + n f1[1] + f0[0]``, with ``fk[j]`` the t**j
+    coefficient of ``fk``; for size 2 it collapses to the real diagonal
+    ``diag(-2bn, -2b(n-1))``.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    s = build_structure(p)
-    b, size = p.b, p.size
-    acal, number, psi = s.nilpotent, s.number, s.diag_scale
-    bracket = acal @ number - number @ acal
-    ident = np.eye(size, dtype=complex)
-    return (-2.0 * b * n * ident
-            + 2.0 * n * (b - 1.0) / (size - 1) * acal @ bracket
-            + 2.0 * b * number + acal @ acal @ psi)
+    op = build_operator(p)
+    return n * (n - 1) * op.f2.coeff(2) + n * op.f1.coeff(1) + op.f0.coeff(0)
 
 
 @dataclass(frozen=True)
@@ -137,7 +133,6 @@ def check_symmetry_equations(p: WeightParams, ts: Sequence[float]) -> SymmetryRe
     return SymmetryReport(r_ccp, r_first, r_second, bval, bval < 1e-6)
 
 
-@lru_cache(maxsize=CACHE_SIZE)
 def _first_order_factor(p: WeightParams) -> MatrixPolynomial:
     """The polynomial F with T' = F T, built from the terminating
     commutator expansion of the conjugated Gaussian diagonal."""

@@ -43,8 +43,8 @@ class RunConfig:
     params: WeightParams
     nmax: int = 10
     t_grid: tuple[float, ...] = tuple(np.linspace(-3.0, 3.0, 11))
-    tol_abs: float = 1e-10
-    tol_rel: float = 1e-8
+    tol_abs: float = BASE_ABS
+    tol_rel: float = BASE_REL
     fmt: str = "json"
     out: str | None = None
     seed: int = 0
@@ -304,7 +304,7 @@ def run_parameter_sweep(count: int, seed: int,
     elapsed = time.perf_counter() - start
     note = f"{count} draws, seed {seed}"
     summary.checks.append(CheckResult("sweep-structure-identities", worst_idn,
-                                      1e-10, worst_idn < 1e-10, note=note,
+                                      BASE_ABS, worst_idn < BASE_ABS, note=note,
                                       seconds=elapsed))
     summary.checks.append(CheckResult("sweep-symmetry-equations", worst_sym,
                                       1e-9, worst_sym < 1e-9, note=note))

@@ -27,6 +27,7 @@ __all__ = [
     "abel_identity_check",
     "alpha_coeff",
     "build_structure",
+    "column_outers",
     "moment_pairing",
     "verify_structure_identities",
     "weight_eval",
@@ -35,9 +36,10 @@ __all__ = [
     "weight_symbolic",
 ]
 
-# Entries kept by every per-parameter cache. One verify run needs up to 31
-# moments of one parameter set, so it never recomputes one; a long parameter
-# sweep keeps only the most recent sets.
+# Entries kept by every per-parameter cache. A check asks for the structure
+# and the factor of its parameter set dozens of times (about 90 times per
+# member of a parameter sweep) and for the symbolic weight and the operator
+# several times; a long parameter sweep keeps only the most recent sets.
 CACHE_SIZE = 64
 
 
@@ -155,43 +157,57 @@ def weight_eval(p: WeightParams, t: float) -> tuple[np.ndarray, np.ndarray]:
     return big_t, big_t @ big_t.conj().T
 
 
+def column_outers(exp_coeffs) -> list[list[np.ndarray]]:
+    """Column factorization of the weight.
+
+    Since the Gaussian factor of ``T`` is diagonal, ``W(t)`` is the sum over
+    columns ``c`` of ``e_c(t) e_c(t)* exp(2 d_c t**2)``, with ``e_c`` column c
+    of the polynomial factor ``sum_j exp_coeffs[j] t**j``. Returns
+    ``outers[c][d] = sum_{j+k=d} E_j[:, c] E_k[:, c]*``, the coefficient of
+    ``t**d`` in ``e_c e_c*``. Also for object arrays of ``decimal.Decimal``
+    (whose conjugate is the number itself), in the current decimal context.
+    """
+    top = 2 * len(exp_coeffs) - 1
+    outers = []
+    for c in range(len(exp_coeffs[0])):
+        cols = [e[:, c] for e in exp_coeffs]
+        conj = [np.conj(v) for v in cols]
+        row = [0] * top
+        for j, u in enumerate(cols):
+            for k, v in enumerate(conj):
+                row[j + k] = row[j + k] + np.multiply.outer(u, v)
+        outers.append(row)
+    return outers
+
+
 @lru_cache(maxsize=CACHE_SIZE)
 def weight_symbolic(p: WeightParams) -> GaussErfMatrix:
-    """The weight as an exact polynomial-times-Gaussian function matrix."""
+    """The weight as an exact polynomial-times-Gaussian function matrix:
+    ``column_outers`` of the factor, column c on the atoms
+    ``t**d exp(2 d_c t**2)``."""
     s = build_structure(p)
-    e = exp_factor(p)
-    n = p.size
-    terms = []
-    for k in range(n):
-        # column k of T carries exp(d_k t^2), an atom of scale -d_k > 0
-        c = -s.gauss_scales[k]
-        for j, ej in enumerate(e.coeffs):
-            col = np.zeros((n, n), dtype=complex)
-            col[:, k] = ej[:, k]
-            terms.append((atom(j, GAUSS, c), col))
-    t_sym = GaussErfMatrix(n, terms)
-    return t_sym @ t_sym.conj_t()
+    outers = column_outers(exp_factor(p).coeffs)
+    return GaussErfMatrix(p.size, ((atom(d, GAUSS, -2.0 * g), o)
+                                   for g, row in zip(s.gauss_scales, outers)
+                                   for d, o in enumerate(row)))
 
 
-@lru_cache(maxsize=CACHE_SIZE)
 def weight_moment(p: WeightParams, m: int) -> np.ndarray:
     """Exact m-th moment ``integral t**m W(t) dt`` via per-atom Gaussian
-    integrals, in double precision; memoized because ``moment_pairing``
-    asks for the same orders repeatedly."""
+    integrals, in double precision; a fresh array on every call."""
     if m < 0:
         raise ValueError("moment order must be >= 0")
-    out = weight_symbolic(p).integrate(extra_power=m)
-    out.setflags(write=False)
-    return out
+    return weight_symbolic(p).integrate(extra_power=m)
 
 
 def moment_pairing(p: WeightParams, lhs: MatrixPolynomial,
                    rhs: MatrixPolynomial) -> np.ndarray:
     """``integral lhs(t) W(t) rhs(t)* dt`` expanded over exact moments."""
+    moments = [weight_moment(p, m) for m in range(lhs.degree + rhs.degree + 1)]
     out = np.zeros((p.size, p.size), dtype=complex)
     for j, cj in enumerate(lhs.coeffs):
         for k, ck in enumerate(rhs.coeffs):
-            out += cj @ weight_moment(p, j + k) @ ck.conj().T
+            out += cj @ moments[j + k] @ ck.conj().T
     return out
 
 
@@ -253,12 +269,8 @@ def verify_structure_identities(p: WeightParams, t: float) -> IdentityReport:
     res: dict[str, float] = {}
     skipped: list[str] = []
 
-    series = np.zeros((n, n), dtype=complex)
-    power = s.shift.copy()
-    sq = s.shift @ s.shift
-    for j, alpha in enumerate(s.odd_coeffs):
-        series += (2 * j + 1) * alpha * power
-        power = power @ sq
+    series = odd_series(s.shift, [(2 * j + 1) * alpha
+                                  for j, alpha in enumerate(s.odd_coeffs)])
     res["bracket_series"] = max_abs(bracket - series)
 
     et = exp_factor(p)(t)
@@ -276,7 +288,7 @@ def verify_structure_identities(p: WeightParams, t: float) -> IdentityReport:
         skipped.append("even_power_sum")
     else:
         even = np.zeros((n, n), dtype=complex)
-        power = sq.copy()
+        power = sq = s.shift @ s.shift
         for j in range(1, (n - 1) // 2 + 1):
             even += (alpha_coeff(n, b, j) * (2 * j) ** j
                      / (2 * j + 1) ** (j - 1)) * power

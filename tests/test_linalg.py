@@ -69,6 +69,14 @@ class TestMatrixPolynomial:
         assert p.degree == 3
         assert max_abs(p(2.0) - 8.0 * I2) == 0.0
 
+    def test_constructor_leaves_caller_array_writeable(self):
+        m = np.eye(2, dtype=complex)
+        p = MatrixPolynomial([m])
+        assert m.flags.writeable
+        m[0, 0] = 5.0
+        assert np.array_equal(p.coeff(0), I2)
+        assert not p.coeff(0).flags.writeable
+
     def test_dim_mismatch_rejected(self):
         with pytest.raises(ValueError):
             MatrixPolynomial([np.eye(2), np.eye(3)])

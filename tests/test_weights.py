@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import invalid_params
+from matorth import _mp
 from matorth.linalg import max_abs
 from matorth.weights import (IdentityReport, WeightParams, abel_identity_check,
                              alpha_coeff, build_structure,
@@ -13,6 +15,18 @@ from matorth.weights import (IdentityReport, WeightParams, abel_identity_check,
                              weight_symbolic)
 
 SQPI = math.sqrt(math.pi)
+
+
+def members():
+    """Sizes 2-6, each with real and with complex a, and b on both sides
+    of 1."""
+    for size in range(2, 7):
+        rng = np.random.default_rng(size)
+        mod = rng.uniform(0.5, 1.5, size - 1) * rng.choice([-1, 1], size - 1)
+        phase = np.exp(2j * np.pi * rng.random(size - 1))
+        for a in (mod, mod * phase):
+            for b in (0.4, 2.5):
+                yield WeightParams(size, tuple(a), b)
 
 
 class TestParams:
@@ -127,10 +141,10 @@ class TestWeightEval:
             assert abs(det - expected) < 1e-8 * expected
 
     def test_symbolic_matches_pointwise(self):
-        p = WeightParams(4, (1.0, -0.7, 0.3j), 0.6)
-        w_sym = weight_symbolic(p)
-        for t in (-2.2, 0.1, 1.4):
-            assert max_abs(w_sym(t) - weight_eval(p, t)[1]) < 1e-13
+        for p in [WeightParams(4, (1.0, -0.7, 0.3j), 0.6), *members()]:
+            w_sym = weight_symbolic(p)
+            for t in (-2.2, 0.1, 1.4):
+                assert max_abs(w_sym(t) - weight_eval(p, t)[1]) < 1e-13
 
 
 class TestMoments:
@@ -155,9 +169,21 @@ class TestMoments:
             s = weight_moment(p, m)
             assert max_abs(s - s.conj().T) < 1e-12 * max(1.0, max_abs(s))
 
-    def test_memoized(self):
+    def test_matches_high_precision_moments(self):
+        # one column factorization, summed in double here and at 51 digits
+        # in the orthogonalizer's family
+        for p in members():
+            fam = _mp._MpFamily(p)
+            for m in range(2 * p.size + 5):
+                with decimal.localcontext(_mp._CONTEXT):
+                    ref = fam._complex(fam.moment(m))
+                assert max_abs(weight_moment(p, m) - ref) <= 1e-14 * max_abs(ref)
+
+    def test_returns_fresh_arrays(self):
         p = WeightParams(2, (1.0,), 2.0)
-        assert weight_moment(p, 4) is weight_moment(p, 4)
+        first = weight_moment(p, 4)
+        first[0, 0] = 0.0
+        assert weight_moment(p, 4)[0, 0] != 0.0
 
 
 class TestInverse2x2:
