@@ -103,6 +103,8 @@ def _cmd_structure(args) -> int:
 
 def _cmd_verify(args) -> int:
     config = _config(args)
+    if args.sweeps < 0:
+        raise ValueError(f"--sweeps must be >= 0, got {args.sweeps}")
     summary = run_suite(config)
     if args.sweeps:
         sweep = run_parameter_sweep(args.sweeps, config.seed, config.t_grid)

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .gausserf import ERF, GAUSS, GaussErfMatrix, atom
-from .linalg import MatrixPolynomial, max_abs, worst
+from .linalg import MatrixPolynomial, max_abs
 from .operator import build_operator, eigenvalue_matrix
 from .orthogonal import MonicSequence, RecurrenceTable, orthonormalize_sequence
 from .weights import WeightParams, weight_inverse_symbolic_2x2
@@ -373,7 +373,8 @@ def pde_coefficients(p: WeightParams, n: int) -> tuple[MatrixPolynomial, MatrixP
 def rodrigues_pde_residual(p: WeightParams, n: int, ts: Sequence[float]) -> float:
     """Max pointwise residual of the kernel equation
     ``(R m2)'' - (R m1)' + R m0 = Lambda_n R`` over the grid, with every
-    derivative taken exactly in the function algebra."""
+    derivative taken exactly in the function algebra and the whole grid
+    evaluated at once."""
     _require_2x2(p)
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -384,7 +385,7 @@ def rodrigues_pde_residual(p: WeightParams, n: int, ts: Sequence[float]) -> floa
             - kern.poly_mul(m1).derivative()
             + kern.poly_mul(m0)
             - kern.lmul(lam))
-    return worst(max_abs(expr(t)) for t in ts)
+    return max_abs(expr(np.asarray(ts, dtype=float)))
 
 
 def normalized_recurrence_from_moments(p: WeightParams, seq: MonicSequence) -> RecurrenceTable:

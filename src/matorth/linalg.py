@@ -20,6 +20,7 @@ __all__ = [
     "MatrixPolynomial",
     "ad_power",
     "as_square",
+    "convolve",
     "hermitian_residual",
     "max_abs",
     "nilpotent_exp",
@@ -51,6 +52,20 @@ def worst(values: Iterable[float]) -> float:
     return float(np.max(np.fromiter(values, dtype=float), initial=0.0))
 
 
+def convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Coefficients of the product of two matrix power series, given as
+    (n, N, N) tensors: one batched matmul per coefficient of the shorter.
+    Each coefficient sums its terms by ascending power of ``a``."""
+    out = np.zeros((len(a) + len(b) - 1,) + a.shape[1:], dtype=complex)
+    if len(a) <= len(b):
+        for k, c in enumerate(a):
+            out[k:k + len(b)] += c @ b
+    else:
+        for k in range(len(b) - 1, -1, -1):
+            out[k:k + len(a)] += a @ b[k]
+    return out
+
+
 def hermitian_residual(m: np.ndarray) -> float:
     """max |M - M*|, i.e. the distance from being Hermitian."""
     return max_abs(m - m.conj().T)
@@ -67,15 +82,11 @@ class MatrixPolynomial:
 
     def __init__(self, coeffs: Iterable[np.ndarray | Sequence], dim: int | None = None):
         mats = [as_square(c).copy() for c in coeffs]
-        if mats:
-            if dim is not None and mats[0].shape[0] != dim:
-                raise ValueError("coefficients do not match the requested dim")
-            dim = mats[0].shape[0]
-            for c in mats:
-                if c.shape[0] != dim:
-                    raise ValueError("all coefficients must share one dimension")
-        elif dim is None:
+        if dim is None and not mats:
             raise ValueError("zero polynomial needs an explicit dim")
+        dim = mats[0].shape[0] if dim is None else dim
+        if any(c.shape[0] != dim for c in mats):
+            raise ValueError("all coefficients must share the dimension dim")
         while mats and not np.any(mats[-1]):
             mats.pop()
         for c in mats:
@@ -94,9 +105,7 @@ class MatrixPolynomial:
     @classmethod
     def monomial(cls, m: np.ndarray, power: int) -> "MatrixPolynomial":
         m = as_square(m)
-        parts = [np.zeros_like(m) for _ in range(power)]
-        parts.append(m)
-        return cls(parts)
+        return cls([np.zeros_like(m)] * power + [m])
 
     @property
     def coeffs(self) -> tuple[np.ndarray, ...]:
@@ -111,37 +120,29 @@ class MatrixPolynomial:
             return self._coeffs[k]
         return np.zeros((self.dim, self.dim), dtype=complex)
 
-    def __call__(self, t: float | complex) -> np.ndarray:
-        out = np.zeros((self.dim, self.dim), dtype=complex)
+    def __call__(self, t) -> np.ndarray:
+        """Value at a scalar t, shape (N, N), or at each entry of a 1-D array
+        of t, shape (n_t, N, N), by Horner's rule."""
+        x = np.asarray(t)[..., np.newaxis, np.newaxis]
+        out = np.zeros(x.shape[:-2] + (self.dim, self.dim), dtype=complex)
         for c in reversed(self._coeffs):
-            out = out * t + c
+            out = out * x + c
         return out
 
     def derivative(self, order: int = 1) -> "MatrixPolynomial":
         """Coefficient-wise derivative; degree drops by ``order`` (floor -1)."""
         if order < 0:
             raise ValueError("order must be >= 0")
-        if order == 0:
-            return self
-        if order > self.degree:
-            return MatrixPolynomial.zero(self.dim)
-        parts = []
-        for k in range(order, len(self._coeffs)):
-            fac = 1.0
-            for i in range(k - order + 1, k + 1):
-                fac *= i
-            parts.append(fac * self._coeffs[k])
-        return MatrixPolynomial(parts, dim=self.dim)
+        return MatrixPolynomial([math.perm(k, order) * self._coeffs[k]
+                                 for k in range(order, len(self._coeffs))], dim=self.dim)
 
     def __add__(self, other: "MatrixPolynomial") -> "MatrixPolynomial":
         n = max(len(self._coeffs), len(other._coeffs))
-        parts = [self.coeff(k) + other.coeff(k) for k in range(n)]
-        return MatrixPolynomial(parts, dim=self.dim)
+        return MatrixPolynomial([self.coeff(k) + other.coeff(k) for k in range(n)], dim=self.dim)
 
     def __sub__(self, other: "MatrixPolynomial") -> "MatrixPolynomial":
         n = max(len(self._coeffs), len(other._coeffs))
-        parts = [self.coeff(k) - other.coeff(k) for k in range(n)]
-        return MatrixPolynomial(parts, dim=self.dim)
+        return MatrixPolynomial([self.coeff(k) - other.coeff(k) for k in range(n)], dim=self.dim)
 
     def __neg__(self) -> "MatrixPolynomial":
         return MatrixPolynomial([-c for c in self._coeffs], dim=self.dim)
@@ -152,12 +153,8 @@ class MatrixPolynomial:
                 raise ValueError("dimension mismatch")
             if not self._coeffs or not other._coeffs:
                 return MatrixPolynomial.zero(self.dim)
-            out = [np.zeros((self.dim, self.dim), dtype=complex)
-                   for _ in range(self.degree + other.degree + 1)]
-            for j, cj in enumerate(self._coeffs):
-                for k, ck in enumerate(other._coeffs):
-                    out[j + k] = out[j + k] + cj @ ck
-            return MatrixPolynomial(out, dim=self.dim)
+            return MatrixPolynomial(convolve(np.array(self._coeffs), np.array(other._coeffs)),
+                                    dim=self.dim)
         return MatrixPolynomial([other * c for c in self._coeffs], dim=self.dim)
 
     __rmul__ = __mul__

@@ -149,12 +149,14 @@ def exp_factor(p: WeightParams, sign: int = 1) -> MatrixPolynomial:
     return nilpotent_exp(sign * s.nilpotent)
 
 
-def weight_eval(p: WeightParams, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate the factor T and the weight W = T T* at one point."""
+def weight_eval(p: WeightParams, t) -> tuple[np.ndarray, np.ndarray]:
+    """Evaluate the factor T and the weight W = T T* at a scalar t, shapes
+    (N, N), or at each entry of a 1-D array of t, shapes (n_t, N, N)."""
     s = build_structure(p)
-    gt = np.exp(s.gauss_scales * t * t)
-    big_t = exp_factor(p)(t) * gt[np.newaxis, :]
-    return big_t, big_t @ big_t.conj().T
+    x = np.asarray(t, dtype=float)[..., np.newaxis]
+    gt = np.exp(s.gauss_scales * x * x)
+    big_t = exp_factor(p)(t) * gt[..., np.newaxis, :]
+    return big_t, big_t @ np.swapaxes(big_t.conj(), -1, -2)
 
 
 def column_outers(exp_coeffs) -> list[list[np.ndarray]]:
@@ -187,14 +189,14 @@ def weight_symbolic(p: WeightParams) -> GaussErfMatrix:
     ``t**d exp(2 d_c t**2)``."""
     s = build_structure(p)
     outers = column_outers(exp_factor(p).coeffs)
-    return GaussErfMatrix(p.size, ((atom(d, GAUSS, -2.0 * g), o)
-                                   for g, row in zip(s.gauss_scales, outers)
-                                   for d, o in enumerate(row)))
+    return GaussErfMatrix(p.size, tensors=(((GAUSS, -2.0 * g), np.array(row))
+                                           for g, row in zip(s.gauss_scales, outers)))
 
 
 def weight_moment(p: WeightParams, m: int) -> np.ndarray:
     """Exact m-th moment ``integral t**m W(t) dt`` via per-atom Gaussian
-    integrals, in double precision; a fresh array on every call."""
+    integrals, in double precision, summed column by column and power by
+    power; a fresh array on every call."""
     if m < 0:
         raise ValueError("moment order must be >= 0")
     return weight_symbolic(p).integrate(extra_power=m)

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from matorth import operator
 from matorth.linalg import MatrixPolynomial, hermitian_residual, max_abs
-from matorth.operator import (SymmetryReport, _first_order_factor,
+from matorth.operator import (DifferentialOperator, SymmetryReport, _first_order_factor,
                               apply_operator, build_operator, check_chi_xi,
                               check_symmetry_equations, eigenvalue_matrix,
                               symmetry_bilinear_check)
@@ -115,6 +116,31 @@ class TestSymmetryEquations:
     def test_nan_residual_is_never_dropped(self):
         rep = SymmetryReport(0.0, math.nan, 1e-3, 0.0, True)
         assert math.isnan(rep.max_residual)
+
+    def test_perturbed_first_order_coefficient_fails(self, grid, monkeypatch):
+        p = WeightParams(3, (1.0, 0.6 - 0.8j), 1.4)
+        op = build_operator(p)
+        bad = DifferentialOperator(op.f2, (1.0 + 1e-6) * op.f1, op.f0)
+        monkeypatch.setattr(operator, "build_operator", lambda q: bad)
+        rep = check_symmetry_equations(p, grid)
+        assert rep.residual_first_order > 1e-9
+        assert rep.residual_ccp < 1e-12
+
+    @pytest.mark.parametrize("p", [
+        WeightParams(2, (0.6 + 0.8j,), 0.3),
+        WeightParams(5, (1.0, 0.4j, 1.1, -0.6), 3.5),
+    ])
+    def test_grid_report_equals_pointwise_reports(self, p, grid):
+        rep = check_symmetry_equations(p, grid)
+        single = [check_symmetry_equations(p, [t]) for t in grid]
+        for field in ("residual_ccp", "residual_first_order", "residual_second_order"):
+            assert getattr(rep, field) == max(getattr(r, field) for r in single)
+        assert rep.boundary_value == single[0].boundary_value
+        chi = check_chi_xi(p, grid)
+        chi_single = [check_chi_xi(p, [t]) for t in grid]
+        for field in ("chi_hermitian_residual", "chi_literal_residual",
+                      "xi_offdiagonal_residual", "xi_diagonal_residual"):
+            assert getattr(chi, field) == max(getattr(r, field) for r in chi_single)
 
 
 class TestChiXi:

@@ -9,7 +9,7 @@ import matorth.suite as suite
 from conftest import invalid_params
 from matorth.cli import main
 from matorth.linalg import MatrixPolynomial
-from matorth.suite import RunConfig, export_tables, run_suite
+from matorth.suite import RunConfig, export_tables, run_parameter_sweep, run_suite
 from matorth.weights import IdentityReport, WeightParams
 
 FLAGSHIP = WeightParams(2, (1.0,), 2.0)
@@ -73,6 +73,18 @@ class TestRunSuite:
         check = check_map(summary)["structure-identities"]
         assert math.isnan(check.residual) and not check.passed
         assert not summary.overall
+
+    def test_sweep_times_each_check(self):
+        summary = run_parameter_sweep(2, 0, FLAGSHIP_GRID)
+        assert [c.name for c in summary.checks] == [
+            "sweep-structure-identities", "sweep-symmetry-equations", "sweep-chi-xi"]
+        assert all(c.seconds > 0.0 for c in summary.checks)
+        assert summary.overall
+
+    @pytest.mark.parametrize("count", [0, -2])
+    def test_sweep_needs_a_draw(self, count):
+        with pytest.raises(ValueError, match="at least one draw"):
+            run_parameter_sweep(count, 0, FLAGSHIP_GRID)
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
@@ -186,6 +198,16 @@ class TestCli:
                      "--seed", "7"]) == 0
         out = capsys.readouterr().out
         assert "sweep-symmetry-equations" in out
+
+    def test_negative_sweeps_is_config_error(self, capsys):
+        assert main(["verify", "--nmax", "3", "--sweeps", "-2"]) == 2
+        captured = capsys.readouterr()
+        assert "--sweeps" in captured.err
+        assert "PASS" not in captured.out
+
+    def test_zero_sweeps_runs_no_sweep(self, capsys):
+        assert main(["verify", "--nmax", "3", "--sweeps", "0"]) == 0
+        assert "sweep-" not in capsys.readouterr().out
 
     def test_structure_output(self, capsys):
         assert main(["structure", "--size", "3", "--a", "1,1", "--b", "2"]) == 0

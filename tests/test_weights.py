@@ -7,9 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import invalid_params
 from matorth import _mp
-from matorth.linalg import max_abs
+from matorth.gausserf import ERF, GAUSS, PLAIN, GaussErfMatrix, atom, gauss_integral
+from matorth.linalg import MatrixPolynomial, max_abs
 from matorth.weights import (IdentityReport, WeightParams, abel_identity_check,
-                             alpha_coeff, build_structure,
+                             alpha_coeff, build_structure, column_outers, exp_factor,
                              verify_structure_identities,
                              weight_eval, weight_inverse_2x2, weight_moment,
                              weight_symbolic)
@@ -147,7 +148,55 @@ class TestWeightEval:
                 assert max_abs(w_sym(t) - weight_eval(p, t)[1]) < 1e-13
 
 
+class TestArrayEvaluation:
+    """A 1-D array of t evaluates like the stacked scalar calls."""
+
+    @staticmethod
+    def assert_stacked(f, ts, size):
+        got = f(np.array(ts))
+        assert got.shape == (len(ts), size, size)
+        for t, g in zip(ts, got):
+            one = f(t)
+            assert one.shape == (size, size)
+            assert max_abs(g - one) <= 1e-15 * max_abs(one)
+
+    @settings(max_examples=40, deadline=None, database=None, derandomize=True)
+    @given(st.data())
+    def test_matches_scalar_calls(self, data):
+        size = data.draw(st.integers(2, 5))
+        n_t = data.draw(st.sampled_from([1, size, 7]))
+        ts = data.draw(st.lists(st.floats(-4.0, 4.0), min_size=n_t, max_size=n_t))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+
+        def matrix():
+            return rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+        poly = MatrixPolynomial([matrix() for _ in range(rng.integers(1, 6))])
+        self.assert_stacked(poly, ts, size)
+        terms = [(atom(int(rng.integers(0, 5)), kind, float(rng.uniform(0.3, 3.0))), matrix())
+                 for kind in (PLAIN, GAUSS, ERF) for _ in range(2)]
+        self.assert_stacked(GaussErfMatrix(size, terms), ts, size)
+        a = rng.uniform(0.3, 1.5, size - 1) * np.exp(2j * np.pi * rng.random(size - 1))
+        p = WeightParams(size, tuple(a), float(rng.uniform(0.2, 5.0)))
+        for part in (0, 1):
+            self.assert_stacked(lambda t: weight_eval(p, t)[part], ts, size)
+
+
 class TestMoments:
+    def test_pinned_summation_order(self):
+        # the sum of the column factorization in column-major, power-minor
+        # order: sweep-wide accuracy and the oracle comparisons rest on
+        # these exact bits
+        for size in range(2, 7):
+            for p in [q for q in members() if q.size == size]:
+                g = build_structure(p).gauss_scales
+                outers = column_outers(exp_factor(p).coeffs)
+                for m in range(2 * size + 1):
+                    expected = np.zeros((size, size), dtype=complex)
+                    for c in range(size):
+                        for d in range(len(outers[c])):
+                            expected += gauss_integral(d + m, -2.0 * g[c]) * outers[c][d]
+                    assert weight_moment(p, m).tobytes() == expected.tobytes()
+
     def test_zeroth_moment_closed_form(self):
         a, b = 1.3 - 0.2j, 2.0
         p = WeightParams(2, (a,), b)
