@@ -107,7 +107,7 @@ def _cmd_verify(args) -> int:
         raise ValueError(f"--sweeps must be >= 0, got {args.sweeps}")
     summary = run_suite(config)
     if args.sweeps:
-        sweep = run_parameter_sweep(args.sweeps, config.seed, config.t_grid)
+        sweep = run_parameter_sweep(args.sweeps, config)
         summary.checks.extend(sweep.checks)
     for c in summary.checks:
         if c.skipped:

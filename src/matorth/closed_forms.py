@@ -209,7 +209,7 @@ def rodrigues_polynomial(p: WeightParams, n: int) -> MatrixPolynomial:
     if n < 1:
         raise ValueError("rodrigues_polynomial is defined for n >= 1")
     product = rodrigues_kernel(p, n).derivative(n) @ weight_inverse_symbolic_2x2(p)
-    poly = product.to_polynomial(residual_tol=1e-9)
+    poly = product.to_polynomial()
     if poly.degree != n:
         raise ArithmeticError(
             f"Rodrigues product has degree {poly.degree}, expected {n}")
@@ -343,11 +343,15 @@ class AsymptoticReport:
     errors: np.ndarray
 
     def error_at(self, n: int) -> float:
+        if not 1 <= n <= len(self.errors):
+            raise ValueError(f"n must be in 1..{len(self.errors)}, got {n}")
         return float(self.errors[n - 1])
 
 
 def asymptotic_report(p: WeightParams, horizon: int = 200) -> AsymptoticReport:
     _require_2x2(p)
+    if horizon < 1:
+        raise ValueError(f"the horizon must be >= 1, got {horizon}")
     limit = branch_limit(p.b)
     l1, l2 = float(limit[0, 0].real), float(limit[1, 1].real)
     b = p.b

@@ -3,9 +3,10 @@ exponentials and iterated commutators.
 
 All matrices are plain ``numpy`` arrays of ``complex128``. Every function
 here returns fresh arrays and writes into none of its inputs. A
-``MatrixPolynomial`` keeps read-only copies of the coefficients it is given,
-so the caller's arrays stay writeable and the polynomial can be read from
-several threads at once. Writing into a writeable array the library
+``MatrixPolynomial`` keeps its coefficients in one read-only tensor: a copy
+of the matrices it is given, so the caller's arrays stay writeable, or the
+fresh tensor an operation computed, taken over without a second copy. The
+polynomial can therefore be read from several threads at once. Writing into a writeable array the library
 returned is safe only while no other thread reads it. For which library
 calls may run concurrently, see the README's "Threads" section.
 """
@@ -74,25 +75,39 @@ def hermitian_residual(m: np.ndarray) -> float:
 class MatrixPolynomial:
     """Polynomial in one real variable with square matrix coefficients.
 
-    ``coeffs[k]`` multiplies ``t**k``. The zero polynomial keeps an explicit
-    dimension and has degree -1. Instances are immutable.
+    ``coeffs`` is one read-only tensor of shape (degree+1, N, N) whose index
+    k multiplies ``t**k``; its top coefficient is nonzero, so the zero
+    polynomial has degree -1 and keeps an explicit dimension. Instances are
+    immutable: the constructor copies the matrices it is given, and the
+    results of operations take over the fresh tensor they computed.
     """
 
-    __slots__ = ("_coeffs", "dim")
+    __slots__ = ("coeffs", "dim")
 
     def __init__(self, coeffs: Iterable[np.ndarray | Sequence], dim: int | None = None):
-        mats = [as_square(c).copy() for c in coeffs]
+        mats = [as_square(c) for c in coeffs]
         if dim is None and not mats:
             raise ValueError("zero polynomial needs an explicit dim")
-        dim = mats[0].shape[0] if dim is None else dim
+        dim = mats[0].shape[0] if dim is None else int(dim)
         if any(c.shape[0] != dim for c in mats):
             raise ValueError("all coefficients must share the dimension dim")
-        while mats and not np.any(mats[-1]):
-            mats.pop()
-        for c in mats:
-            c.setflags(write=False)
-        self._coeffs = tuple(mats)
-        self.dim = int(dim)
+        self._own(np.array(mats, dtype=complex).reshape(-1, dim, dim))
+
+    def _own(self, v: np.ndarray) -> "MatrixPolynomial":
+        """Keep ``v`` read-only, without its zero top coefficients."""
+        top = len(v)
+        while top and not np.count_nonzero(v[top - 1]):
+            top -= 1
+        if top < len(v):
+            v = v[:top].copy()  # a trimmed copy lets the untrimmed array go
+        v.setflags(write=False)
+        self.coeffs, self.dim = v, v.shape[1]
+        return self
+
+    @classmethod
+    def _of(cls, v: np.ndarray) -> "MatrixPolynomial":
+        """The polynomial of a fresh (n, N, N) tensor, taken over, not copied."""
+        return cls.__new__(cls)._own(v)
 
     @classmethod
     def zero(cls, dim: int) -> "MatrixPolynomial":
@@ -108,16 +123,12 @@ class MatrixPolynomial:
         return cls([np.zeros_like(m)] * power + [m])
 
     @property
-    def coeffs(self) -> tuple[np.ndarray, ...]:
-        return self._coeffs
-
-    @property
     def degree(self) -> int:
-        return len(self._coeffs) - 1
+        return len(self.coeffs) - 1
 
     def coeff(self, k: int) -> np.ndarray:
-        if 0 <= k < len(self._coeffs):
-            return self._coeffs[k]
+        if 0 <= k < len(self.coeffs):
+            return self.coeffs[k]
         return np.zeros((self.dim, self.dim), dtype=complex)
 
     def __call__(self, t) -> np.ndarray:
@@ -125,58 +136,64 @@ class MatrixPolynomial:
         of t, shape (n_t, N, N), by Horner's rule."""
         x = np.asarray(t)[..., np.newaxis, np.newaxis]
         out = np.zeros(x.shape[:-2] + (self.dim, self.dim), dtype=complex)
-        for c in reversed(self._coeffs):
-            out = out * x + c
+        for c in self.coeffs[::-1]:
+            out *= x
+            out += c
         return out
 
     def derivative(self, order: int = 1) -> "MatrixPolynomial":
         """Coefficient-wise derivative; degree drops by ``order`` (floor -1)."""
         if order < 0:
             raise ValueError("order must be >= 0")
-        return MatrixPolynomial([math.perm(k, order) * self._coeffs[k]
-                                 for k in range(order, len(self._coeffs))], dim=self.dim)
+        factors = [float(math.perm(k, order)) for k in range(order, len(self.coeffs))]
+        return MatrixPolynomial._of(np.array(factors)[:, None, None] * self.coeffs[order:])
+
+    def times_t(self) -> "MatrixPolynomial":
+        """``t * P(t)``: every coefficient moves up one power."""
+        v = np.zeros((len(self.coeffs) + 1, self.dim, self.dim), dtype=complex)
+        v[1:] = self.coeffs
+        return MatrixPolynomial._of(v)
 
     def __add__(self, other: "MatrixPolynomial") -> "MatrixPolynomial":
-        n = max(len(self._coeffs), len(other._coeffs))
-        return MatrixPolynomial([self.coeff(k) + other.coeff(k) for k in range(n)], dim=self.dim)
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = a.copy()
+        out[:len(b)] += b
+        return MatrixPolynomial._of(out)
 
     def __sub__(self, other: "MatrixPolynomial") -> "MatrixPolynomial":
-        n = max(len(self._coeffs), len(other._coeffs))
-        return MatrixPolynomial([self.coeff(k) - other.coeff(k) for k in range(n)], dim=self.dim)
+        return self + (-other)
 
     def __neg__(self) -> "MatrixPolynomial":
-        return MatrixPolynomial([-c for c in self._coeffs], dim=self.dim)
+        return MatrixPolynomial._of(-self.coeffs)
 
     def __mul__(self, other):
-        if isinstance(other, MatrixPolynomial):
-            if other.dim != self.dim:
-                raise ValueError("dimension mismatch")
-            if not self._coeffs or not other._coeffs:
-                return MatrixPolynomial.zero(self.dim)
-            return MatrixPolynomial(convolve(np.array(self._coeffs), np.array(other._coeffs)),
-                                    dim=self.dim)
-        return MatrixPolynomial([other * c for c in self._coeffs], dim=self.dim)
+        if not isinstance(other, MatrixPolynomial):
+            return MatrixPolynomial._of(other * self.coeffs)
+        if other.dim != self.dim:
+            raise ValueError("dimension mismatch")
+        if not len(self.coeffs) or not len(other.coeffs):
+            return MatrixPolynomial.zero(self.dim)
+        return MatrixPolynomial._of(convolve(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
     def lmul(self, m: np.ndarray) -> "MatrixPolynomial":
         """Constant matrix times polynomial: ``m @ P(t)``."""
-        m = as_square(m, self.dim)
-        return MatrixPolynomial([m @ c for c in self._coeffs], dim=self.dim)
+        return MatrixPolynomial._of(as_square(m, self.dim) @ self.coeffs)
 
     def conj_t(self) -> "MatrixPolynomial":
         """Coefficient-wise conjugate transpose (the adjoint for real t)."""
-        return MatrixPolynomial([c.conj().T for c in self._coeffs], dim=self.dim)
+        return MatrixPolynomial._of(np.conjugate(self.coeffs.transpose(0, 2, 1), order="C"))
 
     def max_coeff(self) -> float:
-        return worst(max_abs(c) for c in self._coeffs)
+        return max_abs(self.coeffs)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MatrixPolynomial):
             return NotImplemented
-        if self.dim != other.dim or len(self._coeffs) != len(other._coeffs):
-            return False
-        return all(np.array_equal(a, b) for a, b in zip(self._coeffs, other._coeffs))
+        return np.array_equal(self.coeffs, other.coeffs)
 
     def __repr__(self) -> str:
         return f"MatrixPolynomial(dim={self.dim}, degree={self.degree})"

@@ -114,7 +114,7 @@ def recurrence_from_sequence(seq: MonicSequence) -> RecurrenceTable:
     a = tuple(eye.copy() for _ in range(count))
     residuals = []
     for k in range(count - 1):
-        shifted = MatrixPolynomial.monomial(eye, 1) * seq.polys[k]
+        shifted = seq.polys[k].times_t()
         resid = shifted - seq.polys[k + 1] - seq.polys[k].lmul(b[k])
         if k >= 1:
             resid = resid - seq.polys[k - 1].lmul(c[k])

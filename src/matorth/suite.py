@@ -24,7 +24,7 @@ from .operator import (apply_operator, build_operator, check_chi_xi,
                        check_symmetry_equations, eigenvalue_matrix)
 from .orthogonal import (monic_sequence, orthonormalize_sequence,
                          quadrature_oracle, recurrence_from_sequence)
-from .sampling import draw_abel_case, draw_params
+from .sampling import ABEL_KMAX, draw_abel_case, draw_params
 from .weights import (WeightParams, abel_identity_check, build_structure,
                       verify_structure_identities, weight_eval, weight_moment)
 
@@ -34,6 +34,9 @@ __all__ = ["CheckResult", "RunConfig", "VerificationSummary", "run_suite",
 # tolerance anchors; RunConfig scales them through tol_abs / tol_rel
 BASE_ABS = 1e-10
 BASE_REL = 1e-8
+# the checks run_suite and run_parameter_sweep share, at the default anchors;
+# both scale them by tol_abs / BASE_ABS
+IDENTITIES_TOL, SYMMETRY_TOL, CHI_XI_TOL = BASE_ABS, 1e-9, 1e-9
 
 
 @dataclass(frozen=True)
@@ -164,7 +167,7 @@ def run_suite(config: RunConfig) -> VerificationSummary:
     def c_abel():
         rng = np.random.default_rng(config.seed)
         return (worst(abel_identity_check(*draw_abel_case(rng))[2] for _ in range(50)),
-                "50 draws, k <= 30")
+                f"50 draws, k <= {ABEL_KMAX}")
 
     def symmetry_report():
         if "sym" not in state:
@@ -221,7 +224,7 @@ def run_suite(config: RunConfig) -> VerificationSummary:
         monic = recurrence_from_sequence(s)
         orth, _ = orthonormalize_sequence(s)
         tilde = cf.normalized_recurrence_from_moments(p, s)
-        top = min(len(s.polys) - 2, 15)
+        top = len(s.polys) - 2
 
         def deviations(n):
             a_cl, b_cl = cf.orthonormal_recurrence(p, n)
@@ -240,7 +243,7 @@ def run_suite(config: RunConfig) -> VerificationSummary:
 
     def c_norms():
         s = seq()
-        top = min(len(s.polys) - 1, 15)
+        top = len(s.polys) - 1
 
         def deviations(n):
             monic_cl, rodr_cl = cf.closed_norms(p, n)
@@ -263,11 +266,11 @@ def run_suite(config: RunConfig) -> VerificationSummary:
         return err if monotone else math.inf, note
 
     run("structure-build", 1.0, c_structure)
-    run("structure-identities", BASE_ABS * s_abs, c_identities)
+    run("structure-identities", IDENTITIES_TOL * s_abs, c_identities)
     run("abel-identity", 1e-12 * s_rel, c_abel)
-    run("symmetry-equations", 1e-9 * s_abs, c_symmetry)
+    run("symmetry-equations", SYMMETRY_TOL * s_abs, c_symmetry)
     run("boundary-decay", 1e-6, c_boundary)
-    run("chi-xi", 1e-9 * s_abs, c_chi_xi)
+    run("chi-xi", CHI_XI_TOL * s_abs, c_chi_xi)
     run("moment-oracle", 1e-9 * s_rel, c_oracle)
     run("monic-orthogonality", BASE_REL * s_rel, c_orthogonality)
     run("eigenvalue-equation", BASE_REL * s_rel, c_eigen)
@@ -284,13 +287,14 @@ def run_suite(config: RunConfig) -> VerificationSummary:
     return summary
 
 
-def run_parameter_sweep(count: int, seed: int,
-                        grid: tuple[float, ...]) -> VerificationSummary:
+def run_parameter_sweep(count: int, config: RunConfig) -> VerificationSummary:
     """Randomized-parameter verification: max residuals over ``count`` draws,
-    each of the three checks timed on its own."""
+    each of the three checks timed on its own. ``config`` gives the seed,
+    the grid and the tolerance anchors; the draws replace its parameters."""
     if count < 1:
         raise ValueError(f"a parameter sweep needs at least one draw, got {count}")
-    rng = np.random.default_rng(seed)
+    grid, s_abs = config.t_grid, config.tol_abs / BASE_ABS
+    rng = np.random.default_rng(config.seed)
     draws = [draw_params(rng) for _ in range(count)]
 
     def identities(p):
@@ -305,9 +309,9 @@ def run_parameter_sweep(count: int, seed: int,
         return worst((rep.chi_hermitian_residual, rep.xi_offdiagonal_residual,
                       rep.xi_diagonal_residual))
 
-    checks = (("sweep-structure-identities", BASE_ABS, identities),
-              ("sweep-symmetry-equations", 1e-9, symmetry),
-              ("sweep-chi-xi", 1e-9, chi_xi))
+    checks = (("sweep-structure-identities", IDENTITIES_TOL * s_abs, identities),
+              ("sweep-symmetry-equations", SYMMETRY_TOL * s_abs, symmetry),
+              ("sweep-chi-xi", CHI_XI_TOL * s_abs, chi_xi))
     residuals = {name: [] for name, _, _ in checks}
     seconds = dict.fromkeys(residuals, 0.0)
     for p in draws:
@@ -316,7 +320,7 @@ def run_parameter_sweep(count: int, seed: int,
             residuals[name].append(fn(p))
             seconds[name] += time.perf_counter() - start
     summary = VerificationSummary(draws[0])
-    note = f"{count} draws, seed {seed}"
+    note = f"{count} draws, seed {config.seed}"
     for name, tolerance, _ in checks:
         residual = worst(residuals[name])
         summary.checks.append(CheckResult(name, residual, tolerance, residual < tolerance,

@@ -189,8 +189,8 @@ def weight_symbolic(p: WeightParams) -> GaussErfMatrix:
     ``t**d exp(2 d_c t**2)``."""
     s = build_structure(p)
     outers = column_outers(exp_factor(p).coeffs)
-    return GaussErfMatrix(p.size, tensors=(((GAUSS, -2.0 * g), np.array(row))
-                                           for g, row in zip(s.gauss_scales, outers)))
+    return GaussErfMatrix(p.size, polys=(((GAUSS, -2.0 * g), MatrixPolynomial(row))
+                                          for g, row in zip(s.gauss_scales, outers)))
 
 
 def weight_moment(p: WeightParams, m: int) -> np.ndarray:

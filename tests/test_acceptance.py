@@ -63,7 +63,7 @@ def test_criterion_2_structure_identities_and_binomial_sum(draws):
     rng = np.random.default_rng(SEED + 1)
     worst_abel = 0.0
     for _ in range(50):
-        k, z, w = draw_abel_case(rng, kmax=30)
+        k, z, w = draw_abel_case(rng)
         worst_abel = linalg.worst((worst_abel, abel_identity_check(k, z, w)[2]))
     ok = worst < 1e-10 and worst_abel < 1e-12
     report(2, "structure identity suite", ok,

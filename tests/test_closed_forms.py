@@ -320,6 +320,18 @@ class TestAsymptotics:
         assert rep.error_at(200) < 0.02
         assert np.all(np.diff(rep.errors[19:]) <= 1e-15)
 
+    @pytest.mark.parametrize("horizon", [0, -3])
+    def test_empty_horizon_rejected(self, horizon):
+        with pytest.raises(ValueError, match="horizon"):
+            asymptotic_report(WeightParams(2, (1.0,), 4.0), horizon=horizon)
+
+    @pytest.mark.parametrize("n", [0, -1, 6])
+    def test_error_outside_the_horizon_rejected(self, n):
+        rep = asymptotic_report(WeightParams(2, (1.0,), 4.0), horizon=5)
+        assert rep.error_at(5) == rep.errors[-1]
+        with pytest.raises(ValueError, match="1..5"):
+            rep.error_at(n)
+
 
 class TestRodriguesEquation:
     def test_flagship_residual(self, flagship, grid):

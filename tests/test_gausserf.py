@@ -100,6 +100,16 @@ class TestCanonicalization:
         for key in once.terms:
             assert np.array_equal(once.terms[key], twice.terms[key])
 
+    def test_holds_one_polynomial_per_key(self):
+        eye = np.eye(2)
+        f = GaussErfMatrix(2, [(atom(2, GAUSS, 1.0), eye), (atom(0, GAUSS, 1.0), eye),
+                               (atom(1, ERF, 1.0), eye)])
+        assert list(f.polys) == [(GAUSS, 1.0), (ERF, 1.0)]
+        assert f.polys[(GAUSS, 1.0)] == MatrixPolynomial([eye, 0.0 * eye, eye])
+        assert f.polys[(ERF, 1.0)] == MatrixPolynomial.monomial(eye, 1)
+        with pytest.raises(TypeError):
+            f.polys[(PLAIN, 0.0)] = MatrixPolynomial.constant(eye)
+
     def test_gauss_scale_zero_is_plain(self):
         assert atom(3, GAUSS, 0.0) == atom(3, PLAIN)
 

@@ -75,7 +75,7 @@ class TestRunSuite:
         assert not summary.overall
 
     def test_sweep_times_each_check(self):
-        summary = run_parameter_sweep(2, 0, FLAGSHIP_GRID)
+        summary = run_parameter_sweep(2, RunConfig(FLAGSHIP, t_grid=FLAGSHIP_GRID))
         assert [c.name for c in summary.checks] == [
             "sweep-structure-identities", "sweep-symmetry-equations", "sweep-chi-xi"]
         assert all(c.seconds > 0.0 for c in summary.checks)
@@ -84,7 +84,14 @@ class TestRunSuite:
     @pytest.mark.parametrize("count", [0, -2])
     def test_sweep_needs_a_draw(self, count):
         with pytest.raises(ValueError, match="at least one draw"):
-            run_parameter_sweep(count, 0, FLAGSHIP_GRID)
+            run_parameter_sweep(count, RunConfig(FLAGSHIP, t_grid=FLAGSHIP_GRID))
+
+    def test_closed_form_checks_cover_the_built_range(self):
+        checks = check_map(run_suite(RunConfig(FLAGSHIP, nmax=20)))
+        assert checks["recurrence-closed-forms"].note == "degrees 1..20"
+        assert checks["norm-closed-forms"].note == "degrees 0..21"
+        assert checks["recurrence-closed-forms"].passed
+        assert checks["norm-closed-forms"].passed
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
@@ -199,6 +206,17 @@ class TestCli:
         out = capsys.readouterr().out
         assert "sweep-symmetry-equations" in out
 
+    def test_sweep_follows_the_tolerance_anchors(self, capsys):
+        assert main(["verify", "--sweeps", "2", "--tol-abs", "1e-30",
+                     "--tol-rel", "1e-30", "--nmax", "4"]) == 1
+        sweep = {line.split()[1]: line for line in capsys.readouterr().out.splitlines()
+                 if "sweep-" in line}
+        assert len(sweep) == 3
+        assert all(line.startswith("FAIL") for line in sweep.values())
+        assert "tol=1.0e-30" in sweep["sweep-structure-identities"]
+        assert "tol=1.0e-29" in sweep["sweep-symmetry-equations"]
+        assert "tol=1.0e-29" in sweep["sweep-chi-xi"]
+
     def test_negative_sweeps_is_config_error(self, capsys):
         assert main(["verify", "--nmax", "3", "--sweeps", "-2"]) == 2
         captured = capsys.readouterr()
@@ -242,6 +260,11 @@ class TestCli:
     def test_asymptotics_rejects_degenerate(self, capsys):
         assert main(["asymptotics", "--b", "1"]) == 2
         assert main(["asymptotics", "--size", "3", "--a", "1,1"]) == 2
+
+    @pytest.mark.parametrize("horizon", ["0", "-3"])
+    def test_asymptotics_rejects_empty_horizon(self, horizon, capsys):
+        assert main(["asymptotics", "--b", "4", "--horizon", horizon]) == 2
+        assert f"horizon must be >= 1, got {horizon}" in capsys.readouterr().err
 
     def test_export_command(self, tmp_path, capsys):
         assert main(["export", "--nmax", "3", "--out", str(tmp_path / "t")]) == 0
