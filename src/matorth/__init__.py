@@ -16,9 +16,9 @@ from .operator import (ChiXiReport, DifferentialOperator, SymmetryReport,
                        apply_operator, build_operator, check_chi_xi,
                        check_symmetry_equations, eigenvalue_matrix,
                        symmetry_bilinear_check)
-from .orthogonal import (MonicSequence, RecurrenceTable, monic_sequence,
-                         orthonormalize_sequence, quadrature_oracle,
-                         recurrence_from_sequence)
+from .orthogonal import (MonicSequence, RecurrenceTable, moment_oracle,
+                         monic_sequence, orthonormalize_sequence,
+                         quadrature_oracle, recurrence_from_sequence)
 from .suite import RunConfig, VerificationSummary, export_tables, run_suite
 from .weights import (IdentityReport, StructureMatrices, WeightParams,
                       abel_identity_check, build_structure, moment_pairing,
@@ -37,10 +37,10 @@ __all__ = [
     "build_structure", "check_chi_xi", "check_symmetry_equations",
     "closed_norms", "eigenvalue_matrix", "explicit_polynomial",
     "export_tables", "hermite_coefficients", "hermite_value",
-    "moment_pairing", "monic_sequence", "nilpotent_exp", "normalization",
-    "orthonormal_recurrence", "orthonormalize_sequence", "quadrature_oracle",
-    "recurrence_closed_forms", "recurrence_from_sequence", "rodrigues_kernel",
-    "rodrigues_pde_residual", "rodrigues_polynomial", "run_suite",
-    "symmetry_bilinear_check", "verify_structure_identities", "weight_eval",
-    "weight_inverse_2x2", "weight_moment", "weight_symbolic",
+    "moment_oracle", "moment_pairing", "monic_sequence", "nilpotent_exp",
+    "normalization", "orthonormal_recurrence", "orthonormalize_sequence",
+    "quadrature_oracle", "recurrence_closed_forms", "recurrence_from_sequence",
+    "rodrigues_kernel", "rodrigues_pde_residual", "rodrigues_polynomial",
+    "run_suite", "symmetry_bilinear_check", "verify_structure_identities",
+    "weight_eval", "weight_inverse_2x2", "weight_moment", "weight_symbolic",
 ]

@@ -195,7 +195,7 @@ def _cmd_asymptotics(args) -> int:
         return 2
     rep = cf.asymptotic_report(p, horizon=args.horizon)
     _print_matrix("limit of A_n / sqrt(n)", rep.limit)
-    for n in (1, 2, 5, 10, 20, 50, 100, args.horizon):
+    for n in sorted({1, 2, 5, 10, 20, 50, 100, args.horizon}):
         if n <= args.horizon:
             print(f"n={n:4d}  error={rep.error_at(n):.6e}")
     if config.out:

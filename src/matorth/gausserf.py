@@ -131,6 +131,8 @@ class GaussErfMatrix:
 
     def poly_mul(self, p: MatrixPolynomial, side: str = "right") -> "GaussErfMatrix":
         """``self(t) @ p(t)`` for side="right", ``p(t) @ self(t)`` for side="left"."""
+        if side not in ("right", "left"):
+            raise ValueError(f"side must be 'right' or 'left', not {side!r}")
         return self._map(lambda v: v * p if side == "right" else p * v)
 
     def conj_t(self) -> "GaussErfMatrix":

@@ -10,17 +10,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
 from . import _mp
 from .linalg import MatrixPolynomial
-from .weights import WeightParams
+from .weights import WeightParams, weight_eval
 
 __all__ = [
     "MonicSequence",
     "RecurrenceTable",
+    "moment_oracle",
     "monic_sequence",
     "orthonormalize_sequence",
     "quadrature_oracle",
@@ -137,9 +138,10 @@ def orthonormalize_sequence(seq: MonicSequence) -> tuple[RecurrenceTable, tuple[
     return RecurrenceTable("orthonormal", tuple(a), tuple(b), c), tuple(deltas)
 
 
-def quadrature_oracle(p: WeightParams, integrand: Callable[[float], np.ndarray],
-                      degree_hint: int = 64) -> np.ndarray:
-    """Trapezoid-rule cross-check of weight-type integrals over the real line.
+def _trapezoid(p: WeightParams, degree_hint: int,
+               values: Callable[[np.ndarray], tuple[np.ndarray, Iterable[np.ndarray]]]
+               ) -> np.ndarray:
+    """The trapezoid rule of both oracles on the whole real line.
 
     Every integrand is entire and decays like a Gaussian exp(-s t**2) with
     s between min(1, b) and max(1, b), where the plain trapezoid rule
@@ -147,17 +149,44 @@ def quadrature_oracle(p: WeightParams, integrand: Callable[[float], np.ndarray],
     aliasing error exp(-pi**2 / (s h**2)) and the half-width
     L = sqrt(K / min(1, b)) keeps the cut-off error exp(-s L**2) below
     exp(-K) for every such s, with K = 40 + 1.5 degree_hint leaving room for
-    a polynomial factor of that degree. Reads only the size and b of ``p``
-    and calls only ``integrand``, so it never depends on the exact-moment
-    path it checks.
+    a polynomial factor of that degree. ``values`` gets the positive nodes
+    ``t_k = k h`` as a 1-D array and returns ``f(0)`` and, in increasing k,
+    the pair sums ``f(t_k) + f(-t_k)``.
     """
     budget = 40.0 + 1.5 * degree_hint
     h = math.pi / math.sqrt(max(1.0, p.b) * budget)
     half_width = math.sqrt(budget / min(1.0, p.b))
-    total = np.zeros((p.size, p.size), dtype=complex) + integrand(0.0)
-    for k in range(1, int(half_width / h) + 1):
-        # summing exact +/- node pairs lets the integrand's odd part cancel
-        # bit-exactly instead of at eps times its (possibly huge) magnitude
-        t = k * h
-        total = total + (integrand(t) + integrand(-t))
+    at_zero, pairs = values(np.arange(1, int(half_width / h) + 1) * h)
+    # summing exact +/- node pairs lets the integrand's odd part cancel
+    # bit-exactly instead of at eps times its (possibly huge) magnitude
+    total = np.zeros((p.size, p.size), dtype=complex) + at_zero
+    for pair in pairs:
+        total = total + pair
     return h * total
+
+
+def quadrature_oracle(p: WeightParams, integrand: Callable[[float], np.ndarray],
+                      degree_hint: int = 64) -> np.ndarray:
+    """Trapezoid-rule cross-check of weight-type integrals over the real line,
+    calling ``integrand`` once per node with a Python float. Reads only the
+    size and b of ``p``, so it never depends on the exact-moment path it
+    checks."""
+    return _trapezoid(p, degree_hint, lambda ts: (
+        integrand(0.0), (integrand(t) + integrand(-t) for t in ts.tolist())))
+
+
+def moment_oracle(p: WeightParams, m: int) -> np.ndarray:
+    """``integral t**m W(t) dt`` by the trapezoid rule: bit for bit
+    ``quadrature_oracle(p, lambda t: t ** m * weight_eval(p, t)[1],
+    m + 2 N + 10)``, with one ``weight_eval`` call over all nodes. Powers in
+    Python floats keep ``t ** m`` exactly odd for odd m, so the entries with
+    ``m + i + j`` odd cancel to 0 (``W(-t) = S W(t) S``, ``S = diag((-1)**i)``)."""
+    if m < 0:
+        raise ValueError("moment order must be >= 0")
+
+    def values(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        nodes = np.concatenate(([0.0], ts, -ts))
+        powers = np.array([x ** m for x in nodes.tolist()])
+        vals = powers[:, np.newaxis, np.newaxis] * weight_eval(p, nodes)[1]
+        return vals[0], vals[1:len(ts) + 1] + vals[len(ts) + 1:]
+    return _trapezoid(p, m + 2 * p.size + 10, values)

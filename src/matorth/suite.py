@@ -22,11 +22,11 @@ from . import closed_forms as cf
 from .linalg import MatrixPolynomial, max_abs, worst
 from .operator import (apply_operator, build_operator, check_chi_xi,
                        check_symmetry_equations, eigenvalue_matrix)
-from .orthogonal import (monic_sequence, orthonormalize_sequence,
-                         quadrature_oracle, recurrence_from_sequence)
+from .orthogonal import (moment_oracle, monic_sequence, orthonormalize_sequence,
+                         recurrence_from_sequence)
 from .sampling import ABEL_KMAX, draw_abel_case, draw_params
 from .weights import (WeightParams, abel_identity_check, build_structure,
-                      verify_structure_identities, weight_eval, weight_moment)
+                      verify_structure_identities, weight_moment)
 
 __all__ = ["CheckResult", "RunConfig", "VerificationSummary", "run_suite",
            "export_tables", "params_to_dict"]
@@ -189,10 +189,7 @@ def run_suite(config: RunConfig) -> VerificationSummary:
     def c_oracle():
         def deviation(m):
             exact = weight_moment(p, m)
-            approx = quadrature_oracle(
-                p, lambda t: t ** m * weight_eval(p, t)[1],
-                degree_hint=m + 2 * p.size + 10)
-            return max_abs(approx - exact) / max(1.0, max_abs(exact))
+            return max_abs(moment_oracle(p, m) - exact) / max(1.0, max_abs(exact))
         return worst(deviation(m) for m in range(min(30, 2 * config.nmax) + 1)), ""
 
     def c_orthogonality():

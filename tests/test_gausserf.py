@@ -136,6 +136,12 @@ class TestProducts:
         assert max_abs(f.poly_mul(p)(t) - f(t) @ p(t)) < 1e-13
         assert max_abs(f.poly_mul(p, side="left")(t) - p(t) @ f(t)) < 1e-13
 
+    @pytest.mark.parametrize("side", ["rigth", "Left", ""])
+    def test_poly_mul_rejects_unknown_side(self, side):
+        f = single(atom(0, GAUSS, 1.0))
+        with pytest.raises(ValueError, match="side"):
+            f.poly_mul(MatrixPolynomial([I1]), side=side)
+
 
 class TestPolynomialExtraction:
     def test_collapse(self):

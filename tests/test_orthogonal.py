@@ -1,4 +1,5 @@
 import decimal
+import json
 import math
 import os
 import subprocess
@@ -13,13 +14,14 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import rel_dev
 import matorth
-from matorth import _mp
+from matorth import _mp, orthogonal
 from matorth.closed_forms import (explicit_polynomial, gamma_value,
                                   normalization, orthonormal_recurrence,
                                   recurrence_closed_forms)
 from matorth.linalg import hermitian_residual, max_abs
-from matorth.orthogonal import (monic_sequence, orthonormalize_sequence,
+from matorth.orthogonal import (moment_oracle, monic_sequence, orthonormalize_sequence,
                                 quadrature_oracle, recurrence_from_sequence)
+from matorth.suite import RunConfig, run_suite
 from matorth.weights import WeightParams, weight_eval, weight_moment
 
 SQPI = math.sqrt(math.pi)
@@ -170,6 +172,38 @@ class TestOrthonormalization:
             assert d[0, 0].real > 0 and d[1, 1].real > 0
 
 
+@pytest.fixture(scope="module")
+def pointwise_moments() -> list[tuple[WeightParams, int, np.ndarray]]:
+    """``(p, m, moment)`` by the pointwise oracle for m = 0..30, with p over
+    sizes 2-6, a real and a complex a per size, b below 1 for one of them and
+    above 1 for the other, the pairing swapped between odd and even sizes."""
+    rng = np.random.default_rng(3)
+    out = []
+    for size in range(2, 7):
+        mod = rng.uniform(0.4, 1.4, size - 1)
+        real = tuple(mod * rng.choice([-1.0, 1.0], size - 1))
+        cplx = tuple(mod * np.exp(2j * np.pi * rng.random(size - 1)))
+        low, high = (0.35, 3.2) if size % 2 == 0 else (3.2, 0.35)
+        for p in (WeightParams(size, real, low), WeightParams(size, cplx, high)):
+            for m in range(31):
+                out.append((p, m, quadrature_oracle(
+                    p, lambda t: t ** m * weight_eval(p, t)[1],
+                    degree_hint=m + 2 * size + 10)))
+    return out
+
+
+@pytest.fixture(scope="module")
+def loaded_by_import() -> dict[str, list[str]]:
+    """The scipy and mpmath modules a fresh interpreter holds after
+    ``import matorth``, from one probe."""
+    src = str(Path(matorth.__file__).parents[1])
+    probe = ("import json, sys, matorth; print(json.dumps({p: sorted("
+             "m for m in sys.modules if m.split('.')[0] == p) for p in ('scipy', 'mpmath')}))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    return json.loads(out.stdout)
+
+
 class TestQuadratureOracle:
     def test_weight_matches_zeroth_moment(self, flagship):
         approx = quadrature_oracle(flagship, lambda t: weight_eval(flagship, t)[1])
@@ -190,20 +224,11 @@ class TestQuadratureOracle:
             degree_hint=16)
         assert max_abs(approx) < 1e-9
 
-    @staticmethod
-    def _loaded_by_import(package: str) -> str:
-        src = str(Path(matorth.__file__).parents[1])
-        probe = ("import sys, matorth; "
-                 f"print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))")
-        out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                             check=True, env={**os.environ, "PYTHONPATH": src})
-        return out.stdout.strip()
+    def test_import_loads_no_scipy(self, loaded_by_import):
+        assert loaded_by_import["scipy"] == []
 
-    def test_import_loads_no_scipy(self):
-        assert self._loaded_by_import("scipy") == "[]"
-
-    def test_import_loads_no_mpmath(self):
-        assert self._loaded_by_import("mpmath") == "[]"
+    def test_import_loads_no_mpmath(self, loaded_by_import):
+        assert loaded_by_import["mpmath"] == []
 
     def test_delta_report(self, flagship):
         def integrand(t):
@@ -211,6 +236,35 @@ class TestQuadratureOracle:
         val = quadrature_oracle(flagship, integrand)
         finer = quadrature_oracle(flagship, integrand, degree_hint=128)
         assert max_abs(val - finer) < 1e-12
+
+    def test_moment_oracle_matches_pointwise(self, pointwise_moments):
+        for p, m, expected in pointwise_moments:
+            assert moment_oracle(p, m).tobytes() == expected.tobytes(), (p, m)
+
+    def test_odd_entries_cancel_exactly(self, pointwise_moments):
+        # W(-t) = S W(t) S with S = diag((-1)**i): entry (i, j) of the m-th
+        # moment integrand is odd in t when m + i + j is odd
+        for p, m, pointwise in pointwise_moments:
+            odd = np.add.outer(np.arange(p.size), np.arange(p.size) + m) % 2 == 1
+            for value in (moment_oracle(p, m), pointwise):
+                assert np.all(value[odd] == 0.0), (p, m)
+
+    def test_moment_oracle_rejects_negative_order(self, flagship):
+        with pytest.raises(ValueError, match="order"):
+            moment_oracle(flagship, -1)
+
+    def test_suite_evaluates_weight_once_per_moment(self, flagship, monkeypatch):
+        calls = []
+
+        def counted(p, t):
+            calls.append(t)
+            return weight_eval(p, t)
+
+        monkeypatch.setattr(orthogonal, "weight_eval", counted)
+        summary = run_suite(RunConfig(flagship, nmax=10))
+        assert next(c for c in summary.checks if c.name == "moment-oracle").passed
+        # moments 0..2 nmax, one call over the whole node array each
+        assert len(calls) == 21
 
 
 def _tables(p: WeightParams, nmax: int) -> list[np.ndarray]:

@@ -253,6 +253,9 @@ class TestCli:
         out = tmp_path / "asym.json"
         assert main(["asymptotics", "--b", "4", "--horizon", "50",
                      "--out", str(out)]) == 0
+        rows = [int(line[2:].split()[0]) for line in capsys.readouterr().out.splitlines()
+                if line.startswith("n=")]
+        assert rows == [1, 2, 5, 10, 20, 50]
         doc = json.loads(out.read_text())
         assert abs(doc["limit"][0][0][0] - 1.0 / math.sqrt(2.0)) < 1e-12
         assert len(doc["errors"]) == 50
