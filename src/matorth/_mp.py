@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 import threading
+from collections import namedtuple
 from decimal import Context, Decimal, localcontext
 from functools import lru_cache
 
@@ -110,6 +111,11 @@ def _to_float(x: np.ndarray) -> np.ndarray:
     return x.astype(float) + 0.0
 
 
+# the complex128 values of one degree k: the coefficients of P_k, H_k, the
+# monic Bhat_k and Chat_k, Delta_k and the orthonormal A_k and B_k
+_Views = namedtuple("_Views", "poly norm bhat chat delta a b")
+
+
 class _MpFamily:
     """Per-parameter high-precision state for ``|a|``: moments, the monic
     sequence, its recurrence coefficients and its normalizers, plus the
@@ -153,13 +159,14 @@ class _MpFamily:
         self._moments: list[np.ndarray] = []
         self.polys: list[list[np.ndarray]] = []   # polys[k][power] = matrix
         self.norms: list[np.ndarray] = []
-        self._chols: list[np.ndarray] = []        # upper Cholesky factors
-        self._deltas: list[np.ndarray] = []       # their inverses
+        self._deltas: list[np.ndarray] = []       # inverse upper Cholesky factors
         self._bhat: list[np.ndarray] = []
         self._chat: list[np.ndarray] = []
         # per returned polynomial: its coefficients times U, real and
         # imaginary parts, and their rows against the moments
         self._float_rows: list[tuple[list, list]] = []
+        # per degree, the complex128 values the tables return, read-only
+        self._views: list[_Views] = []
 
     @property
     def top(self) -> int:
@@ -206,10 +213,18 @@ class _MpFamily:
                           else np.zeros((self.n, self.n), dtype=object))
         self.polys.append(coeffs)
         self.norms.append(norm)
-        self._chols.append(chol)
         self._deltas.append(_inv_upper(chol))
         shifted = sum(row[l + 1] @ c.T for l, c in enumerate(coeffs))
-        self._bhat.append(shifted @ self._norm_inv(self.top))
+        k = self.top
+        bhat = shifted @ self._norm_inv(k)
+        self._bhat.append(bhat)
+        delta = self._deltas[k]
+        # orthonormal A_k = Delta_{k-1} U_k (a zero pad at k = 0) and
+        # B_k = Delta_k Bhat_k U_k, with U_k the upper Cholesky factor of H_k
+        a = self._deltas[k - 1] @ chol if k else np.zeros_like(chol)
+        views = (norm, bhat, self._chat[k], delta, a, delta @ bhat @ chol)
+        self._views.append(_Views(tuple(map(self._complex, coeffs)),
+                                  *map(self._complex, views)))
 
     def extend(self, nmax: int):
         """Grow the monic sequence up to degree ``nmax`` by the recurrence
@@ -231,41 +246,35 @@ class _MpFamily:
 
     def _complex(self, x: np.ndarray) -> np.ndarray:
         """The matrix for ``a`` of the real state ``x`` for ``|a|``,
-        ``u_i conj(u_j) x_ij``, rounded to complex128."""
+        ``u_i conj(u_j) x_ij``, rounded to complex128, read-only."""
         out = np.empty(x.shape, dtype=complex)
         with localcontext(_CONTEXT):
             out.real = _to_float(x * self._phase_re)
             out.imag = _to_float(x * self._phase_im)
+        out.setflags(write=False)
         return out
 
-    def poly(self, k: int) -> list[np.ndarray]:
-        return [self._complex(c) for c in self.polys[k]]
+    def poly(self, k: int) -> tuple[np.ndarray, ...]:
+        return self._views[k].poly
 
     def norm(self, k: int) -> np.ndarray:
-        return self._complex(self.norms[k])
+        return self._views[k].norm
 
     def monic_table(self, count: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """``B_0..B_{count-2}`` and ``C_0..C_{count-1}`` of the monic
         recurrence; ``C_0`` is a zero pad."""
         self.extend(count - 1)
-        return ([self._complex(b) for b in self._bhat[:count - 1]],
-                [self._complex(c) for c in self._chat[:count]])
+        return ([v.bhat for v in self._views[:count - 1]],
+                [v.chat for v in self._views[:count]])
 
     def orthonormal_table(self, count: int):
         """Orthonormal ``A_0..A_{count-1}`` (``A_0`` a zero pad),
-        ``B_0..B_{count-2}`` and the normalizers ``Delta_0..Delta_{count-1}``:
-        ``A_k = Delta_{k-1} U_k`` and ``B_k = Delta_k Bhat_k U_k`` with
-        ``U_k`` the upper Cholesky factor of ``H_k`` and ``Delta_k`` its
-        inverse."""
+        ``B_0..B_{count-2}`` and the normalizers ``Delta_0..Delta_{count-1}``
+        (see ``_append``)."""
         self.extend(count - 1)
-        with localcontext(_CONTEXT):
-            a = [self._deltas[k - 1] @ self._chols[k] for k in range(1, count)]
-            b = [self._deltas[k] @ self._bhat[k] @ self._chols[k]
-                 for k in range(count - 1)]
-        return ([np.zeros((self.n, self.n), dtype=complex)]
-                + [self._complex(m) for m in a],
-                [self._complex(m) for m in b],
-                [self._complex(d) for d in self._deltas[:count]])
+        views = self._views[:count]
+        return ([v.a for v in views], [v.b for v in views[:count - 1]],
+                [v.delta for v in views])
 
     def pair_float(self, i: int, j: int) -> np.ndarray:
         """``<P_i, P_j>`` of the complex128 polynomials that ``poly`` returns,
@@ -280,7 +289,7 @@ class _MpFamily:
             while len(self._float_rows) <= i:
                 k = len(self._float_rows)
                 y_re, y_im = [], []
-                for c in self.poly(k):
+                for c in self._views[k].poly:
                     c_re, c_im = _from_float(c.real), _from_float(c.imag)
                     y_re.append(c_re * self._u_re - c_im * self._u_im)
                     y_im.append(c_re * self._u_im + c_im * self._u_re)

@@ -76,6 +76,11 @@ def _print_matrix(name: str, m: np.ndarray):
         print(np.array2string(m))
 
 
+def _note(truncation_reason: str | None):
+    if truncation_reason:
+        print(f"note: {truncation_reason}", file=sys.stderr)
+
+
 def _write_json(path: str, doc: dict):
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1)
@@ -127,8 +132,7 @@ def _cmd_verify(args) -> int:
 def _cmd_orthopoly(args) -> int:
     config = _config(args)
     seq = monic_sequence(config.params, config.nmax)
-    if seq.truncation_reason:
-        print(f"note: {seq.truncation_reason}", file=sys.stderr)
+    _note(seq.truncation_reason)
     for n, poly in enumerate(seq.polys):
         print(f"-- degree {n}, norm diagonal "
               f"{np.real(np.diag(seq.norms[n])).round(8).tolist()}")
@@ -147,6 +151,7 @@ def _cmd_orthopoly(args) -> int:
 def _cmd_recurrence(args) -> int:
     config = _config(args)
     seq = monic_sequence(config.params, config.nmax + 1)
+    _note(seq.truncation_reason)
     monic = recurrence_from_sequence(seq)
     orth, _ = orthonormalize_sequence(seq)
     for n in range(1, len(orth.A)):
@@ -170,6 +175,7 @@ def _cmd_recurrence(args) -> int:
 def _cmd_norms(args) -> int:
     config = _config(args)
     seq = monic_sequence(config.params, config.nmax)
+    _note(seq.truncation_reason)
     doc = {"params": params_to_dict(config.params),
            "monic_norms": [_matrix_to_json(m) for m in seq.norms]}
     for n, m in enumerate(seq.norms):
@@ -209,6 +215,7 @@ def _cmd_asymptotics(args) -> int:
 def _cmd_export(args) -> int:
     config = _config(args)
     manifest = export_tables(config)
+    _note(manifest.get("truncation_reason"))
     print(f"wrote {len(manifest['tables'])} tables to {config.out}")
     return 0
 

@@ -339,12 +339,14 @@ def _flatten_header(dim: int) -> list[str]:
     return cols
 
 
+def _re_im(m: np.ndarray) -> list[float]:
+    """The real and imaginary part of every entry, row by row, as floats."""
+    return np.ascontiguousarray(m, dtype=complex).view(float).ravel().tolist()
+
+
 def _flatten_matrix(m: np.ndarray) -> list[str]:
-    vals = []
-    for i in range(m.shape[0]):
-        for j in range(m.shape[1]):
-            vals.extend([f"{m[i, j].real:.17g}", f"{m[i, j].imag:.17g}"])
-    return vals
+    vals = _re_im(m)
+    return (",".join(["%.17g"] * len(vals)) % tuple(vals)).split(",")
 
 
 def export_tables(config: RunConfig) -> dict:
@@ -394,6 +396,8 @@ def export_tables(config: RunConfig) -> dict:
 
     manifest = {"params": params_to_dict(p), "format": config.fmt,
                 "nmax": config.nmax, "tables": {}}
+    if seq.truncated_at is not None:
+        manifest.update(truncated_at=seq.truncated_at, truncation_reason=seq.truncation_reason)
     for name, layout in tables.items():
         fname = f"{name}.{config.fmt}"
         path = out_dir / fname
@@ -409,18 +413,26 @@ def export_tables(config: RunConfig) -> dict:
 
 
 def _write_json_table(path: Path, p: WeightParams, name: str, layout: dict):
-    doc = {"params": params_to_dict(p), "table": name,
-           "start_index": layout["start_index"]}
-    if layout["kind"] == "matrix":
-        doc["data"] = [_matrix_to_json(m) for m in layout["data"]]
-    elif layout["kind"] == "scalar":
-        doc["data"] = [float(v) for v in layout["data"]]
-    else:  # poly: rows (n, k, matrix)
-        doc["data"] = [{"n": n, "power": k, "coeff": _matrix_to_json(c)}
-                       for n, k, c in layout["data"]]
+    """The bytes of ``json.dump(doc, fh, indent=1)`` and a newline, written
+    one data element at a time: the C encoder makes each element's float
+    texts in one call (NaN, Infinity and -0.0 as ``json`` writes them), and
+    a ``%s`` template of the element's shape lays them out."""
+    head = json.dumps({"params": params_to_dict(p), "table": name,
+                       "start_index": layout["start_index"], "data": []}, indent=1)
+    kind, data = layout["kind"], layout["data"]
+    matrix = [[["%s", "%s"]] * p.size] * p.size
+    element = {"matrix": matrix, "scalar": "%s",
+               "poly": {"n": "%s", "power": "%s", "coeff": matrix}}[kind]
+    # an element of "data" sits two levels deep in the document
+    template = "  " + json.dumps(element, indent=1).replace('"%s"', "%s").replace("\n", "\n  ")
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+        fh.write(head[:-len("]\n}")])
+        for i, item in enumerate(data):
+            *ints, item = item if kind == "poly" else (item,)  # poly rows: (n, k, matrix)
+            values = [float(item)] if kind == "scalar" else _re_im(item)
+            texts = json.dumps(values)[1:-1].split(", ")
+            fh.write((",\n" if i else "\n") + template % (*ints, *texts))
+        fh.write("\n ]\n}\n" if data else "]\n}\n")
 
 
 def _write_csv_table(path: Path, p: WeightParams, name: str, layout: dict):

@@ -81,6 +81,7 @@ class StructureMatrices:
     gauss_diag  -b/2 times the inverse of ``diag_scale``; negative diagonal
     nilpotent   odd-power series in ``shift`` generating the polynomial factor
     odd_coeffs  its series coefficients, index j weighting shift**(2j+1)
+    gauss_scales  the diagonal of ``gauss_diag`` as a real vector
     """
 
     shift: np.ndarray
@@ -89,11 +90,7 @@ class StructureMatrices:
     gauss_diag: np.ndarray
     nilpotent: np.ndarray
     odd_coeffs: tuple[float, ...]
-
-    @property
-    def gauss_scales(self) -> np.ndarray:
-        """Diagonal of ``gauss_diag`` as a real vector."""
-        return np.real(np.diag(self.gauss_diag))
+    gauss_scales: np.ndarray
 
 
 def alpha_coeff(size: int, b: float, j: int) -> float:
@@ -136,10 +133,11 @@ def build_structure(p: WeightParams) -> StructureMatrices:
     gauss_diag = np.diag(gauss).astype(complex)
     coeffs = tuple(alpha_coeff(n, b, j) for j in range(n // 2))
     nilpotent = odd_series(shift, coeffs)
-    for m in (shift, number, diag_scale, gauss_diag, nilpotent):
+    gauss_scales = np.array(gauss, dtype=float)
+    for m in (shift, number, diag_scale, gauss_diag, nilpotent, gauss_scales):
         m.setflags(write=False)
     return StructureMatrices(shift, number, diag_scale, gauss_diag,
-                             nilpotent, coeffs)
+                             nilpotent, coeffs, gauss_scales)
 
 
 @lru_cache(maxsize=CACHE_SIZE)

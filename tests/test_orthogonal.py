@@ -330,25 +330,84 @@ class TestPhaseGauge:
                 assert not np.any(np.signbit(part) & (part == 0)), "negative zero"
 
 
+class TestFamilyViews:
+    P = WeightParams(3, (0.8 - 0.6j, -0.3 + 1.1j), 1.4)
+    NMAX = 7
+
+    def test_returned_arrays_are_read_only_fresh_conversions(self):
+        seq = monic_sequence(self.P, self.NMAX)
+        monic = recurrence_from_sequence(seq)
+        orth, deltas = orthonormalize_sequence(seq)
+        fam = _mp.family(self.P)
+        with decimal.localcontext(_mp._CONTEXT):
+            chols = [_mp._chol_upper(h) for h in fam.norms]
+            orth_a = [np.zeros((3, 3), dtype=object)] + [
+                fam._deltas[k - 1] @ chols[k] for k in range(1, self.NMAX + 1)]
+            orth_b = [fam._deltas[k] @ fam._bhat[k] @ chols[k] for k in range(self.NMAX)]
+        pairs = [(seq.norms, fam.norms), (monic.B, fam._bhat), (monic.C, fam._chat),
+                 (orth.A, orth_a), (orth.B, orth_b), (deltas, fam._deltas)]
+        pairs += [(poly.coeffs, fam.polys[n]) for n, poly in enumerate(seq.polys)]
+        for returned, state in pairs:
+            assert 0 < len(returned) <= len(state)
+            for got, x in zip(returned, state):
+                assert not got.flags.writeable
+                fresh = fam._complex(x)
+                assert got.dtype == fresh.dtype and got.tobytes() == fresh.tobytes()
+
+    def test_each_quantity_converted_once(self, monkeypatch):
+        p = WeightParams(2, (0.35 + 0.9j,), 2.3)  # cold: params unused elsewhere
+        calls = []
+        convert = _mp._MpFamily._complex
+
+        def counted(fam, x):
+            calls.append(x)
+            return convert(fam, x)
+
+        monkeypatch.setattr(_mp._MpFamily, "_complex", counted)
+        first = _tables(p, 6)
+        built = len(calls)
+        # per degree: its coefficients, the norm, Bhat, Chat, Delta, A and B
+        assert built == sum(k + 1 + 6 for k in range(7))
+        seq = monic_sequence(p, 6)
+        seq.pairing(6, 3)
+        again = _tables(p, 6) + _tables(p, 4)
+        assert len(calls) == built
+        assert [m.tobytes() for m in again[:len(first)]] == [m.tobytes() for m in first]
+
+
 class TestThreads:
     def test_shared_cold_build_matches_serial(self):
         p = WeightParams(3, (0.45 + 0.65j, -1.15 + 0.2j), 1.85)  # cold: params unused elsewhere
         nmax = 10
 
-        def run(first: int):
-            out = _tables(p, nmax)
-            seq = monic_sequence(p, nmax)
-            # each thread asks for the float rows in another order
-            for i in [first] + list(range(nmax + 1)):
-                out.extend(seq.pairing(i, j) for j in range(i + 1))
-            return [m.tobytes() for m in out]
+        def run(k: int):
+            first = nmax - 3 * k
+
+            def tables():
+                return _tables(p, nmax)
+
+            def shorter():
+                return _tables(p, first)
+
+            def pairings():
+                seq = monic_sequence(p, nmax)
+                # each thread asks for the float rows in another order
+                return [seq.pairing(i, j)
+                        for i in [first] + list(range(nmax + 1)) for j in range(i + 1)]
+
+            # each thread reaches the cold family through another call first
+            steps = [tables, shorter, pairings]
+            steps = steps[k % 3:] + steps[:k % 3]
+            out = {step.__name__: step() for step in steps}
+            return [m.tobytes() for name in ("tables", "shorter", "pairings")
+                    for m in out[name]]
 
         results: dict[int, list[bytes]] = {}
         start = threading.Barrier(4)
 
         def worker(k: int):
             start.wait(timeout=30)
-            results[k] = run(nmax - 3 * k)
+            results[k] = run(k)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -363,6 +422,6 @@ class TestThreads:
         assert not any(t.is_alive() for t in threads)
         assert sorted(results) == [0, 1, 2, 3]
         _mp._family.cache_clear()
-        serial = [run(nmax - 3 * k) for k in range(4)]
+        serial = [run(k) for k in range(4)]
         for k in range(4):
             assert results[k] == serial[k]

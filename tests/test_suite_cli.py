@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -102,6 +103,71 @@ class TestRunSuite:
             RunConfig(FLAGSHIP, fmt="xml")
 
 
+def _reference_json_table(path, p, name, layout):
+    """The JSON table writer as first released: ``json.dump`` with indent 1."""
+    doc = {"params": suite.params_to_dict(p), "table": name,
+           "start_index": layout["start_index"]}
+    if layout["kind"] == "matrix":
+        doc["data"] = [suite._matrix_to_json(m) for m in layout["data"]]
+    elif layout["kind"] == "scalar":
+        doc["data"] = [float(v) for v in layout["data"]]
+    else:
+        doc["data"] = [{"n": n, "power": k, "coeff": suite._matrix_to_json(c)}
+                       for n, k, c in layout["data"]]
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
+
+
+def _reference_csv_table(path, p, name, layout):
+    """The CSV table writer as first released: one f-string per number."""
+    def flat(m):
+        vals = []
+        for i in range(m.shape[0]):
+            for j in range(m.shape[1]):
+                vals.extend([f"{m[i, j].real:.17g}", f"{m[i, j].imag:.17g}"])
+        return vals
+
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        if layout["kind"] == "matrix":
+            writer.writerow(["n"] + suite._flatten_header(p.size))
+            for off, m in enumerate(layout["data"]):
+                writer.writerow([layout["start_index"] + off] + flat(m))
+        elif layout["kind"] == "scalar":
+            writer.writerow(["n", name])
+            for off, v in enumerate(layout["data"]):
+                writer.writerow([layout["start_index"] + off, f"{float(v):.17g}"])
+        else:
+            writer.writerow(["n", "power"] + suite._flatten_header(p.size))
+            for n, k, c in layout["data"]:
+                writer.writerow([n, k] + flat(c))
+
+
+SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1.0, 0.1, -2.5e-310,
+                  5e-324, 1.7976931348623157e308, 1e16, 123456789.125]
+
+
+def _table_data(size: int, kind: str, count: int) -> list:
+    """``count`` entries of one table kind, carrying NaN, +-inf and -0.0 in
+    real and imaginary parts; every other matrix is a non-contiguous
+    ``m.conj().T``."""
+    rng = np.random.default_rng(100 * size + count)
+
+    def matrix(k):
+        vals = rng.normal(size=2 * size * size) * 10.0 ** rng.integers(-8, 8)
+        vals[:len(SPECIAL_FLOATS)] = rng.permutation(SPECIAL_FLOATS)[:len(vals)]
+        m = rng.permutation(vals).view(complex).reshape(size, size)
+        return m.conj().T if k % 2 else m
+
+    if kind == "matrix":
+        return [matrix(k) for k in range(count)]
+    if kind == "scalar":
+        values = [SPECIAL_FLOATS[k % len(SPECIAL_FLOATS)] for k in range(count)]
+        return [np.float64(v) if k % 2 else v for k, v in enumerate(values)]
+    return [(k // 2, k % 2, matrix(k)) for k in range(count)]
+
+
 class TestExport:
     def test_deterministic_bytes(self, tmp_path):
         out1, out2 = tmp_path / "one", tmp_path / "two"
@@ -157,6 +223,31 @@ class TestExport:
     def test_requires_out(self):
         with pytest.raises(ValueError):
             export_tables(RunConfig(FLAGSHIP, nmax=3))
+
+    @pytest.mark.parametrize("count", [0, 1, 13])
+    @pytest.mark.parametrize("kind", ["matrix", "scalar", "poly"])
+    @pytest.mark.parametrize("size", [2, 3, 4, 5])
+    def test_writers_match_the_first_release(self, tmp_path, size, kind, count):
+        p = WeightParams(size, (0.5 - 1j,) * (size - 1), 3.0)
+        layout = {"start_index": count % 2, "kind": kind,
+                  "data": _table_data(size, kind, count)}
+        for fmt, new, ref in (("json", suite._write_json_table, _reference_json_table),
+                              ("csv", suite._write_csv_table, _reference_csv_table)):
+            new(tmp_path / f"new.{fmt}", p, "table", layout)
+            ref(tmp_path / f"ref.{fmt}", p, "table", layout)
+            assert ((tmp_path / f"new.{fmt}").read_bytes()
+                    == (tmp_path / f"ref.{fmt}").read_bytes()), fmt
+
+    def test_truncated_build_is_in_the_manifest(self, tmp_path):
+        # b = 1e6 loses positive definiteness at degree 10 (see test_orthogonal)
+        manifest = export_tables(RunConfig(WeightParams(2, (1.0,), 1e6), nmax=12,
+                                           out=str(tmp_path)))
+        assert manifest["nmax"] == 12 and manifest["truncated_at"] == 10
+        assert "positive definiteness lost at degree 10" in manifest["truncation_reason"]
+        assert json.loads((tmp_path / "manifest.json").read_text()) == manifest
+        assert len(json.loads((tmp_path / "monic_norms.json").read_text())["data"]) == 10
+        untruncated = export_tables(RunConfig(FLAGSHIP, nmax=4, out=str(tmp_path / "u")))
+        assert not {"truncated_at", "truncation_reason"} & set(untruncated)
 
 
 class TestCli:
@@ -272,6 +363,15 @@ class TestCli:
     def test_export_command(self, tmp_path, capsys):
         assert main(["export", "--nmax", "3", "--out", str(tmp_path / "t")]) == 0
         assert (tmp_path / "t" / "manifest.json").exists()
+
+    @pytest.mark.parametrize("command", ["export", "recurrence", "norms"])
+    def test_truncation_note(self, command, tmp_path, capsys):
+        out = ["--out", str(tmp_path / "t")] if command == "export" else []
+        assert main([command, "--b", "1e6", "--nmax", "12", *out]) == 0
+        assert ("note: norm positive definiteness lost at degree 10"
+                in capsys.readouterr().err)
+        assert main([command, "--nmax", "3", *out]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_export_csv(self, tmp_path, capsys):
         assert main(["export", "--nmax", "3", "--format", "csv",

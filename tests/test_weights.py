@@ -86,6 +86,11 @@ class TestStructure:
         assert np.array_equal(np.diag(s.number), np.arange(4))
         psi = 1.0 + np.arange(4) / 3.0
         assert max_abs(np.diag(s.diag_scale) - psi) < 1e-15
+        # the real diagonal of gauss_diag, stored once and read-only
+        expected = np.real(np.diag(s.gauss_diag))
+        assert s.gauss_scales.dtype == expected.dtype
+        assert s.gauss_scales.tobytes() == expected.tobytes()
+        assert not s.gauss_scales.flags.writeable
 
     def test_degenerate_b_kills_higher_terms(self):
         p = WeightParams(5, (1.0, 1.0, 1.0, 1.0), 1.0)
