@@ -39,7 +39,7 @@ from .weights import (WeightParams, alpha_coeff, column_outers, odd_series,
 # b = 1e6 member loses positive definiteness one degree earlier
 DIGITS = 51
 # Families kept at once. One holds megabytes (a size-5 family built to degree
-# 20 with its pairings about 4 MB), far more than an entry of the
+# 20 with its pairings about 3 MB), far more than an entry of the
 # double-precision caches, and a verify run or sweep member needs only one.
 FAMILY_CACHE_SIZE = 8
 
@@ -162,9 +162,9 @@ class _MpFamily:
         self._deltas: list[np.ndarray] = []       # inverse upper Cholesky factors
         self._bhat: list[np.ndarray] = []
         self._chat: list[np.ndarray] = []
-        # per returned polynomial: its coefficients times U, real and
-        # imaginary parts, and their rows against the moments
-        self._float_rows: list[tuple[list, list]] = []
+        # per returned polynomial, per parity class: its coefficients times
+        # U and their rows against the moments (see pair_float)
+        self._float_rows: list[list[tuple[np.ndarray, np.ndarray]]] = []
         # per degree, the complex128 values the tables return, read-only
         self._views: list[_Views] = []
 
@@ -276,30 +276,50 @@ class _MpFamily:
         return ([v.a for v in views], [v.b for v in views[:count - 1]],
                 [v.delta for v in views])
 
+    def _class_rows(self, k: int) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per class ``c`` of ``pair_float``: the rows of ``Y_k`` in class
+        ``c``, real over imaginary parts, on its columns, and those times ``H``."""
+        n = self.n
+        coeffs = np.array(self._views[k].poly).transpose(1, 0, 2).reshape(n, -1)
+        power, col = np.divmod(np.arange((k + 1) * n), n)  # column l * n + r
+        moments = np.array([self.moment(m) for m in range(2 * k + 1)])
+        out = []
+        for c in (0, 1):
+            keep = (power + col) % 2 == c
+            l, r = power[keep], col[keep]
+            part = coeffs[(k + c) % 2::2, keep]
+            c_re, c_im = _from_float(part.real), _from_float(part.imag)
+            u_re, u_im = self._u_re[r], self._u_im[r]
+            y = np.concatenate([c_re * u_re - c_im * u_im, c_re * u_im + c_im * u_re])
+            out.append((y, y @ moments[l[:, None] + l, r[:, None], r]))
+        return out
+
     def pair_float(self, i: int, j: int) -> np.ndarray:
         """``<P_i, P_j>`` of the complex128 polynomials that ``poly`` returns,
         paired exactly against the DIGITS-digit moments: with ``Y_k = C_k U``
         for the returned coefficients ``C_k``, the moments for ``a`` are
-        ``U S U*``, so ``<P_i, P_j> = sum Y^i_k S_{k+l} (Y^j_l)*`` with real
-        ``S``, two real products per term."""
+        ``U S U*``, so ``<P_i, P_j> = Y^i H (Y^j)*`` with the real block Hankel
+        ``H[(k, r), (l, s)] = S_{k+l}[r, s]``. As ``W(-t) = S W(t) S`` for
+        ``S = diag((-1)**r)``, ``H`` is block diagonal in the class
+        ``(l + r) % 2`` of its index and row ``a`` of ``Y^k`` lives in class
+        ``(k + a) % 2``. So one product per class does a quarter of the full
+        decimal work for the rows and half for a pair, and entries with
+        ``i + j + a + b`` odd are exact zeros."""
         if i < j:
             return self.pair_float(j, i).conj().T + 0.0
         self.extend(i)
         with self._lock, localcontext(_CONTEXT):
             while len(self._float_rows) <= i:
-                k = len(self._float_rows)
-                y_re, y_im = [], []
-                for c in self._views[k].poly:
-                    c_re, c_im = _from_float(c.real), _from_float(c.imag)
-                    y_re.append(c_re * self._u_re - c_im * self._u_im)
-                    y_im.append(c_re * self._u_im + c_im * self._u_re)
-                self._float_rows.append(((y_re, y_im),
-                                         (self._row(y_re, k + 1), self._row(y_im, k + 1))))
-        v_re, v_im = self._float_rows[i][1]
-        y_re, y_im = self._float_rows[j][0]
+                self._float_rows.append(self._class_rows(len(self._float_rows)))
+        parts = np.zeros((2, self.n, self.n), dtype=object)  # real, imaginary
         with localcontext(_CONTEXT):
-            re = sum(v_re[l] @ y_re[l].T + v_im[l] @ y_im[l].T for l in range(j + 1))
-            im = sum(v_im[l] @ y_re[l].T - v_re[l] @ y_im[l].T for l in range(j + 1))
+            for c, ((_, v), (y, _)) in enumerate(zip(self._float_rows[i],
+                                                     self._float_rows[j])):
+                # class c's columns with power l <= j lead the row
+                prod, ri, rj = v[:, :y.shape[1]] @ y.T, len(v) // 2, len(y) // 2
+                block = slice((i + c) % 2, None, 2), slice((j + c) % 2, None, 2)
+                parts[0][block] = prod[:ri, :rj] + prod[ri:, rj:]
+                parts[1][block] = prod[ri:, :rj] - prod[:ri, rj:]
         out = np.empty((self.n, self.n), dtype=complex)
-        out.real, out.imag = _to_float(re), _to_float(im)
+        out.real, out.imag = _to_float(parts)
         return out

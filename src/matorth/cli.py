@@ -41,7 +41,8 @@ def _parse_a(text: str) -> tuple[complex, ...]:
 def _parse_grid(text: str) -> tuple[float, ...]:
     try:
         lo, hi, count = text.split(":")
-        return tuple(np.linspace(float(lo), float(hi), int(count)))
+        with np.errstate(invalid="ignore"):  # RunConfig rejects non-finite points
+            return tuple(np.linspace(float(lo), float(hi), int(count)))
     except Exception:
         raise ValueError(f"--grid expects lo:hi:count, got {text!r}") from None
 

@@ -56,7 +56,11 @@ class MonicSequence:
 
         Their coefficients are converted exactly to decimal and paired
         against the 51-digit moments, through the phase gauge of
-        :mod:`matorth._mp`; the result is rounded once, to complex128."""
+        :mod:`matorth._mp`; the result is rounded once, to complex128.
+        Raises IndexError unless both degrees lie in ``0..top_degree``."""
+        for k in (i, j):
+            if not 0 <= k <= self.top_degree:
+                raise IndexError(f"degree {k} outside 0..{self.top_degree}")
         return _mp.family(self.params).pair_float(i, j)
 
 
@@ -100,6 +104,13 @@ def monic_sequence(p: WeightParams, nmax: int = DEFAULT_NMAX) -> MonicSequence:
     return MonicSequence(p, polys, norms, truncated_at, reason)
 
 
+def _monic_table(seq: MonicSequence) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """The monic ``B_n`` and ``C_n`` of ``seq`` as the build used them."""
+    if len(seq.polys) < 2:
+        raise ValueError("need at least two polynomials to read a recurrence")
+    return _mp.family(seq.params).monic_table(len(seq.polys))
+
+
 def recurrence_from_sequence(seq: MonicSequence) -> RecurrenceTable:
     """The monic recurrence ``t P_n = P_{n+1} + B_n P_n + C_n P_{n-1}``.
 
@@ -107,10 +118,8 @@ def recurrence_from_sequence(seq: MonicSequence) -> RecurrenceTable:
     produce the sequence; each row's identity residual is measured on the
     returned double-precision data.
     """
+    b, c = _monic_table(seq)
     count = len(seq.polys)
-    if count < 2:
-        raise ValueError("need at least two polynomials to read a recurrence")
-    b, c = _mp.family(seq.params).monic_table(count)
     eye = np.eye(seq.params.size, dtype=complex)
     a = tuple(eye.copy() for _ in range(count))
     residuals = []

@@ -22,8 +22,8 @@ from . import closed_forms as cf
 from .linalg import MatrixPolynomial, max_abs, worst
 from .operator import (apply_operator, build_operator, check_chi_xi,
                        check_symmetry_equations, eigenvalue_matrix)
-from .orthogonal import (moment_oracle, monic_sequence, orthonormalize_sequence,
-                         recurrence_from_sequence)
+from .orthogonal import (_monic_table, moment_oracle, monic_sequence,
+                         orthonormalize_sequence, recurrence_from_sequence)
 from .sampling import ABEL_KMAX, draw_abel_case, draw_params
 from .weights import (WeightParams, abel_identity_check, build_structure,
                       verify_structure_identities, weight_moment)
@@ -59,6 +59,12 @@ class RunConfig:
             raise ValueError("the evaluation grid must not be empty")
         if self.fmt not in ("json", "csv"):
             raise ValueError(f"unknown format {self.fmt!r}")
+        for name in ("tol_abs", "tol_rel"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
+        if not all(math.isfinite(t) for t in self.t_grid):
+            raise ValueError("every grid point must be finite")
 
 
 @dataclass
@@ -362,7 +368,7 @@ def export_tables(config: RunConfig) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     seq = monic_sequence(p, config.nmax + 1)
-    monic = recurrence_from_sequence(seq)
+    monic_b, monic_c = _monic_table(seq)  # export writes no residuals
     orth, deltas = orthonormalize_sequence(seq)
 
     tables: dict[str, dict] = {}
@@ -370,9 +376,8 @@ def export_tables(config: RunConfig) -> dict:
     def add(name: str, data: list, start_index: int, kind: str = "matrix"):
         tables[name] = {"start_index": start_index, "kind": kind, "data": data}
 
-    rows = len(monic.B)
-    add("monic_Bhat", [monic.B[n] for n in range(rows)], 0)
-    add("monic_Chat", [monic.C[n] for n in range(1, rows + 1)], 1)
+    add("monic_Bhat", monic_b, 0)
+    add("monic_Chat", monic_c[1:], 1)
     add("monic_norms", [seq.norms[n] for n in range(len(seq.norms))], 0)
     add("orthonormal_A", [orth.A[n] for n in range(1, len(orth.A))], 1)
     add("orthonormal_B", [orth.B[n] for n in range(len(orth.B))], 0)

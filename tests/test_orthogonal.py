@@ -97,6 +97,19 @@ class TestMonicSequence:
         with pytest.raises(ValueError):
             monic_sequence(flagship, -1)
 
+    @pytest.mark.parametrize("i, j", [(6, 2), (2, 4), (-1, 0), (0, -2)])
+    def test_pairing_rejects_degrees_outside_the_sequence(self, i, j):
+        seq = monic_sequence(WeightParams(2, (0.6 + 0.8j,), 2.0), 3)
+        with pytest.raises(IndexError, match=r"outside 0\.\.3"):
+            seq.pairing(i, j)
+
+    def test_truncated_pairing_rejects_degrees_past_the_top(self):
+        seq = monic_sequence(WeightParams(2, (1.0,), 1e6), 15)
+        assert seq.top_degree == 9
+        with pytest.raises(IndexError, match=r"outside 0\.\.9"):
+            seq.pairing(12, 1)
+        assert seq.pairing(9, 1).shape == (2, 2)
+
 
 class TestMonicRecurrence:
     def test_closed_forms(self, flagship):
@@ -373,6 +386,103 @@ class TestFamilyViews:
         again = _tables(p, 6) + _tables(p, 4)
         assert len(calls) == built
         assert [m.tobytes() for m in again[:len(first)]] == [m.tobytes() for m in first]
+
+
+def _per_term_pairings(fam: _mp._MpFamily, top: int) -> dict[tuple[int, int], np.ndarray]:
+    """Every ``<P_i, P_j>`` with i, j <= top as the first release paired them:
+    full-width rows ``V_l = sum_k Y_k S_{k+l}`` of ``Y_k = C_k U`` and two
+    real products per term, ``sum_l V^i_l (Y^j_l)*``. The reference for the
+    parity-split ``pair_float``."""
+    fam.extend(top)
+    ys, vs, out = [], [], {}
+    with decimal.localcontext(_mp._CONTEXT):
+        for k in range(top + 1):
+            y_re, y_im = [], []
+            for c in fam.poly(k):
+                c_re, c_im = _mp._from_float(c.real), _mp._from_float(c.imag)
+                y_re.append(c_re * fam._u_re - c_im * fam._u_im)
+                y_im.append(c_re * fam._u_im + c_im * fam._u_re)
+            ys.append((y_re, y_im))
+            vs.append((fam._row(y_re, k + 1), fam._row(y_im, k + 1)))
+        for i in range(top + 1):
+            for j in range(i + 1):
+                (v_re, v_im), (y_re, y_im) = vs[i], ys[j]
+                re = sum(v_re[l] @ y_re[l].T + v_im[l] @ y_im[l].T for l in range(j + 1))
+                im = sum(v_im[l] @ y_re[l].T - v_re[l] @ y_im[l].T for l in range(j + 1))
+                pair = np.empty((fam.n, fam.n), dtype=complex)
+                pair.real, pair.imag = _mp._to_float(re), _mp._to_float(im)
+                out[j, i] = pair.conj().T + 0.0
+                out[i, j] = pair
+    return out
+
+
+class TestParityPairing:
+    """``pair_float`` works per parity class; it must reproduce the
+    per-term pairing of full-width rows."""
+
+    @pytest.mark.parametrize("b", [0.25, 2.0, 4.0])
+    @pytest.mark.parametrize("a", [-0.7, 1.3j, 0.6 + 0.8j])
+    def test_size_two_matches_per_term_pairing_bytes(self, a, b):
+        seq = monic_sequence(WeightParams(2, (a,), b), 20)
+        ref = _per_term_pairings(_mp.family(seq.params), 20)
+        for (i, j), want in ref.items():
+            got = seq.pairing(i, j)
+            if i != j:
+                assert got.tobytes() == want.tobytes(), (i, j)
+            else:
+                # the exact diagonal is real; both round its 51-digit residue
+                assert got.real.tobytes() == want.real.tobytes(), i
+                assert max_abs(got.imag - want.imag) <= 1e-40 * max_abs(seq.norms[i])
+
+    @pytest.mark.parametrize("p, top", [
+        (WeightParams(3, (0.8 - 0.3j, -1.2), 0.25), 12),
+        (WeightParams(4, (0.7 + 0.2j, 1.3, -0.5j), 0.6), 10),
+        (WeightParams(5, (1.0, 0.5, 1.2j, -0.8 + 0.4j), 4.0), 8),
+    ])
+    def test_larger_sizes_match_per_term_pairing(self, p, top):
+        seq = monic_sequence(p, top)
+        ref = _per_term_pairings(_mp.family(p), top)
+        for (i, j), want in ref.items():
+            scale = math.sqrt(max_abs(seq.norms[i]) * max_abs(seq.norms[j]))
+            assert max_abs(seq.pairing(i, j) - want) <= 1e-30 * scale, (i, j)
+
+    @pytest.mark.parametrize("p", [
+        WeightParams(2, (0.6 + 0.8j,), 2.0),
+        WeightParams(3, (0.8 - 0.3j, -1.2), 0.25),
+        WeightParams(4, (0.7 + 0.2j, 1.3, -0.5j), 0.6),
+        WeightParams(5, (1.0, 0.5, 1.2j, -0.8 + 0.4j), 4.0),
+    ])
+    def test_entries_off_the_parity_classes_are_exact_zeros(self, p):
+        top = 8
+        seq = monic_sequence(p, top)
+        idx = np.arange(p.size)
+        odd = (idx[:, None] + idx) % 2 == 1
+        for k, poly in enumerate(seq.polys):
+            for l, c in enumerate(poly.coeffs):
+                # W(-t) = S W(t) S: coefficient l of P_k lives where k + l + a + r is even
+                off = odd if (k + l) % 2 == 0 else ~odd
+                assert np.all(c[off] == 0)
+        for i in range(top + 1):
+            for j in range(top + 1):
+                pair = seq.pairing(i, j)
+                off = odd if (i + j) % 2 == 0 else ~odd
+                for part in (pair.real[off], pair.imag[off]):
+                    assert np.all(part == 0) and not np.any(np.signbit(part)), (i, j)
+
+    def test_cached_rows_hold_only_their_class(self):
+        p = WeightParams(4, (0.9 - 0.4j, 1.2, 0.3 + 0.8j), 1.6)  # cold: params unused elsewhere
+        top = 6
+        monic_sequence(p, top).pairing(top, 0)
+        rows = _mp.family(p)._float_rows
+        assert len(rows) == top + 1
+        for k, classes in enumerate(rows):
+            assert len(classes) == 2
+            for c, (y, v) in enumerate(classes):
+                # rows a with (k + a) % 2 == c, real over imaginary parts, on the
+                # columns (power l <= k, column r) with (l + r) % 2 == c
+                width = sum((l + r) % 2 == c for l in range(k + 1) for r in range(4))
+                assert y.shape == v.shape == (2 * 2, width), (k, c)
+                assert width < (k + 1) * 4
 
 
 class TestThreads:

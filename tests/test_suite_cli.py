@@ -220,6 +220,16 @@ class TestExport:
         with open(tmp_path / "manifest.json") as fh:
             assert json.load(fh) == manifest
 
+    def test_export_measures_no_residuals(self, tmp_path, monkeypatch):
+        # export writes the monic B and C tables but no recurrence residual
+        def refuse(seq):
+            raise AssertionError("export measured recurrence residuals")
+
+        monkeypatch.setattr(suite, "recurrence_from_sequence", refuse)
+        export_tables(RunConfig(FLAGSHIP, nmax=4, out=str(tmp_path)))
+        bhat = json.loads((tmp_path / "monic_Bhat.json").read_text())["data"]
+        assert len(bhat) == 5
+
     def test_requires_out(self):
         with pytest.raises(ValueError):
             export_tables(RunConfig(FLAGSHIP, nmax=3))
@@ -267,6 +277,13 @@ class TestCli:
         for bad in ("inf", "nan"):
             assert main(["structure", "--a", bad]) == 2
             assert "finite" in capsys.readouterr().err
+        # invalid tolerances and grid points are configuration errors too,
+        # found before any check runs
+        for option in ("--tol-abs=-1", "--tol-abs=0", "--tol-rel=nan",
+                       "--tol-rel=inf", "--grid=0:nan:5", "--grid=-inf:0:3"):
+            assert main(["verify", "--nmax", "2", option]) == 2
+            captured = capsys.readouterr()
+            assert "finite" in captured.err and "PASS" not in captured.out
 
     @settings(max_examples=40, deadline=None, database=None, derandomize=True)
     @given(st.data())
