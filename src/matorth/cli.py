@@ -47,28 +47,30 @@ def _parse_grid(text: str) -> tuple[float, ...]:
         raise ValueError(f"--grid expects lo:hi:count, got {text!r}") from None
 
 
-def _add_common(parser: argparse.ArgumentParser):
-    parser.add_argument("--size", type=int, default=2, help="matrix size N (default 2)")
-    parser.add_argument("--a", default="1",
-                        help="comma-separated complex parameters, e.g. '1,0.5+0.5i'")
-    parser.add_argument("--b", type=float, default=2.0, help="decay parameter (default 2)")
-    parser.add_argument("--nmax", type=int, default=10, help="top polynomial degree")
-    parser.add_argument("--grid", default="-3:3:11", help="evaluation grid lo:hi:count")
-    parser.add_argument("--tol-abs", type=float, default=BASE_ABS,
-                        help="absolute tolerance anchor; scales all absolute checks")
-    parser.add_argument("--tol-rel", type=float, default=BASE_REL,
-                        help="relative tolerance anchor; scales all relative checks")
-    parser.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
-    parser.add_argument("--out", default=None, help="output file (or directory for export)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized verification sweeps")
+# every subcommand reads --size, --a, --b and --out; _COMMANDS lists the
+# other flags each one reads, and main gives it no more
+_OPTIONS = {
+    "--size": dict(type=int, default=2, help="matrix size N (default 2)"),
+    "--a": dict(default="1", help="comma-separated complex parameters, e.g. '1,0.5+0.5i'"),
+    "--b": dict(type=float, default=2.0, help="decay parameter (default 2)"),
+    "--nmax": dict(type=int, default=10, help="top polynomial degree"),
+    "--grid": dict(default="-3:3:11", help="evaluation grid lo:hi:count"),
+    "--tol-abs": dict(type=float, default=BASE_ABS,
+                      help="absolute tolerance anchor; scales all absolute checks"),
+    "--tol-rel": dict(type=float, default=BASE_REL,
+                      help="relative tolerance anchor; scales all relative checks"),
+    "--format": dict(dest="fmt", choices=("json", "csv"), default="json"),
+    "--out": dict(default=None, help="output file (or directory for export)"),
+    "--seed": dict(type=int, default=0, help="seed for randomized verification sweeps"),
+    "--sweeps": dict(type=int, default=0,
+                     help="additionally verify this many random parameter draws"),
+    "--coeffs": dict(action="store_true", help="print every coefficient"),
+    "--horizon": dict(type=int, default=200),
+}
 
 
-def _config(args) -> RunConfig:
-    params = WeightParams(args.size, _parse_a(args.a), args.b)
-    return RunConfig(params=params, nmax=args.nmax, t_grid=_parse_grid(args.grid),
-                     tol_abs=args.tol_abs, tol_rel=args.tol_rel, fmt=args.fmt,
-                     out=args.out, seed=args.seed)
+def _params(args) -> WeightParams:
+    return WeightParams(args.size, _parse_a(args.a), args.b)
 
 
 def _print_matrix(name: str, m: np.ndarray):
@@ -90,16 +92,16 @@ def _write_json(path: str, doc: dict):
 
 
 def _cmd_structure(args) -> int:
-    config = _config(args)
-    s = build_structure(config.params)
-    if config.out:
-        doc = {"params": params_to_dict(config.params),
+    p = _params(args)
+    s = build_structure(p)
+    if args.out:
+        doc = {"params": params_to_dict(p),
                "shift": _matrix_to_json(s.shift), "number": _matrix_to_json(s.number),
                "diag_scale": _matrix_to_json(s.diag_scale),
                "gauss_diag": _matrix_to_json(s.gauss_diag),
                "nilpotent": _matrix_to_json(s.nilpotent),
                "odd_coeffs": list(s.odd_coeffs)}
-        _write_json(config.out, doc)
+        _write_json(args.out, doc)
     else:
         for name in ("shift", "number", "diag_scale", "gauss_diag", "nilpotent"):
             _print_matrix(name, getattr(s, name))
@@ -108,7 +110,8 @@ def _cmd_structure(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    config = _config(args)
+    config = RunConfig(_params(args), args.nmax, _parse_grid(args.grid), args.tol_abs,
+                       args.tol_rel, out=args.out, seed=args.seed)
     if args.sweeps < 0:
         raise ValueError(f"--sweeps must be >= 0, got {args.sweeps}")
     summary = run_suite(config)
@@ -131,8 +134,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_orthopoly(args) -> int:
-    config = _config(args)
-    seq = monic_sequence(config.params, config.nmax)
+    seq = monic_sequence(_params(args), args.nmax)
     _note(seq.truncation_reason)
     for n, poly in enumerate(seq.polys):
         print(f"-- degree {n}, norm diagonal "
@@ -140,18 +142,20 @@ def _cmd_orthopoly(args) -> int:
         if args.coeffs:
             for k, c in enumerate(poly.coeffs):
                 _print_matrix(f"P_{n} coeff t^{k}", c)
-    if config.out:
-        doc = {"params": params_to_dict(config.params),
+    if args.out:
+        doc = {"params": params_to_dict(seq.params),
                "polys": [[_matrix_to_json(c) for c in poly.coeffs]
                          for poly in seq.polys],
                "norms": [_matrix_to_json(m) for m in seq.norms]}
-        _write_json(config.out, doc)
+        _write_json(args.out, doc)
     return 0
 
 
 def _cmd_recurrence(args) -> int:
-    config = _config(args)
-    seq = monic_sequence(config.params, config.nmax + 1)
+    p = _params(args)
+    if args.nmax < 0:  # building to nmax + 1 alone would let -1 through
+        raise ValueError("nmax must be >= 0")
+    seq = monic_sequence(p, args.nmax + 1)
     _note(seq.truncation_reason)
     monic = recurrence_from_sequence(seq)
     orth, _ = orthonormalize_sequence(seq)
@@ -162,38 +166,36 @@ def _cmd_recurrence(args) -> int:
             _print_matrix("B_n", orth.B[n])
         _print_matrix("Chat_n", monic.C[n])
     print(f"max recurrence identity residual: {worst(monic.residuals):.3e}")
-    if config.out:
-        doc = {"params": params_to_dict(config.params),
+    if args.out:
+        doc = {"params": params_to_dict(seq.params),
                "orthonormal_A": [_matrix_to_json(m) for m in orth.A],
                "orthonormal_B": [_matrix_to_json(m) for m in orth.B],
                "monic_Bhat": [_matrix_to_json(m) for m in monic.B],
                "monic_Chat": [_matrix_to_json(m) for m in monic.C],
                "residuals": list(monic.residuals)}
-        _write_json(config.out, doc)
+        _write_json(args.out, doc)
     return 0
 
 
 def _cmd_norms(args) -> int:
-    config = _config(args)
-    seq = monic_sequence(config.params, config.nmax)
+    seq = monic_sequence(_params(args), args.nmax)
     _note(seq.truncation_reason)
-    doc = {"params": params_to_dict(config.params),
+    doc = {"params": params_to_dict(seq.params),
            "monic_norms": [_matrix_to_json(m) for m in seq.norms]}
     for n, m in enumerate(seq.norms):
         print(f"n={n}: diag {np.real(np.diag(m)).tolist()}")
-    if config.params.size == 2:
+    if seq.params.size == 2:
         doc["closed_monic"] = []
         for n in range(len(seq.norms)):
-            closed, _ = cf.closed_norms(config.params, n)
+            closed, _ = cf.closed_norms(seq.params, n)
             doc["closed_monic"].append(_matrix_to_json(closed))
-    if config.out:
-        _write_json(config.out, doc)
+    if args.out:
+        _write_json(args.out, doc)
     return 0
 
 
 def _cmd_asymptotics(args) -> int:
-    config = _config(args)
-    p = config.params
+    p = _params(args)
     if p.size != 2:
         print("asymptotics are available only for size 2", file=sys.stderr)
         return 2
@@ -205,20 +207,35 @@ def _cmd_asymptotics(args) -> int:
     for n in sorted({1, 2, 5, 10, 20, 50, 100, args.horizon}):
         if n <= args.horizon:
             print(f"n={n:4d}  error={rep.error_at(n):.6e}")
-    if config.out:
+    if args.out:
         doc = {"params": params_to_dict(p),
                "limit": _matrix_to_json(rep.limit),
                "errors": [float(v) for v in rep.errors]}
-        _write_json(config.out, doc)
+        _write_json(args.out, doc)
     return 0
 
 
 def _cmd_export(args) -> int:
-    config = _config(args)
-    manifest = export_tables(config)
+    manifest = export_tables(RunConfig(_params(args), args.nmax, fmt=args.fmt,
+                                       out=args.out))
     _note(manifest.get("truncation_reason"))
-    print(f"wrote {len(manifest['tables'])} tables to {config.out}")
+    print(f"wrote {len(manifest['tables'])} tables to {args.out}")
     return 0
+
+
+# subcommand: handler, help, the flags it reads besides --size, --a, --b, --out
+_COMMANDS = {
+    "structure": (_cmd_structure, "print or export the structure matrices", ()),
+    "verify": (_cmd_verify, "run the verification suite",
+               ("--nmax", "--grid", "--tol-abs", "--tol-rel", "--seed", "--sweeps")),
+    "orthopoly": (_cmd_orthopoly, "monic orthogonal polynomials and norms",
+                  ("--nmax", "--coeffs")),
+    "recurrence": (_cmd_recurrence, "recurrence coefficient tables", ("--nmax",)),
+    "norms": (_cmd_norms, "squared norms of the monic polynomials", ("--nmax",)),
+    "asymptotics": (_cmd_asymptotics, "recurrence coefficient asymptotics (size 2)",
+                    ("--horizon",)),
+    "export": (_cmd_export, "write all tables to a directory", ("--nmax", "--format")),
+}
 
 
 def main(argv=None) -> int:
@@ -227,38 +244,11 @@ def main(argv=None) -> int:
         description="Matrix-valued orthogonal polynomials for a Gaussian-type "
                     "weight family: construction, verification, tables.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("structure", help="print or export the structure matrices")
-    _add_common(sp)
-    sp.set_defaults(fn=_cmd_structure)
-
-    sp = sub.add_parser("verify", help="run the verification suite")
-    _add_common(sp)
-    sp.add_argument("--sweeps", type=int, default=0,
-                    help="additionally verify this many random parameter draws")
-    sp.set_defaults(fn=_cmd_verify)
-
-    sp = sub.add_parser("orthopoly", help="monic orthogonal polynomials and norms")
-    _add_common(sp)
-    sp.add_argument("--coeffs", action="store_true", help="print every coefficient")
-    sp.set_defaults(fn=_cmd_orthopoly)
-
-    sp = sub.add_parser("recurrence", help="recurrence coefficient tables")
-    _add_common(sp)
-    sp.set_defaults(fn=_cmd_recurrence)
-
-    sp = sub.add_parser("norms", help="squared norms of the monic polynomials")
-    _add_common(sp)
-    sp.set_defaults(fn=_cmd_norms)
-
-    sp = sub.add_parser("asymptotics", help="recurrence coefficient asymptotics (size 2)")
-    _add_common(sp)
-    sp.add_argument("--horizon", type=int, default=200)
-    sp.set_defaults(fn=_cmd_asymptotics)
-
-    sp = sub.add_parser("export", help="write all tables to a directory")
-    _add_common(sp)
-    sp.set_defaults(fn=_cmd_export)
+    for name, (fn, text, own) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=text)
+        for flag in ("--size", "--a", "--b", *own, "--out"):
+            sp.add_argument(flag, **_OPTIONS[flag])
+        sp.set_defaults(fn=fn)
 
     args = parser.parse_args(argv)
     try:

@@ -157,13 +157,19 @@ class ChiXiReport:
     ``T (chi - chi*) T*`` and stays well scaled for every b;
     ``chi_literal_residual`` is the raw ``max |chi - chi*|``, whose
     off-diagonal rounding dust is amplified by exp((d_j - d_i) t^2) and is
-    reported for reference only.
+    reported for reference only: ``max_residual``, which the checks judge,
+    leaves it out.
     """
 
     chi_hermitian_residual: float
     chi_literal_residual: float
     xi_offdiagonal_residual: float
     xi_diagonal_residual: float
+
+    @property
+    def max_residual(self) -> float:
+        return worst((self.chi_hermitian_residual, self.xi_offdiagonal_residual,
+                      self.xi_diagonal_residual))
 
 
 def check_chi_xi(p: WeightParams, ts: Sequence[float]) -> ChiXiReport:

@@ -9,7 +9,7 @@ cross-check each other.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 import numpy as np
@@ -38,7 +38,8 @@ class MonicSequence:
     ``polys[n]`` has exact leading coefficient I and ``norms[n]`` is the
     Hermitian positive definite matrix ``integral P_n W P_n*``. If the build
     stopped early, ``truncated_at`` names the first degree that could not be
-    produced and ``truncation_reason`` says why.
+    produced and ``truncation_reason`` says why. It holds the 51-digit
+    family that built it, so its tables never depend on the family cache.
     """
 
     params: WeightParams
@@ -46,6 +47,7 @@ class MonicSequence:
     norms: tuple[np.ndarray, ...]
     truncated_at: int | None = None
     truncation_reason: str | None = None
+    _family: "_mp._MpFamily" = field(default=None, repr=False, compare=False)
 
     @property
     def top_degree(self) -> int:
@@ -61,7 +63,7 @@ class MonicSequence:
         for k in (i, j):
             if not 0 <= k <= self.top_degree:
                 raise IndexError(f"degree {k} outside 0..{self.top_degree}")
-        return _mp.family(self.params).pair_float(i, j)
+        return self._family.pair_float(i, j)
 
 
 @dataclass(frozen=True)
@@ -101,14 +103,14 @@ def monic_sequence(p: WeightParams, nmax: int = DEFAULT_NMAX) -> MonicSequence:
     top = min(fam.top, nmax)
     polys = tuple(MatrixPolynomial(fam.poly(k)) for k in range(top + 1))
     norms = tuple(fam.norm(k) for k in range(top + 1))
-    return MonicSequence(p, polys, norms, truncated_at, reason)
+    return MonicSequence(p, polys, norms, truncated_at, reason, fam)
 
 
 def _monic_table(seq: MonicSequence) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """The monic ``B_n`` and ``C_n`` of ``seq`` as the build used them."""
     if len(seq.polys) < 2:
         raise ValueError("need at least two polynomials to read a recurrence")
-    return _mp.family(seq.params).monic_table(len(seq.polys))
+    return seq._family.monic_table(len(seq.polys))
 
 
 def recurrence_from_sequence(seq: MonicSequence) -> RecurrenceTable:
@@ -141,7 +143,7 @@ def orthonormalize_sequence(seq: MonicSequence) -> tuple[RecurrenceTable, tuple[
     entry. Returns the orthonormal table (C_n = A_n* by construction) and
     the Delta_n sequence.
     """
-    a, b, deltas = _mp.family(seq.params).orthonormal_table(len(seq.polys))
+    a, b, deltas = seq._family.orthonormal_table(len(seq.polys))
     # + 0.0: conjugating a zero imaginary part would give -0.0
     c = tuple(m.conj().T + 0.0 for m in a)
     return RecurrenceTable("orthonormal", tuple(a), tuple(b), c), tuple(deltas)

@@ -5,7 +5,8 @@ import pytest
 
 from matorth import operator
 from matorth.linalg import MatrixPolynomial, hermitian_residual, max_abs
-from matorth.operator import (DifferentialOperator, SymmetryReport, _first_order_factor,
+from matorth.operator import (ChiXiReport, DifferentialOperator, SymmetryReport,
+                              _first_order_factor,
                               apply_operator, build_operator, check_chi_xi,
                               check_symmetry_equations, eigenvalue_matrix,
                               symmetry_bilinear_check)
@@ -175,6 +176,10 @@ class TestChiXi:
     def test_tiny_a_literal_chi_hermitian(self, grid):
         rep = check_chi_xi(WeightParams(2, (1e-200,), 2.0), grid)
         assert rep.chi_literal_residual < 1e-12
+
+    def test_max_residual_leaves_out_the_literal_chi_and_keeps_nan(self):
+        assert ChiXiReport(1e-12, 5.0, 3e-12, 2e-12).max_residual == 3e-12
+        assert math.isnan(ChiXiReport(0.0, 0.0, math.nan, 1e-3).max_residual)
 
 
 class TestBilinearSymmetry:

@@ -387,6 +387,30 @@ class TestFamilyViews:
         assert len(calls) == built
         assert [m.tobytes() for m in again[:len(first)]] == [m.tobytes() for m in first]
 
+    def test_sequence_keeps_the_family_that_built_it(self, monkeypatch):
+        # with the family cache cleared, nothing is rebuilt and nothing changes
+        seq = monic_sequence(WeightParams(4, (1.0, 0.6 - 0.8j, 1.3j), 1.7), 8)
+
+        def tables():
+            monic = recurrence_from_sequence(seq)
+            orth, deltas = orthonormalize_sequence(seq)
+            arrays = [seq.pairing(8, 0), seq.pairing(5, 7), *monic.B, *monic.C,
+                      *orth.A, *orth.B, *deltas]
+            return [m.tobytes() for m in arrays] + [monic.residuals]
+
+        before = tables()
+        _mp._family.cache_clear()
+        built = []
+        init = _mp._MpFamily.__init__
+
+        def counted(fam, p):
+            built.append(p)
+            init(fam, p)
+
+        monkeypatch.setattr(_mp._MpFamily, "__init__", counted)
+        assert tables() == before
+        assert built == []
+
 
 def _per_term_pairings(fam: _mp._MpFamily, top: int) -> dict[tuple[int, int], np.ndarray]:
     """Every ``<P_i, P_j>`` with i, j <= top as the first release paired them:

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +16,22 @@ from matorth.weights import IdentityReport, WeightParams
 
 FLAGSHIP = WeightParams(2, (1.0,), 2.0)
 FLAGSHIP_GRID = (-1.0, 0.0, 1.0)
+
+# the flags of each subcommand besides --size, --a, --b and --out
+OWN_FLAGS = {
+    "structure": set(),
+    "verify": {"--nmax", "--grid", "--tol-abs", "--tol-rel", "--seed", "--sweeps"},
+    "orthopoly": {"--nmax", "--coeffs"},
+    "recurrence": {"--nmax"},
+    "norms": {"--nmax"},
+    "asymptotics": {"--horizon"},
+    "export": {"--nmax", "--format"},
+}
+# a valid value for each flag that some subcommand does not take
+FLAG_VALUES = {"--nmax": "3", "--grid": "-1:1:3", "--tol-abs": "1e-10",
+               "--tol-rel": "1e-8", "--seed": "1", "--format": "json"}
+REMOVED = [(command, flag) for command, own in OWN_FLAGS.items()
+           for flag in FLAG_VALUES if flag not in own]
 
 
 def _cli_number(x: float) -> str:
@@ -381,7 +398,7 @@ class TestCli:
         assert main(["export", "--nmax", "3", "--out", str(tmp_path / "t")]) == 0
         assert (tmp_path / "t" / "manifest.json").exists()
 
-    @pytest.mark.parametrize("command", ["export", "recurrence", "norms"])
+    @pytest.mark.parametrize("command", ["export", "recurrence", "norms", "orthopoly"])
     def test_truncation_note(self, command, tmp_path, capsys):
         out = ["--out", str(tmp_path / "t")] if command == "export" else []
         assert main([command, "--b", "1e6", "--nmax", "12", *out]) == 0
@@ -394,3 +411,28 @@ class TestCli:
         assert main(["export", "--nmax", "3", "--format", "csv",
                      "--out", str(tmp_path / "c")]) == 0
         assert (tmp_path / "c" / "monic_Bhat.csv").exists()
+
+    @pytest.mark.parametrize("command", sorted(OWN_FLAGS))
+    def test_each_subcommand_takes_only_its_flags(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "-h"])
+        assert exc.value.code == 0
+        flags = re.findall(r"^\s+(--[\w-]+)", capsys.readouterr().out, re.M)
+        assert len(flags) == len(set(flags))
+        assert set(flags) == {"--size", "--a", "--b", "--out"} | OWN_FLAGS[command]
+
+    @pytest.mark.parametrize("command, flag", REMOVED)
+    def test_flag_a_subcommand_does_not_read_is_rejected(self, command, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, f"{flag}={FLAG_VALUES[flag]}"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["verify", "orthopoly", "recurrence", "norms",
+                                         "export"])
+    def test_negative_nmax_is_config_error(self, command, tmp_path, capsys):
+        assert main([command, "--nmax", "-1", "--out", str(tmp_path / "x")]) == 2
+        captured = capsys.readouterr()
+        assert "error: nmax must be >= 0" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "x").exists()
