@@ -32,6 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .linalg import MatrixPolynomial
 from .weights import (WeightParams, alpha_coeff, column_outers, odd_series,
                       scale_diagonals)
 
@@ -111,8 +112,8 @@ def _to_float(x: np.ndarray) -> np.ndarray:
     return x.astype(float) + 0.0
 
 
-# the complex128 values of one degree k: the coefficients of P_k, H_k, the
-# monic Bhat_k and Chat_k, Delta_k and the orthonormal A_k and B_k
+# the one complex128 copy of degree k's tables: P_k as a MatrixPolynomial,
+# H_k, the monic Bhat_k and Chat_k, Delta_k and the orthonormal A_k and B_k
 _Views = namedtuple("_Views", "poly norm bhat chat delta a b")
 
 
@@ -223,7 +224,7 @@ class _MpFamily:
         # B_k = Delta_k Bhat_k U_k, with U_k the upper Cholesky factor of H_k
         a = self._deltas[k - 1] @ chol if k else np.zeros_like(chol)
         views = (norm, bhat, self._chat[k], delta, a, delta @ bhat @ chol)
-        self._views.append(_Views(tuple(map(self._complex, coeffs)),
+        self._views.append(_Views(MatrixPolynomial(map(self._complex, coeffs)),
                                   *map(self._complex, views)))
 
     def extend(self, nmax: int):
@@ -254,33 +255,11 @@ class _MpFamily:
         out.setflags(write=False)
         return out
 
-    def poly(self, k: int) -> tuple[np.ndarray, ...]:
-        return self._views[k].poly
-
-    def norm(self, k: int) -> np.ndarray:
-        return self._views[k].norm
-
-    def monic_table(self, count: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """``B_0..B_{count-2}`` and ``C_0..C_{count-1}`` of the monic
-        recurrence; ``C_0`` is a zero pad."""
-        self.extend(count - 1)
-        return ([v.bhat for v in self._views[:count - 1]],
-                [v.chat for v in self._views[:count]])
-
-    def orthonormal_table(self, count: int):
-        """Orthonormal ``A_0..A_{count-1}`` (``A_0`` a zero pad),
-        ``B_0..B_{count-2}`` and the normalizers ``Delta_0..Delta_{count-1}``
-        (see ``_append``)."""
-        self.extend(count - 1)
-        views = self._views[:count]
-        return ([v.a for v in views], [v.b for v in views[:count - 1]],
-                [v.delta for v in views])
-
     def _class_rows(self, k: int) -> list[tuple[np.ndarray, np.ndarray]]:
         """Per class ``c`` of ``pair_float``: the rows of ``Y_k`` in class
         ``c``, real over imaginary parts, on its columns, and those times ``H``."""
         n = self.n
-        coeffs = np.array(self._views[k].poly).transpose(1, 0, 2).reshape(n, -1)
+        coeffs = self._views[k].poly.coeffs.transpose(1, 0, 2).reshape(n, -1)
         power, col = np.divmod(np.arange((k + 1) * n), n)  # column l * n + r
         moments = np.array([self.moment(m) for m in range(2 * k + 1)])
         out = []
@@ -295,7 +274,7 @@ class _MpFamily:
         return out
 
     def pair_float(self, i: int, j: int) -> np.ndarray:
-        """``<P_i, P_j>`` of the complex128 polynomials that ``poly`` returns,
+        """``<P_i, P_j>`` of the complex128 polynomials of ``_views``,
         paired exactly against the DIGITS-digit moments: with ``Y_k = C_k U``
         for the returned coefficients ``C_k``, the moments for ``a`` are
         ``U S U*``, so ``<P_i, P_j> = Y^i H (Y^j)*`` with the real block Hankel

@@ -182,13 +182,13 @@ def _cmd_norms(args) -> int:
     _note(seq.truncation_reason)
     doc = {"params": params_to_dict(seq.params),
            "monic_norms": [_matrix_to_json(m) for m in seq.norms]}
-    for n, m in enumerate(seq.norms):
-        print(f"n={n}: diag {np.real(np.diag(m)).tolist()}")
-    if seq.params.size == 2:
+    if seq.params.size == 2:  # before printing, as closed_norms may overflow
         doc["closed_monic"] = []
         for n in range(len(seq.norms)):
             closed, _ = cf.closed_norms(seq.params, n)
             doc["closed_monic"].append(_matrix_to_json(closed))
+    for n, m in enumerate(seq.norms):
+        print(f"n={n}: diag {np.real(np.diag(m)).tolist()}")
     if args.out:
         _write_json(args.out, doc)
     return 0
@@ -255,6 +255,10 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError:  # e.g. the size-2 closed forms at b = 1e80
+        print("error: overflow beyond double: b is outside the supported range",
+              file=sys.stderr)
         return 2
 
 

@@ -216,6 +216,12 @@ def rodrigues_polynomial(p: WeightParams, n: int) -> MatrixPolynomial:
     return poly
 
 
+def _scaled_a_diagonal(p: WeightParams, n: int) -> list[float]:
+    """The diagonal of the orthonormal ``A_n / sqrt(n)``, n >= 1."""
+    return [math.sqrt(gamma_ratio(p, n) / (2.0 * p.b)),
+            math.sqrt(1.0 / (2.0 * gamma_ratio(p, n - 1)))]
+
+
 def orthonormal_recurrence(p: WeightParams, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form recurrence pair (A_n, B_n) of the orthonormal sequence.
 
@@ -225,10 +231,7 @@ def orthonormal_recurrence(p: WeightParams, n: int) -> tuple[np.ndarray, np.ndar
     _require_2x2(p)
     a, b = p.a[0], p.b
     if n >= 1:
-        a_mat = math.sqrt(n) * np.diag([
-            math.sqrt(gamma_ratio(p, n) / (2.0 * b)),
-            math.sqrt(1.0 / (2.0 * gamma_ratio(p, n - 1))),
-        ]).astype(complex)
+        a_mat = math.sqrt(n) * np.diag(_scaled_a_diagonal(p, n)).astype(complex)
     else:
         a_mat = np.zeros((2, 2), dtype=complex)
     drift = b + (b - 1.0) * n
@@ -354,12 +357,10 @@ def asymptotic_report(p: WeightParams, horizon: int = 200) -> AsymptoticReport:
         raise ValueError(f"the horizon must be >= 1, got {horizon}")
     limit = branch_limit(p.b)
     l1, l2 = float(limit[0, 0].real), float(limit[1, 1].real)
-    b = p.b
     errors = np.empty(horizon)
     for n in range(1, horizon + 1):
-        e1 = math.sqrt(gamma_ratio(p, n) / (2.0 * b)) - l1
-        e2 = math.sqrt(1.0 / (2.0 * gamma_ratio(p, n - 1))) - l2
-        errors[n - 1] = max(abs(e1), abs(e2))
+        d1, d2 = _scaled_a_diagonal(p, n)
+        errors[n - 1] = max(abs(d1 - l1), abs(d2 - l2))
     return AsymptoticReport(limit, errors)
 
 

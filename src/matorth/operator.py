@@ -30,6 +30,10 @@ __all__ = [
     "symmetry_bilinear_check",
 ]
 
+# bound on the power-10 boundary sample of check_symmetry_equations, below
+# which the boundary terms of the symmetry integration by parts count as gone
+BOUNDARY_DECAY_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class DifferentialOperator:
@@ -110,7 +114,7 @@ def check_symmetry_equations(p: WeightParams, ts: Sequence[float]) -> SymmetryRe
     the residuals are evaluated on the whole grid ``ts`` at once. The decay
     condition is sampled at |t| = 8 / sqrt(min(1, b)) (scaled so the slowest
     Gaussian in W has decayed equally far for every b) with power 10 and
-    threshold 1e-6.
+    threshold ``BOUNDARY_DECAY_TOL``.
     """
     op = build_operator(p)
     w = weight_symbolic(p)
@@ -133,7 +137,7 @@ def check_symmetry_equations(p: WeightParams, ts: Sequence[float]) -> SymmetryRe
     decay = df2w - f1w
     edges = np.array([-tb, tb])
     bval = worst(max_abs(f(edges)) for f in (f2w, decay)) * tb ** 10
-    return SymmetryReport(r_ccp, r_first, r_second, bval, bval < 1e-6)
+    return SymmetryReport(r_ccp, r_first, r_second, bval, bval < BOUNDARY_DECAY_TOL)
 
 
 def _first_order_factor(p: WeightParams) -> MatrixPolynomial:

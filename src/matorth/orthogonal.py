@@ -100,17 +100,18 @@ def monic_sequence(p: WeightParams, nmax: int = DEFAULT_NMAX) -> MonicSequence:
     except ArithmeticError as exc:
         truncated_at = fam.top + 1
         reason = f"norm positive definiteness lost at degree {truncated_at}: {exc}"
-    top = min(fam.top, nmax)
-    polys = tuple(MatrixPolynomial(fam.poly(k)) for k in range(top + 1))
-    norms = tuple(fam.norm(k) for k in range(top + 1))
-    return MonicSequence(p, polys, norms, truncated_at, reason, fam)
+    views = fam._views[:min(fam.top, nmax) + 1]
+    return MonicSequence(p, tuple(v.poly for v in views), tuple(v.norm for v in views),
+                         truncated_at, reason, fam)
 
 
 def _monic_table(seq: MonicSequence) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """The monic ``B_n`` and ``C_n`` of ``seq`` as the build used them."""
+    """``B_0..B_{top-1}`` and ``C_0..C_top`` of the monic recurrence of
+    ``seq`` as the build used them; ``C_0`` is a zero pad."""
     if len(seq.polys) < 2:
         raise ValueError("need at least two polynomials to read a recurrence")
-    return seq._family.monic_table(len(seq.polys))
+    views = seq._family._views[:len(seq.polys)]
+    return [v.bhat for v in views[:-1]], [v.chat for v in views]
 
 
 def recurrence_from_sequence(seq: MonicSequence) -> RecurrenceTable:
@@ -143,10 +144,12 @@ def orthonormalize_sequence(seq: MonicSequence) -> tuple[RecurrenceTable, tuple[
     entry. Returns the orthonormal table (C_n = A_n* by construction) and
     the Delta_n sequence.
     """
-    a, b, deltas = seq._family.orthonormal_table(len(seq.polys))
-    # + 0.0: conjugating a zero imaginary part would give -0.0
+    views = seq._family._views[:len(seq.polys)]
+    # A_0 is a zero pad; + 0.0: conjugating a zero imaginary part gives -0.0
+    a = tuple(v.a for v in views)
     c = tuple(m.conj().T + 0.0 for m in a)
-    return RecurrenceTable("orthonormal", tuple(a), tuple(b), c), tuple(deltas)
+    table = RecurrenceTable("orthonormal", a, tuple(v.b for v in views[:-1]), c)
+    return table, tuple(v.delta for v in views)
 
 
 def _trapezoid(p: WeightParams, degree_hint: int,

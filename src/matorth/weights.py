@@ -213,15 +213,7 @@ def moment_pairing(p: WeightParams, lhs: MatrixPolynomial,
 
 def weight_inverse_2x2(p: WeightParams, t: float) -> np.ndarray:
     """Closed-form inverse of the 2x2 weight."""
-    if p.size != 2:
-        raise ValueError("closed-form inverse exists only for size 2")
-    a, b = p.a[0], p.b
-    ebt = math.exp(b * t * t)
-    et = math.exp(t * t)
-    return np.array([
-        [ebt, -a * ebt * t],
-        [-np.conj(a) * ebt * t, abs(a) ** 2 * ebt * t * t + et],
-    ], dtype=complex)
+    return weight_inverse_symbolic_2x2(p)(t)
 
 
 def weight_inverse_symbolic_2x2(p: WeightParams) -> GaussErfMatrix:

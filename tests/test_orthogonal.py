@@ -367,6 +367,14 @@ class TestFamilyViews:
                 fresh = fam._complex(x)
                 assert got.dtype == fresh.dtype and got.tobytes() == fresh.tobytes()
 
+    def test_sequences_share_the_family_polynomials(self):
+        first, second = monic_sequence(self.P, self.NMAX), monic_sequence(self.P, 4)
+        fam = _mp.family(self.P)
+        for k, poly in enumerate(second.polys):
+            assert poly is first.polys[k] is fam._views[k].poly
+            assert second.norms[k] is first.norms[k] is fam._views[k].norm
+            assert not poly.coeffs.flags.writeable
+
     def test_each_quantity_converted_once(self, monkeypatch):
         p = WeightParams(2, (0.35 + 0.9j,), 2.3)  # cold: params unused elsewhere
         calls = []
@@ -422,7 +430,7 @@ def _per_term_pairings(fam: _mp._MpFamily, top: int) -> dict[tuple[int, int], np
     with decimal.localcontext(_mp._CONTEXT):
         for k in range(top + 1):
             y_re, y_im = [], []
-            for c in fam.poly(k):
+            for c in fam._views[k].poly.coeffs:
                 c_re, c_im = _mp._from_float(c.real), _mp._from_float(c.imag)
                 y_re.append(c_re * fam._u_re - c_im * fam._u_im)
                 y_im.append(c_re * fam._u_im + c_im * fam._u_re)

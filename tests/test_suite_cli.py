@@ -111,6 +111,29 @@ class TestRunSuite:
         assert checks["recurrence-closed-forms"].passed
         assert checks["norm-closed-forms"].passed
 
+    def test_nmax_zero_skips_checks_that_compare_no_degree(self):
+        empty = ("rodrigues-explicit", "recurrence-closed-forms", "rodrigues-equation")
+        zero = check_map(run_suite(RunConfig(FLAGSHIP, nmax=0)))
+        one = check_map(run_suite(RunConfig(FLAGSHIP, nmax=1)))
+        for name in empty:
+            assert zero[name].skipped and "nmax 0" in zero[name].note
+            assert not one[name].skipped and one[name].passed
+        assert not zero["norm-closed-forms"].skipped
+        assert zero["norm-closed-forms"].note == "degrees 0..1"
+        assert one["recurrence-closed-forms"].note == "degrees 1..1"
+
+    def test_recurrence_residuals_measured_once(self, monkeypatch):
+        calls = []
+        real = suite.recurrence_from_sequence
+
+        def counted(seq):
+            calls.append(seq.top_degree)
+            return real(seq)
+        monkeypatch.setattr(suite, "recurrence_from_sequence", counted)
+        summary = run_suite(RunConfig(FLAGSHIP, nmax=6))
+        assert calls == [7]
+        assert summary.overall
+
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
             RunConfig(FLAGSHIP, nmax=-1)
@@ -436,3 +459,14 @@ class TestCli:
         assert "error: nmax must be >= 0" in captured.err
         assert captured.out == ""
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("command", ["norms", "export"])
+    @pytest.mark.parametrize("b, nmax", [("1e80", "30"), ("1e300", "3")])
+    def test_closed_form_overflow_is_config_error(self, command, b, nmax, tmp_path, capsys):
+        assert main([command, "--b", b, "--nmax", nmax, "--out", str(tmp_path / "x")]) == 2
+        captured = capsys.readouterr()
+        errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and "overflow" in errors[0]
+        assert "outside the supported range" in errors[0]
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
