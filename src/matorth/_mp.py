@@ -124,7 +124,7 @@ class _MpFamily:
 
     ``extend`` and the float rows of ``pair_float`` grow under the family's
     lock, so one family may be shared between threads; what has been built
-    is never changed.
+    is never changed, nor is ``stop`` once set.
     """
 
     def __init__(self, p: WeightParams):
@@ -168,6 +168,7 @@ class _MpFamily:
         self._float_rows: list[list[tuple[np.ndarray, np.ndarray]]] = []
         # per degree, the complex128 values the tables return, read-only
         self._views: list[_Views] = []
+        self.stop: str | None = None  # why degree top + 1 failed; never retried
 
     @property
     def top(self) -> int:
@@ -228,20 +229,23 @@ class _MpFamily:
                                   *map(self._complex, views)))
 
     def extend(self, nmax: int):
-        """Grow the monic sequence up to degree ``nmax`` by the recurrence
+        """Grow the monic sequence from ``P_0 = I`` to degree ``nmax`` by the recurrence
         ``P_{k+1} = (t - B_k) P_k - C_k P_{k-1}`` (the Stieltjes procedure)."""
         with self._lock, localcontext(_CONTEXT):
-            if not self.polys:
-                self._append([np.identity(self.n, dtype=object)])
-            while self.top < nmax:
+            while self.stop is None and self.top < nmax:
                 k = self.top
-                nxt = [np.zeros((self.n, self.n), dtype=object)] + self.polys[k]
-                for j, c in enumerate(self.polys[k]):
-                    nxt[j] = nxt[j] - self._bhat[k] @ c
-                if k:
+                nxt = [np.identity(self.n, dtype=object)]
+                if self.polys:
+                    nxt = [np.zeros((self.n, self.n), dtype=object)] + self.polys[k]
+                    for j, c in enumerate(self.polys[k]):
+                        nxt[j] = nxt[j] - self._bhat[k] @ c
+                if k > 0:
                     for j, c in enumerate(self.polys[k - 1]):
                         nxt[j] = nxt[j] - self._chat[k] @ c
-                self._append(nxt)
+                try:
+                    self._append(nxt)
+                except ArithmeticError as exc:
+                    self.stop = f"norm positive definiteness lost at degree {k + 1}: {exc}"
 
     # -- complex128 views ------------------------------------------------------
 
@@ -286,7 +290,6 @@ class _MpFamily:
         ``i + j + a + b`` odd are exact zeros."""
         if i < j:
             return self.pair_float(j, i).conj().T + 0.0
-        self.extend(i)
         with self._lock, localcontext(_CONTEXT):
             while len(self._float_rows) <= i:
                 self._float_rows.append(self._class_rows(len(self._float_rows)))

@@ -196,12 +196,6 @@ def _cmd_norms(args) -> int:
 
 def _cmd_asymptotics(args) -> int:
     p = _params(args)
-    if p.size != 2:
-        print("asymptotics are available only for size 2", file=sys.stderr)
-        return 2
-    if p.degenerate_b:
-        print("no branch limit is defined at b = 1", file=sys.stderr)
-        return 2
     rep = cf.asymptotic_report(p, horizon=args.horizon)
     _print_matrix("limit of A_n / sqrt(n)", rep.limit)
     for n in sorted({1, 2, 5, 10, 20, 50, 100, args.horizon}):

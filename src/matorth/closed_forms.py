@@ -283,18 +283,25 @@ def recurrence_closed_forms(p: WeightParams, n: int) -> ClosedRecurrence:
     ], dtype=complex)
 
     # gauge transport consistency: the same data through Gamma Delta^{-1}
-    gauge_n = normalization(p, n).gauge
-    a_next, b_orth = orthonormal_recurrence(p, n)
-    tilde_b = gauge_n @ b_orth @ np.linalg.inv(gauge_n)
+    tilde_a, tilde_b, tilde_c = _to_rodrigues(p, n, *orthonormal_recurrence(p, n))
     _consistent("rodrigues_b", tilde_b, rodrigues_b)
-    if n >= 1:
-        gauge_prev = normalization(p, n - 1).gauge
-        tilde_a = gauge_prev @ a_next @ np.linalg.inv(gauge_n)
-        _consistent("rodrigues_a", tilde_a, rodrigues_a)
-        tilde_c = gauge_n @ a_next.conj().T @ np.linalg.inv(gauge_prev)
-        _consistent("rodrigues_c", tilde_c, rodrigues_c)
+    _consistent("rodrigues_a", tilde_a, rodrigues_a)
+    _consistent("rodrigues_c", tilde_c, rodrigues_c)
     return ClosedRecurrence(n, monic_b, monic_c, rodrigues_a, rodrigues_b,
                             rodrigues_c)
+
+
+def _to_rodrigues(p: WeightParams, n: int, a: np.ndarray, b: np.ndarray) -> tuple:
+    """Row n of the orthonormal recurrence in the Rodrigues-normalized gauge:
+    ``G_{n-1} A_n G_n^-1``, ``G_n B_n G_n^-1`` and ``G_n A_n* G_{n-1}^-1``
+    with ``G`` the gauge of ``normalization``, the first and last zero pads
+    at n = 0 (``+ 0.0``: conjugating a zero imaginary part gives -0.0)."""
+    g = normalization(p, n).gauge
+    inv = np.linalg.inv(g)
+    if not n:
+        return np.zeros((2, 2), dtype=complex), g @ b @ inv, np.zeros((2, 2), dtype=complex)
+    g_prev = normalization(p, n - 1).gauge
+    return g_prev @ a @ inv, g @ b @ inv, g @ (a.conj().T + 0.0) @ np.linalg.inv(g_prev)
 
 
 def _consistent(name: str, lhs: np.ndarray, rhs: np.ndarray):
@@ -398,14 +405,7 @@ def normalized_recurrence_from_moments(p: WeightParams, seq: MonicSequence) -> R
     by transporting the orthonormal table with the closed-form gauge factors."""
     _require_2x2(p)
     orth, _ = orthonormalize_sequence(seq)
-    count = len(seq.polys)
-    gauges = [normalization(p, k).gauge for k in range(count)]
-    inv_g = [np.linalg.inv(g) for g in gauges]
-    a = [np.zeros((2, 2), dtype=complex)]
-    for k in range(1, count):
-        a.append(gauges[k - 1] @ orth.A[k] @ inv_g[k])
-    b = [gauges[k] @ orth.B[k] @ inv_g[k] for k in range(len(orth.B))]
-    c = [np.zeros((2, 2), dtype=complex)]
-    for k in range(1, count):
-        c.append(gauges[k] @ orth.C[k] @ inv_g[k - 1])
-    return RecurrenceTable("rodrigues-normalized", tuple(a), tuple(b), tuple(c))
+    # the top row has no B_n: a zero stands in and its transport is dropped
+    rows = zip(orth.A, orth.B + (np.zeros((2, 2), dtype=complex),))
+    a, b, c = zip(*(_to_rodrigues(p, n, *row) for n, row in enumerate(rows)))
+    return RecurrenceTable("rodrigues-normalized", a, b[:-1], c)

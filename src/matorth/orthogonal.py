@@ -93,16 +93,11 @@ def monic_sequence(p: WeightParams, nmax: int = DEFAULT_NMAX) -> MonicSequence:
     if nmax < 0:
         raise ValueError("nmax must be >= 0")
     fam = _mp.family(p)
-    truncated_at = None
-    reason = None
-    try:
-        fam.extend(nmax)
-    except ArithmeticError as exc:
-        truncated_at = fam.top + 1
-        reason = f"norm positive definiteness lost at degree {truncated_at}: {exc}"
-    views = fam._views[:min(fam.top, nmax) + 1]
+    fam.extend(nmax)
+    views = fam._views[:nmax + 1]
+    stop = (len(views), fam.stop) if len(views) <= nmax else (None, None)
     return MonicSequence(p, tuple(v.poly for v in views), tuple(v.norm for v in views),
-                         truncated_at, reason, fam)
+                         *stop, fam)
 
 
 def _monic_table(seq: MonicSequence) -> tuple[list[np.ndarray], list[np.ndarray]]:

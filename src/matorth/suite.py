@@ -143,8 +143,9 @@ def run_suite(config: RunConfig) -> VerificationSummary:
             summary.checks.append(CheckResult(name, 0.0, tolerance, True,
                                               skipped=True, note=skip_reason))
             return
-        try:
-            residual, note = fn()
+        try:  # a non-finite residual FAILs below, so numpy need not warn
+            with np.errstate(all="ignore"):
+                residual, note = fn()
             passed = residual < tolerance
         except Exception as exc:  # a broken check must not stop the others
             residual, note, passed = math.inf, f"error: {exc}", False

@@ -27,6 +27,21 @@ from matorth.weights import WeightParams, weight_eval, weight_moment
 SQPI = math.sqrt(math.pi)
 
 
+@pytest.fixture
+def tried_degrees(monkeypatch) -> list[int]:
+    """The degree of every ``_MpFamily._append`` call, on cold families."""
+    _mp._family.cache_clear()
+    tried = []
+    append = _mp._MpFamily._append
+
+    def counted(fam, coeffs):
+        tried.append(len(coeffs) - 1)
+        append(fam, coeffs)
+
+    monkeypatch.setattr(_mp._MpFamily, "_append", counted)
+    return tried
+
+
 class TestMonicSequence:
     def test_degree_zero(self, flagship):
         seq = monic_sequence(flagship, 0)
@@ -77,6 +92,17 @@ class TestMonicSequence:
         assert "positive definiteness lost at degree 10" in seq.truncation_reason
         assert len(seq.polys) == seq.truncated_at
         assert monic_sequence(p, 9).truncated_at is None
+
+    def test_failing_degree_is_tried_once_per_family(self, tried_degrees):
+        p = WeightParams(2, (1.0,), 1e6)
+        seqs = [monic_sequence(p, 12), monic_sequence(p, 12), monic_sequence(p, 15)]
+        assert tried_degrees == list(range(11))
+        assert {(s.truncated_at, s.truncation_reason) for s in seqs} == {
+            (10, seqs[0].truncation_reason)}
+        assert "positive definiteness lost at degree 10" in seqs[0].truncation_reason
+        complete = monic_sequence(p, 9)
+        assert complete.truncated_at is complete.truncation_reason is None
+        assert complete.top_degree == 9 and tried_degrees == list(range(11))
 
     def test_global_decimal_context_untouched(self):
         with decimal.localcontext() as ctx:
@@ -567,3 +593,24 @@ class TestThreads:
         serial = [run(k) for k in range(4)]
         for k in range(4):
             assert results[k] == serial[k]
+
+    def test_shared_truncated_build_stops_once(self, tried_degrees):
+        p = WeightParams(2, (1.0,), 1e6)
+        results: dict[int, tuple] = {}
+        start = threading.Barrier(4)
+
+        def worker(k: int):
+            start.wait(timeout=30)
+            seq = monic_sequence(p, 11 + k)
+            results[k] = (seq.truncated_at, seq.truncation_reason,
+                          [c.tobytes() for poly in seq.polys for c in poly.coeffs])
+
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert not any(t.is_alive() for t in threads)
+        assert sorted(results) == [0, 1, 2, 3]
+        assert all(results[k] == results[0] for k in range(4))
+        assert results[0][0] == 10 and tried_degrees.count(10) == 1

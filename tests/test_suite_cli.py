@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -411,6 +412,23 @@ class TestCli:
     def test_asymptotics_rejects_degenerate(self, capsys):
         assert main(["asymptotics", "--b", "1"]) == 2
         assert main(["asymptotics", "--size", "3", "--a", "1,1"]) == 2
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--b", "1"], "no branch limit is defined at b = 1"),
+        (["--size", "3", "--a", "1,1"], "closed forms exist only for size 2")])
+    def test_asymptotics_reports_the_library_error(self, argv, message, capsys):
+        assert main(["asymptotics", *argv]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("b, nmax, code", [("1000", "10", 0), ("1e300", "3", 1)])
+    def test_verify_writes_no_numpy_warnings(self, b, nmax, code, capsys):
+        # the literal chi-xi residual overflows at large b; a non-finite
+        # residual FAILs, and numpy must not warn about it on the way
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["verify", "--b", b, "--nmax", nmax]) == code
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        assert "Warning" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("horizon", ["0", "-3"])
     def test_asymptotics_rejects_empty_horizon(self, horizon, capsys):
