@@ -16,6 +16,18 @@ transform the same way, so the whole state here is real and built from
 ``|a_k|``. The phase pattern ``u_i conj(u_j)`` multiplies entry ``(i, j)``
 only when a matrix is rounded to complex128.
 
+Parity blocks: as ``W(-t) = S W(t) S`` for ``S = diag((-1)**r)``, entry
+``(a, b)`` of a matrix of parity ``q`` is an exact zero when ``a + b + q``
+is odd. ``S_m`` has parity m, coefficient l of ``P_k`` and the row
+``V_l = <P_k, t**l I>`` have k + l, ``Bhat_k`` has 1, and ``H_k``, its
+Cholesky factor, ``Delta_k``, ``H_k^-1`` and ``Chat_k`` have 0. Every decimal
+product runs on the nonzero blocks only (rows ``a::2``, columns
+``(a + q)::2``), about a quarter of the full multiply-adds. Each entry sums
+the same nonzero terms in the same order as the full product: the inner
+index ascending, the outer sum (over ``k``, ``l`` or the moment terms) folded
+left to right. As ``x + 0`` is exact, every value is the full product's to
+the last digit. Merging the two sums into one product would regroup them.
+
 Numbers are ``decimal.Decimal`` in numpy object arrays (the C libmpdec
 backend). Arithmetic runs in a private context of ``DIGITS`` digits, entered
 only through ``decimal.localcontext``, which is local to the thread: the
@@ -40,8 +52,8 @@ from .weights import (WeightParams, alpha_coeff, column_outers, odd_series,
 # b = 1e6 member loses positive definiteness one degree earlier
 DIGITS = 51
 # Families kept at once. One holds megabytes (a size-5 family built to degree
-# 20 with its pairings about 3 MB), far more than an entry of the
-# double-precision caches, and a verify run or sweep member needs only one.
+# 20 with all 231 pairings: 2.07 MiB under tracemalloc), far more than an entry
+# of the double-precision caches, and a verify run or sweep member needs only one.
 FAMILY_CACHE_SIZE = 8
 
 _CONTEXT = Context(prec=DIGITS)
@@ -79,31 +91,56 @@ def _polar(z: complex) -> tuple[Decimal, Decimal, Decimal]:
 
 
 def _chol_upper(a: np.ndarray) -> np.ndarray:
-    """Factor a symmetric positive definite matrix as U U^T with U upper
-    triangular and positive diagonal (diagonal input gives diagonal U)."""
+    """Factor a symmetric positive definite parity-0 matrix as U U^T, U upper
+    triangular with positive diagonal and parity 0: each sum runs in one class."""
     n = len(a)
     u = np.zeros((n, n), dtype=object)
     for j in range(n - 1, -1, -1):
-        d = a[j, j] - sum(u[j, k] * u[j, k] for k in range(j + 1, n))
+        d = a[j, j] - sum(u[j, k] * u[j, k] for k in range(j + 2, n, 2))
         if d <= 0:
             raise ArithmeticError("matrix is not positive definite")
         u[j, j] = d.sqrt()
-        for i in range(j):
-            s = a[i, j] - sum(u[i, k] * u[j, k] for k in range(j + 1, n))
+        for i in range(j % 2, j, 2):
+            s = a[i, j] - sum(u[i, k] * u[j, k] for k in range(j + 2, n, 2))
             u[i, j] = s / u[j, j]
     return u
 
 
 def _inv_upper(u: np.ndarray) -> np.ndarray:
-    """Inverse of an upper triangular matrix by back substitution."""
+    """Inverse of an upper triangular parity-0 matrix by back substitution."""
     n = len(u)
     out = np.zeros((n, n), dtype=object)
     for j in range(n):
         out[j, j] = 1 / u[j, j]
-        for i in range(j - 1, -1, -1):
-            s = sum(u[i, k] * out[k, j] for k in range(i + 1, j + 1))
+        for i in range(j - 2, -1, -2):
+            s = sum(u[i, k] * out[k, j] for k in range(i + 2, j + 1, 2))
             out[i, j] = -s / u[i, i]
     return out
+
+
+def _mul(x: np.ndarray, qx: int, y: np.ndarray, qy: int) -> np.ndarray:
+    """``x @ y`` for ``x`` of parity ``qx`` and ``y`` of parity ``qy``, either
+    one possibly a stack of one parity, on their nonzero blocks only."""
+    out = np.zeros(np.broadcast_shapes(x.shape, y.shape), dtype=object)
+    for a in (0, 1):
+        j, b = (a + qx) % 2, (a + qx + qy) % 2
+        out[..., a::2, b::2] = x[..., a::2, j::2] @ y[..., j::2, b::2]
+    return out
+
+
+def _fold(xs: np.ndarray, qx: int, ys: np.ndarray, qy: int) -> np.ndarray:
+    """``sum_l xs[l] @ ys[l]`` for ``xs[l]`` of parity ``qx + l`` and ``ys[l]``
+    of parity ``qy + l``, the products stacked and summed in the order of l."""
+    prods = np.empty(xs.shape, dtype=object)
+    for g in (0, 1):
+        prods[g::2] = _mul(xs[g::2], qx + g, ys[g::2], qy + g)
+    return prods.sum(axis=0)
+
+
+def _start(n: int, r: int, m: int) -> int:
+    """The first column of ``S_m`` in the strip of row class ``r``, whose
+    blocks are ``len(range(r, n, 2))`` and ``len(range(1 - r, n, 2))`` wide."""
+    return m // 2 * n + m % 2 * len(range(r, n, 2))
 
 
 def _to_float(x: np.ndarray) -> np.ndarray:
@@ -122,9 +159,10 @@ class _MpFamily:
     sequence, its recurrence coefficients and its normalizers, plus the
     phase ``u`` that carries them to ``a``.
 
-    ``extend`` and the float rows of ``pair_float`` grow under the family's
-    lock, so one family may be shared between threads; what has been built
-    is never changed, nor is ``stop`` once set.
+    ``extend`` (with the moments and the class strips of ``_row``) and the
+    float rows of ``pair_float`` grow under the family's lock, so one family
+    may be shared between threads; what has been built is never changed, nor
+    is ``stop`` once set.
     """
 
     def __init__(self, p: WeightParams):
@@ -156,9 +194,19 @@ class _MpFamily:
             # W(t) = sum_c sum_d outers[c][d] t**d exp(-s_c t**2)
             self._scales = [-2 * g for g in scale_diagonals(n, b)[1]]
             self._outers = column_outers(exp_coeffs)
+        # per parity p of the order: the terms (c, d) of every moment of that
+        # parity, d + p even, and per row class a their stacked class blocks
+        self._terms = [[(c, d) for c, outer in enumerate(self._outers)
+                        for d in range(len(outer)) if (d + p) % 2 == 0] for p in (0, 1)]
+        self._outer_blocks = [[np.array([self._outers[c][d][a::2, (a + p) % 2::2]
+                                         for c, d in self._terms[p]]) for a in (0, 1)]
+                              for p in (0, 1)]
         self._gauss: dict[tuple[int, int], Decimal] = {}
         self._moments: list[np.ndarray] = []
-        self.polys: list[list[np.ndarray]] = []   # polys[k][power] = matrix
+        # per row class r, the moments' strip and how many moments it holds
+        self._strips = [(np.empty((len(range(r, n, 2)), 0), dtype=object), 0)
+                        for r in (0, 1)]
+        self.polys: list[np.ndarray] = []   # polys[k][power] = matrix
         self.norms: list[np.ndarray] = []
         self._deltas: list[np.ndarray] = []       # inverse upper Cholesky factors
         self._bhat: list[np.ndarray] = []
@@ -185,46 +233,70 @@ class _MpFamily:
         return got
 
     def moment(self, m: int) -> np.ndarray:
+        """``S_m``, each class block summed over the terms (c, d), d + m even."""
         while len(self._moments) <= m:
             k = len(self._moments)
+            gauss = np.array([self._gauss_moment(d + k, c) for c, d in self._terms[k % 2]],
+                             dtype=object)[:, None, None]
             out = np.zeros((self.n, self.n), dtype=object)
-            for c, outer in enumerate(self._outers):
-                for d, o in enumerate(outer):
-                    if (d + k) % 2 == 0:
-                        out = out + o * self._gauss_moment(d + k, c)
+            for a in (0, 1):
+                out[a::2, (a + k) % 2::2] = (self._outer_blocks[k % 2][a] * gauss).sum(axis=0)
             self._moments.append(out)
         return self._moments[m]
 
-    def _row(self, coeffs: list[np.ndarray], length: int) -> list[np.ndarray]:
-        """``V_l = <P, t**l I> = sum_k C_k S_{k+l}`` for l < ``length``."""
-        return [sum(c @ self.moment(k + l) for k, c in enumerate(coeffs))
-                for l in range(length)]
+    def _strip(self, r: int, end: int) -> np.ndarray:
+        """The rows ``r::2`` of the moments ``S_m``, m < ``end``, on their nonzero
+        columns, side by side: ``S_m`` starts at column ``_start(n, r, m)``."""
+        strip, have = self._strips[r]
+        if have < end:
+            strip = np.concatenate([strip] + [self.moment(m)[r::2, (m + r) % 2::2]
+                                              for m in range(have, end)], axis=1)
+            self._strips[r] = strip, end
+        return strip
+
+    def _row(self, coeffs: np.ndarray | list[np.ndarray], length: int) -> np.ndarray:
+        """``V_l = <P, t**l I> = sum_k C_k S_{k+l}`` for l < ``length``, stacked.
+        Row a of ``C_k`` meets only rows j of ``S_{k+l}`` with a + j + top + k
+        even: per row class and k, one product against j's strip gives every l."""
+        top = len(coeffs) - 1
+        out = np.zeros((length, self.n, self.n), dtype=object)
+        for a in (0, 1):
+            s, acc = (a + top) % 2, 0
+            for k, c in enumerate(coeffs):
+                r = (s + k) % 2
+                cols = slice(_start(self.n, r, k), _start(self.n, r, k + length))
+                acc = acc + c[a::2, r::2] @ self._strip(r, k + length)[:, cols]
+            # block l of acc is as wide as S_l's in the strip of row class s
+            for l in range(length):
+                cols = slice(_start(self.n, s, l), _start(self.n, s, l + 1))
+                out[l, a::2, (s + l) % 2::2] = acc[:, cols]
+        return out
 
     def _norm_inv(self, k: int) -> np.ndarray:
-        return self._deltas[k].T @ self._deltas[k]
+        return _mul(self._deltas[k].T, 0, self._deltas[k], 0)
 
-    def _append(self, coeffs: list[np.ndarray]):
+    def _append(self, coeffs: np.ndarray):
         """Add the next monic polynomial P with its squared norm H, the
         Cholesky factor and normalizer of H, and the recurrence coefficients
         ``B = <t P, P> H^-1`` and ``C = H H_prev^-1``. Raises ArithmeticError,
         adding nothing, when H is not positive definite."""
-        row = self._row(coeffs, len(coeffs) + 1)
-        norm = sum(row[l] @ c.T for l, c in enumerate(coeffs))
+        k = len(coeffs) - 1
+        row, coeffs_t = self._row(coeffs, k + 2), coeffs.transpose(0, 2, 1)
+        norm = _fold(row[:-1], k, coeffs_t, k)
         chol = _chol_upper(norm)
-        self._chat.append(norm @ self._norm_inv(self.top) if self.polys
+        self._chat.append(_mul(norm, 0, self._norm_inv(k - 1), 0) if k
                           else np.zeros((self.n, self.n), dtype=object))
         self.polys.append(coeffs)
         self.norms.append(norm)
         self._deltas.append(_inv_upper(chol))
-        shifted = sum(row[l + 1] @ c.T for l, c in enumerate(coeffs))
-        k = self.top
-        bhat = shifted @ self._norm_inv(k)
+        bhat = _mul(_fold(row[1:], k + 1, coeffs_t, k), 1, self._norm_inv(k), 0)
         self._bhat.append(bhat)
         delta = self._deltas[k]
         # orthonormal A_k = Delta_{k-1} U_k (a zero pad at k = 0) and
         # B_k = Delta_k Bhat_k U_k, with U_k the upper Cholesky factor of H_k
-        a = self._deltas[k - 1] @ chol if k else np.zeros_like(chol)
-        views = (norm, bhat, self._chat[k], delta, a, delta @ bhat @ chol)
+        a = _mul(self._deltas[k - 1], 0, chol, 0) if k else np.zeros_like(chol)
+        views = (norm, bhat, self._chat[k], delta, a,
+                 _mul(_mul(delta, 0, bhat, 1), 1, chol, 0))
         self._views.append(_Views(MatrixPolynomial(map(self._complex, coeffs)),
                                   *map(self._complex, views)))
 
@@ -234,14 +306,16 @@ class _MpFamily:
         with self._lock, localcontext(_CONTEXT):
             while self.stop is None and self.top < nmax:
                 k = self.top
-                nxt = [np.identity(self.n, dtype=object)]
+                nxt = np.identity(self.n, dtype=object)[None]
                 if self.polys:
-                    nxt = [np.zeros((self.n, self.n), dtype=object)] + self.polys[k]
-                    for j, c in enumerate(self.polys[k]):
-                        nxt[j] = nxt[j] - self._bhat[k] @ c
-                if k > 0:
-                    for j, c in enumerate(self.polys[k - 1]):
-                        nxt[j] = nxt[j] - self._chat[k] @ c
+                    # coefficient j of P_k has parity k + j, Bhat_k 1, Chat_k 0
+                    nxt = np.zeros((k + 2, self.n, self.n), dtype=object)
+                    nxt[1:] = self.polys[k]
+                    for g in (0, 1):
+                        nxt[g:k + 1:2] -= _mul(self._bhat[k], 1, self.polys[k][g::2], k + g)
+                        if k > 0:
+                            nxt[g:k:2] -= _mul(self._chat[k], 0, self.polys[k - 1][g::2],
+                                               k - 1 + g)
                 try:
                     self._append(nxt)
                 except ArithmeticError as exc:

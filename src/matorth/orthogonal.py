@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import index
 from typing import Callable, Iterable
 
 import numpy as np
@@ -88,9 +89,10 @@ def monic_sequence(p: WeightParams, nmax: int = DEFAULT_NMAX) -> MonicSequence:
 
     Degrees stop early, with a diagnostic and never a silent regularization,
     at the first degree whose squared norm is not positive definite at the
-    build's working precision.
+    build's working precision. An ``nmax`` that is not an integer raises
+    TypeError before anything is built.
     """
-    if nmax < 0:
+    if index(nmax) < 0:
         raise ValueError("nmax must be >= 0")
     fam = _mp.family(p)
     fam.extend(nmax)
@@ -189,8 +191,9 @@ def moment_oracle(p: WeightParams, m: int) -> np.ndarray:
     ``quadrature_oracle(p, lambda t: t ** m * weight_eval(p, t)[1],
     m + 2 N + 10)``, with one ``weight_eval`` call over all nodes. Powers in
     Python floats keep ``t ** m`` exactly odd for odd m, so the entries with
-    ``m + i + j`` odd cancel to 0 (``W(-t) = S W(t) S``, ``S = diag((-1)**i)``)."""
-    if m < 0:
+    ``m + i + j`` odd cancel to 0 (``W(-t) = S W(t) S``, ``S = diag((-1)**i)``).
+    An ``m`` that is not an integer raises TypeError."""
+    if index(m) < 0:
         raise ValueError("moment order must be >= 0")
 
     def values(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

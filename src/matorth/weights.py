@@ -14,6 +14,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import index
 
 import numpy as np
 
@@ -194,8 +195,9 @@ def weight_symbolic(p: WeightParams) -> GaussErfMatrix:
 def weight_moment(p: WeightParams, m: int) -> np.ndarray:
     """Exact m-th moment ``integral t**m W(t) dt`` via per-atom Gaussian
     integrals, in double precision, summed column by column and power by
-    power; a fresh array on every call."""
-    if m < 0:
+    power; a fresh array on every call. An ``m`` that is not an integer
+    raises TypeError."""
+    if index(m) < 0:
         raise ValueError("moment order must be >= 0")
     return weight_symbolic(p).integrate(extra_power=m)
 

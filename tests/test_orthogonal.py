@@ -123,6 +123,14 @@ class TestMonicSequence:
         with pytest.raises(ValueError):
             monic_sequence(flagship, -1)
 
+    @pytest.mark.parametrize("nmax", [2.5, 3.0])
+    def test_rejects_non_integer_nmax_before_building(self, nmax, tried_degrees):
+        p = WeightParams(2, (0.3 - 0.95j,), 1.15)  # cold: params unused elsewhere
+        with pytest.raises(TypeError):
+            monic_sequence(p, nmax)
+        assert tried_degrees == []
+        assert monic_sequence(p, np.int64(2)).top_degree == 2
+
     @pytest.mark.parametrize("i, j", [(6, 2), (2, 4), (-1, 0), (0, -2)])
     def test_pairing_rejects_degrees_outside_the_sequence(self, i, j):
         seq = monic_sequence(WeightParams(2, (0.6 + 0.8j,), 2.0), 3)
@@ -291,6 +299,15 @@ class TestQuadratureOracle:
     def test_moment_oracle_rejects_negative_order(self, flagship):
         with pytest.raises(ValueError, match="order"):
             moment_oracle(flagship, -1)
+
+    @pytest.mark.parametrize("m", [1.5, 2.0])
+    def test_moment_oracle_rejects_non_integer_order(self, flagship, m, monkeypatch):
+        def unused(p, t):
+            raise AssertionError("the weight was evaluated")
+
+        monkeypatch.setattr(orthogonal, "weight_eval", unused)
+        with pytest.raises(TypeError):
+            moment_oracle(flagship, m)
 
     def test_suite_evaluates_weight_once_per_moment(self, flagship, monkeypatch):
         calls = []
@@ -541,6 +558,131 @@ class TestParityPairing:
                 width = sum((l + r) % 2 == c for l in range(k + 1) for r in range(4))
                 assert y.shape == v.shape == (2 * 2, width), (k, c)
                 assert width < (k + 1) * 4
+
+
+def _full_chol_upper(a: np.ndarray) -> np.ndarray:
+    n = len(a)
+    u = np.zeros((n, n), dtype=object)
+    for j in range(n - 1, -1, -1):
+        d = a[j, j] - sum(u[j, k] * u[j, k] for k in range(j + 1, n))
+        if d <= 0:
+            raise ArithmeticError("matrix is not positive definite")
+        u[j, j] = d.sqrt()
+        for i in range(j):
+            s = a[i, j] - sum(u[i, k] * u[j, k] for k in range(j + 1, n))
+            u[i, j] = s / u[j, j]
+    return u
+
+
+def _full_inv_upper(u: np.ndarray) -> np.ndarray:
+    n = len(u)
+    out = np.zeros((n, n), dtype=object)
+    for j in range(n):
+        out[j, j] = 1 / u[j, j]
+        for i in range(j - 1, -1, -1):
+            s = sum(u[i, k] * out[k, j] for k in range(i + 1, j + 1))
+            out[i, j] = -s / u[i, i]
+    return out
+
+
+def _full_product_build(fam: _mp._MpFamily, top: int) -> dict:
+    """The 51-digit build up to degree ``top`` as it was before the parity
+    split, every product on full matrices: moments summed term by term, rows
+    ``V_l = sum_k C_k S_{k+l}`` of full block products, the full Cholesky
+    factor and triangular inverse, and the full recurrence update. The
+    reference for the parity-blocked build; ``premise`` lists each operand
+    of a product with its parity."""
+    n, zero = fam.n, np.zeros((fam.n, fam.n), dtype=object)
+    out = {key: [] for key in ("moments", "polys", "norms", "deltas", "bhat", "chat", "views",
+                               "premise")}
+    out["stop"], premise = None, out["premise"]
+
+    def moment(m):
+        while len(out["moments"]) <= m:
+            k, acc = len(out["moments"]), zero
+            for c, outer in enumerate(fam._outers):
+                for d, o in enumerate(outer):
+                    if (d + k) % 2 == 0:
+                        acc = acc + o * fam._gauss_moment(d + k, c)
+            out["moments"].append(acc)
+            premise.append((k, acc))
+        return out["moments"][m]
+
+    with decimal.localcontext(_mp._CONTEXT):
+        for k in range(top + 1):
+            nxt = [np.identity(n, dtype=object)]
+            if k:
+                nxt = [zero] + out["polys"][k - 1]
+                for j, c in enumerate(out["polys"][k - 1]):
+                    nxt[j] = nxt[j] - out["bhat"][k - 1] @ c
+            if k > 1:
+                for j, c in enumerate(out["polys"][k - 2]):
+                    nxt[j] = nxt[j] - out["chat"][k - 1] @ c
+            row = [sum(c @ moment(j + l) for j, c in enumerate(nxt)) for l in range(k + 2)]
+            norm = sum(row[l] @ c.T for l, c in enumerate(nxt))
+            try:
+                chol = _full_chol_upper(norm)
+            except ArithmeticError as exc:
+                out["stop"] = f"norm positive definiteness lost at degree {k}: {exc}"
+                break
+            delta = _full_inv_upper(chol)
+            inv = delta.T @ delta
+            chat = norm @ (out["deltas"][k - 1].T @ out["deltas"][k - 1]) if k else zero
+            shifted = sum(row[l + 1] @ c.T for l, c in enumerate(nxt))
+            bhat = shifted @ inv
+            a = out["deltas"][k - 1] @ chol if k else zero
+            for key, x in [("polys", nxt), ("norms", norm), ("deltas", delta),
+                           ("bhat", bhat), ("chat", chat)]:
+                out[key].append(x)
+            out["views"].append([fam._complex(c).tobytes() for c in nxt] + [
+                fam._complex(x).tobytes()
+                for x in (norm, bhat, chat, delta, a, delta @ bhat @ chol)])
+            premise += [(k + l, c) for l, c in enumerate(nxt)]
+            premise += [(k + l, v) for l, v in enumerate(row)]
+            premise += [(0, x) for x in (norm, chol, delta, inv, chat)]
+            premise += [(1, shifted), (1, bhat), (1, delta @ bhat)]
+    return out
+
+
+class TestParityBlockedBuild:
+    """The 51-digit build multiplies only the nonzero parity blocks; every
+    value must be the full products' to the last digit."""
+
+    @pytest.mark.parametrize("p, top", [
+        (WeightParams(2, (-0.7,), 2.0), 16),
+        (WeightParams(2, (0.6 + 0.8j,), 0.25), 16),
+        (WeightParams(2, (1.0,), 1e6), 12),  # truncated: degree 10 fails
+        (WeightParams(3, (1.0, 1.0), 4.0), 12),
+        (WeightParams(3, (0.8 - 0.3j, -1.2), 0.25), 12),
+        (WeightParams(4, (1.0, 1.0, 1.0), 4.0), 10),
+        (WeightParams(4, (0.7 + 0.2j, 1.3, -0.5j), 0.6), 10),
+        (WeightParams(5, (1.2, 0.6, 0.9, 1.1), 2.0), 8),
+        (WeightParams(5, (1.0, 0.5, 1.2j, -0.8 + 0.4j), 4.0), 8),
+        (WeightParams(6, (1.0,) * 5, 3.0), 6),
+        (WeightParams(6, (0.9 - 0.2j, 1.1, -0.4j, 0.7, 1.3 + 0.1j), 1.5), 6),
+    ])
+    def test_matches_the_full_product_build(self, p, top):
+        fam = _mp._MpFamily(p)
+        fam.extend(top)
+        ref = _full_product_build(_mp._MpFamily(p), top)
+        idx = np.arange(p.size)
+        for q, x in ref["premise"]:
+            # each entry the blocked build skips is an exact zero here
+            assert np.all(x[(idx[:, None] + idx + q) % 2 == 1] == 0)
+        assert fam.top == len(ref["polys"]) - 1 and fam.stop == ref["stop"]
+        assert (fam.stop is None) == (p.b < 1e6)
+        for m, want in enumerate(ref["moments"]):
+            assert np.all(fam.moment(m) == want), m
+        state = {"polys": fam.polys, "norms": fam.norms, "deltas": fam._deltas,
+                 "bhat": fam._bhat, "chat": fam._chat}
+        for key, got in state.items():
+            assert len(got) == len(ref[key])
+            for k, want in enumerate(ref[key]):
+                assert np.all(np.asarray(got[k]) == np.asarray(want)), (key, k)
+        for k, want in enumerate(ref["views"]):
+            got = fam._views[k]
+            assert [c.tobytes() for c in got.poly.coeffs] + [
+                x.tobytes() for x in got[1:]] == want, k
 
 
 class TestThreads:

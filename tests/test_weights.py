@@ -233,6 +233,12 @@ class TestMoments:
                     ref = fam._complex(fam.moment(m))
                 assert max_abs(weight_moment(p, m) - ref) <= 1e-14 * max_abs(ref)
 
+    @pytest.mark.parametrize("m", [1.5, 2.0])
+    def test_rejects_non_integer_order(self, m):
+        with pytest.raises(TypeError):
+            weight_moment(WeightParams(2, (1.0,), 2.0), m)
+        assert weight_moment(WeightParams(2, (1.0,), 2.0), np.int64(2)).shape == (2, 2)
+
     def test_returns_fresh_arrays(self):
         p = WeightParams(2, (1.0,), 2.0)
         first = weight_moment(p, 4)
