@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .gausserf import ERF, GAUSS, GaussErfMatrix, atom
+from .gausserf import ERF, GAUSS, GaussErfMatrix
 from .linalg import MatrixPolynomial, max_abs
 from .operator import build_operator, eigenvalue_matrix
 from .orthogonal import MonicSequence, RecurrenceTable, orthonormalize_sequence
@@ -181,24 +181,16 @@ def rodrigues_kernel(p: WeightParams, n: int) -> GaussErfMatrix:
     if n < 1:
         raise ValueError("the Rodrigues kernel is defined for n >= 1")
     a, b = p.a[0], p.b
-    aa = abs(a) ** 2
-    sign = (-1.0) ** n
-    z = np.zeros((2, 2), dtype=complex)
-    terms = []
-    m = z.copy(); m[0, 0] = sign * b ** float(-n)
-    terms.append((atom(0, GAUSS, b), m))
-    m = z.copy(); m[0, 0] = sign * aa * n / 2.0
-    m[1, 1] = sign * 2.0
-    terms.append((atom(0, GAUSS, 1.0), m))
-    m = z.copy(); m[0, 0] = sign * aa
-    terms.append((atom(2, GAUSS, 1.0), m))
-    m = z.copy(); m[0, 1] = sign * a; m[1, 0] = sign * np.conj(a) * 2.0
-    terms.append((atom(1, GAUSS, 1.0), m))
-    m = z.copy(); m[1, 0] = sign * np.conj(a) * _SQRT_PI * n
-    terms.append((atom(0, ERF, b), m))
-    m = z.copy(); m[1, 0] = -sign * np.conj(a) * _SQRT_PI * n
-    terms.append((atom(0, ERF, 1.0), m))
-    return GaussErfMatrix(2, terms)
+    aa, sign, ca = abs(a) ** 2, (-1.0) ** n, np.conj(a)
+    # keys (GAUSS, b), (GAUSS, 1), (ERF, b), (ERF, 1); index [key, power]
+    coeffs = np.zeros((4, 3, 2, 2), dtype=complex)
+    coeffs[0, 0, 0, 0] = sign * b ** float(-n)
+    coeffs[1, 0] = [[sign * aa * n / 2.0, 0.0], [0.0, sign * 2.0]]
+    coeffs[1, 1] = [[0.0, sign * a], [sign * ca * 2.0, 0.0]]
+    coeffs[1, 2, 0, 0] = sign * aa
+    coeffs[2, 0, 1, 0] = sign * ca * _SQRT_PI * n
+    coeffs[3, 0, 1, 0] = -sign * ca * _SQRT_PI * n
+    return GaussErfMatrix.stacked([(GAUSS, b), (GAUSS, 1.0), (ERF, b), (ERF, 1.0)], coeffs)
 
 
 def rodrigues_polynomial(p: WeightParams, n: int) -> MatrixPolynomial:

@@ -2,16 +2,12 @@
 ``t**k``, ``t**k * exp(-c t**2)`` and ``t**k * erf(sqrt(c) t)`` atoms,
 closed under differentiation and under multiplication by matrix polynomials.
 
-A function holds one ``linalg.MatrixPolynomial`` per ``(kind, scale)`` key;
-power k of the ``(GAUSS, c)`` polynomial multiplies ``t**k exp(-c t**2)``.
-Every operation delegates to those polynomials: a product is a polynomial
-product per pair of keys, a derivative is the polynomial's derivative plus
-the atom's own factor, and evaluation over a 1-D array of t is each
-polynomial's Horner pass times its atom. Scales are keyed by their exact
-float: the weight has at most N of them. Gaussian atoms with ``c <= 0``
-appear transiently inside products (``exp(-t**2) * exp(b t**2)``); they
-must cancel before a result is read as a polynomial, and they cannot be
-integrated.
+A function holds one read-only ``(K, D, N, N)`` tensor: ``[i, k]`` multiplies
+``t**k`` times the atom of key i, ``(kind, scale)``. Each operation works on
+all keys at once and gives the bits of a loop over them: sums run in key
+order, powers ascending. Scales are keyed by their exact float.
+Gaussian atoms with ``c <= 0`` appear transiently inside products; they must
+cancel before a result is read as a polynomial, and cannot be integrated.
 """
 from __future__ import annotations
 
@@ -21,7 +17,7 @@ from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
-from .linalg import MatrixPolynomial, as_square, max_abs, worst
+from .linalg import MatrixPolynomial, as_square, convolve, max_abs, worst
 
 __all__ = ["Atom", "GaussErfMatrix", "PLAIN", "GAUSS", "ERF", "gauss_integral"]
 
@@ -33,6 +29,8 @@ RESIDUAL_TOL = 1e-9
 
 _erf = np.vectorize(math.erf, otypes=[float])
 
+Key = tuple[str, float]
+
 
 class Atom(NamedTuple):
     """One basis function ``t**power * f(t)`` with ``f`` fixed by ``kind``."""
@@ -42,19 +40,20 @@ class Atom(NamedTuple):
     scale: float
 
 
-def _key(kind: str, scale: float) -> tuple[str, float]:
-    """Canonical (kind, scale): a Gaussian of scale 0 is a plain power."""
-    if kind == PLAIN or (kind == GAUSS and scale == 0.0):
-        return PLAIN, 0.0
-    return kind, scale
+def _key(kind: str, scale: float) -> Key:
+    """Canonical (kind, scale): a Gaussian of scale 0 is a plain power. An
+    unknown kind, a scale that is not finite or an erf scale <= 0 raises."""
+    scale = float(scale)
+    if kind not in (PLAIN, GAUSS, ERF) or not math.isfinite(scale) or kind == ERF and scale <= 0:
+        raise ValueError(f"no ({kind!r}, {scale}) atom: kinds are plain, gauss and erf, "
+                         "scales finite and erf scales > 0")
+    return (PLAIN, 0.0) if kind == PLAIN or (kind == GAUSS and scale == 0.0) else (kind, scale)
 
 
 def atom(power: int, kind: str, scale: float = 0.0) -> Atom:
     """Canonical atom: a Gaussian of scale 0 is a plain power."""
     if power < 0:
         raise ValueError("atom power must be >= 0")
-    if kind == ERF and scale <= 0.0:
-        raise ValueError("erf atoms need a positive scale")
     return Atom(power, *_key(kind, scale))
 
 
@@ -69,138 +68,207 @@ def gauss_integral(power: int, scale: float) -> float:
             / (2.0 ** m * scale ** (m + 0.5)))
 
 
-class GaussErfMatrix:
-    """Matrix-valued function ``sum_a C_a * atom_a(t)``, built from
-    ``(Atom, matrix)`` pairs and ``((kind, scale), MatrixPolynomial)`` pairs.
-    ``polys`` maps each key, read-only, to the polynomial multiplying its
-    atom: equal keys summed, zero polynomials dropped. ``terms`` views the
-    nonzero coefficients keyed by :class:`Atom`."""
+def _merged(keys: Iterable[Key], stack: np.ndarray) -> tuple[tuple[Key, ...], np.ndarray]:
+    """The keys made canonical and distinct, first occurrence first, with the
+    rows of ``stack`` under equal keys summed in order."""
+    index: dict[Key, int] = {}
+    rows = [index.setdefault(_key(*key), len(index)) for key in keys]
+    if len(index) < len(rows):
+        merged = np.zeros((len(index),) + stack.shape[1:], dtype=complex)
+        for row, v in zip(rows, stack):
+            merged[row] += v
+        stack = merged
+    return tuple(index), stack
 
-    __slots__ = ("dim", "polys")
+
+def _rows(keys: tuple[Key, ...], kind: str) -> slice | list[int] | None:
+    """The rows of the keys of ``kind``: None for none, a slice for all."""
+    rows = [i for i, (k, _) in enumerate(keys) if k == kind]
+    return (slice(None) if len(rows) == len(keys) else rows) if rows else None
+
+
+def _running_sum(terms: np.ndarray) -> np.ndarray:
+    """``0 + terms[..., 0, :, :] + terms[..., 1, :, :] + ...`` in this order:
+    the running sums are a loop's but for signs of zero, which ``+ 0.0`` mends."""
+    if not terms.shape[-3]:
+        return np.zeros(terms.shape[:-3] + terms.shape[-2:], dtype=complex)
+    return np.add.accumulate(terms, axis=-3)[..., -1, :, :] + 0.0
+
+
+class GaussErfMatrix:
+    """Matrix-valued function ``sum_i sum_k coeffs[i, k] t**k f_i(t)``, with
+    ``f_i`` the atom of ``keys[i]``, from ``(Atom, matrix)`` and ``((kind,
+    scale), MatrixPolynomial)`` pairs: equal keys summed in order, zero keys
+    and zero top powers dropped. ``polys`` (each key's polynomial) and
+    ``terms`` (nonzero coefficients by :class:`Atom`) view ``coeffs``."""
+
+    __slots__ = ("dim", "keys", "coeffs")
 
     def __init__(self, dim: int, terms: Iterable[tuple[Atom, np.ndarray]] = (),
-                 polys: Iterable[tuple[tuple[str, float], MatrixPolynomial]] = ()):
-        monomials = (((a.kind, a.scale), MatrixPolynomial.monomial(as_square(c, dim), a.power))
-                     for a, c in terms)
-        merged: dict[tuple[str, float], MatrixPolynomial] = {}
-        for key, v in [*polys, *monomials]:
-            key = _key(*key)
-            merged[key] = merged[key] + v if key in merged else v
-        self.dim = int(dim)
-        self.polys = MappingProxyType({key: v for key, v in merged.items() if v.degree >= 0})
+                 polys: Iterable[tuple[Key, MatrixPolynomial]] = ()):
+        items = [*polys, *(((a.kind, a.scale),
+                            MatrixPolynomial.monomial(as_square(c, dim), a.power))
+                           for a, c in terms)]
+        stack = np.zeros((len(items), max((len(v.coeffs) for _, v in items), default=0),
+                          dim, dim), dtype=complex)
+        for row, (_, v) in zip(stack, items):
+            row[:len(v.coeffs)] = v.coeffs
+        self._own(int(dim), *_merged((key for key, _ in items), stack))
 
-    def _map(self, fn) -> "GaussErfMatrix":
-        return GaussErfMatrix(self.dim, polys=((key, fn(v)) for key, v in self.polys.items()))
+    @classmethod
+    def stacked(cls, keys: Iterable[Key], coeffs: np.ndarray) -> "GaussErfMatrix":
+        """The function of a copy of the (K, D, N, N) tensor ``coeffs`` on ``keys``."""
+        stack = np.array(coeffs, dtype=complex)
+        return cls.__new__(cls)._own(stack.shape[-1], *_merged(keys, stack))
+
+    def _own(self, dim: int, keys: tuple[Key, ...], stack: np.ndarray) -> "GaussErfMatrix":
+        """Take over ``stack`` on distinct canonical ``keys``, trimmed, read-only."""
+        live = np.logical_or.reduce(stack, axis=(2, 3)).tolist()
+        if not (all(map(any, live)) and any(row[-1] for row in live)):
+            keep = [any(row) for row in live]
+            depth = max((k + 1 for row in live for k, v in enumerate(row) if v), default=0)
+            stack = stack[np.array(keep, dtype=bool), :depth]  # a copy: the rest can go
+            keys = tuple(key for key, v in zip(keys, keep) if v)
+        stack.setflags(write=False)
+        self.dim, self.keys, self.coeffs = dim, keys, stack
+        return self
+
+    def _of(self, keys: tuple[Key, ...], stack: np.ndarray) -> "GaussErfMatrix":
+        return GaussErfMatrix.__new__(GaussErfMatrix)._own(self.dim, keys, stack)
+
+    @property
+    def polys(self) -> Mapping[Key, MatrixPolynomial]:
+        return MappingProxyType({key: MatrixPolynomial._of(v)
+                                 for key, v in zip(self.keys, self.coeffs)})
 
     @property
     def terms(self) -> Mapping[Atom, np.ndarray]:
-        return MappingProxyType({Atom(k, *key): c for key, v in self.polys.items()
-                                 for k, c in enumerate(v.coeffs) if np.any(c)})
+        return MappingProxyType({Atom(k, *key): c for key, v in zip(self.keys, self.coeffs)
+                                 for k, c in enumerate(v) if np.any(c)})
 
     @classmethod
     def from_polynomial(cls, p: MatrixPolynomial) -> "GaussErfMatrix":
         return cls(p.dim, polys=[((PLAIN, 0.0), p)])
 
+    def _combine(self, other: "GaussErfMatrix", op) -> "GaussErfMatrix":
+        """``op`` (add or subtract) key by key: the keys of ``self``, then
+        those only ``other`` has."""
+        a, b = self.coeffs, other.coeffs
+        keys = self.keys + tuple(k for k in other.keys if k not in self.keys)
+        stack = np.zeros((len(keys), max(a.shape[1], b.shape[1]), self.dim, self.dim),
+                         dtype=complex)
+        stack[:len(a), :a.shape[1]] = a
+        rows = [keys.index(k) for k in other.keys]
+        rows = slice(len(rows)) if rows == list(range(len(rows))) else rows
+        stack[rows, :b.shape[1]] = op(stack[rows, :b.shape[1]], b)
+        return self._of(keys, stack)
+
     def __add__(self, other: "GaussErfMatrix") -> "GaussErfMatrix":
-        return GaussErfMatrix(self.dim, polys=[*self.polys.items(), *other.polys.items()])
+        return self._combine(other, np.add)
 
     def __sub__(self, other: "GaussErfMatrix") -> "GaussErfMatrix":
-        return self + (-other)
+        return self._combine(other, np.subtract)
 
     def __mul__(self, scalar) -> "GaussErfMatrix":
-        return self._map(lambda v: scalar * v)
+        return self._of(self.keys, scalar * self.coeffs)
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "GaussErfMatrix":
-        return self._map(lambda v: -v)
+        return self._of(self.keys, -self.coeffs)
 
     def __matmul__(self, other: "GaussErfMatrix") -> "GaussErfMatrix":
         if other.dim != self.dim:
             raise ValueError("dimension mismatch")
-        items = []
-        for (k1, s1), v1 in self.polys.items():
-            for (k2, s2), v2 in other.polys.items():
-                if ERF in (k1, k2) and PLAIN not in (k1, k2):
-                    raise ValueError("erf atoms can only be multiplied by polynomial factors")
-                items.append(((k1 if k2 == PLAIN else k2, s1 + s2), v1 * v2))
-        return GaussErfMatrix(self.dim, polys=items)
+        pairs = [(k1, k2) for k1 in self.keys for k2 in other.keys]
+        if any(ERF in (k1, k2) and PLAIN not in (k1, k2) for (k1, _), (k2, _) in pairs):
+            raise ValueError("erf atoms can only be multiplied by polynomial factors")
+        stack = convolve(self.coeffs[:, None], other.coeffs[None])
+        return self._of(*_merged([(k1 if k2 == PLAIN else k2, s1 + s2)
+                                  for (k1, s1), (k2, s2) in pairs],
+                                 stack.reshape((len(pairs),) + stack.shape[2:])))
 
     def lmul(self, m: np.ndarray) -> "GaussErfMatrix":
-        return self._map(lambda v: v.lmul(m))
+        return self._of(self.keys, as_square(m, self.dim) @ self.coeffs)
 
     def poly_mul(self, p: MatrixPolynomial, side: str = "right") -> "GaussErfMatrix":
         """``self(t) @ p(t)`` for side="right", ``p(t) @ self(t)`` for side="left"."""
         if side not in ("right", "left"):
             raise ValueError(f"side must be 'right' or 'left', not {side!r}")
-        return self._map(lambda v: v * p if side == "right" else p * v)
+        return self._of(self.keys, convolve(self.coeffs, p.coeffs) if side == "right"
+                        else convolve(p.coeffs, self.coeffs))
 
     def conj_t(self) -> "GaussErfMatrix":
         """Pointwise conjugate transpose (atoms are real-valued on R)."""
-        return self._map(MatrixPolynomial.conj_t)
+        return self._of(self.keys, np.conjugate(self.coeffs.swapaxes(2, 3), order="C"))
 
     def derivative(self, order: int = 1) -> "GaussErfMatrix":
         """Exact derivative: ``(v g)' = v' g + v g'`` with ``g' = -2st g`` on
-        a Gaussian and ``g' = 2 sqrt(s/pi) exp(-s t**2)`` on an erf."""
+        a Gaussian and ``g' = 2 sqrt(s/pi) exp(-s t**2)`` on an erf, whose
+        Gaussian key, if new, follows the others."""
         out = self
         for _ in range(order):
-            items = []
-            for (kind, s), v in out.polys.items():
-                d = v.derivative()
-                if kind == GAUSS:
-                    d = d + (-2.0 * s * v).times_t()
-                elif kind == ERF:
-                    items.append(((GAUSS, s), 2.0 * math.sqrt(s) / math.sqrt(math.pi) * v))
-                items.append(((kind, s), d))
-            out = GaussErfMatrix(self.dim, polys=items)
+            c, keys = out.coeffs, out.keys
+            erf = [i for i, (kind, _) in enumerate(keys) if kind == ERF]
+            scales = np.array([s for _, s in keys])[:, None, None, None]
+            stack = np.zeros((len(keys) + len(erf), c.shape[1] + 1) + c.shape[2:], dtype=complex)
+            stack[:len(keys), :-2] = np.arange(1.0, c.shape[1])[:, None, None] * c[:, 1:]
+            gauss = _rows(keys, GAUSS)
+            if gauss is not None:
+                stack[gauss, 1:] += -2.0 * scales[gauss] * c[gauss]
+            if erf:
+                stack[len(keys):, :-1] = 2.0 * np.sqrt(scales[erf]) / math.sqrt(math.pi) * c[erf]
+            out = out._of(*_merged(keys + tuple((GAUSS, keys[i][1]) for i in erf), stack))
         return out
 
     def __call__(self, t) -> np.ndarray:
         """Value at a scalar t, shape (N, N), or at each entry of a 1-D array
-        of t, shape (n_t, N, N): each polynomial's Horner pass times its atom."""
-        ts = np.asarray(t, dtype=float)
-        x = ts[..., None, None]
-        out = np.zeros(ts.shape + (self.dim, self.dim), dtype=complex)
-        for (kind, s), v in self.polys.items():
-            acc = v(ts)
-            if kind == GAUSS:
-                acc = acc * np.exp(-s * x * x)
-            elif kind == ERF:
-                acc = acc * _erf(math.sqrt(s) * x)
-            out = out + acc
-        return out
+        of t, shape (n_t, N, N): one Horner pass over every key, times each
+        key's atom, summed over the keys in order."""
+        x = np.asarray(t, dtype=float)[..., None, None, None]
+        acc = np.zeros(x.shape[:-3] + (len(self.keys), self.dim, self.dim), dtype=complex)
+        for c in self.coeffs.swapaxes(0, 1)[::-1]:
+            acc *= x
+            acc += c
+        scales = np.array([s for _, s in self.keys])[:, None, None]
+        for kind, f in ((GAUSS, lambda s: np.exp(-s * x * x)),
+                        (ERF, lambda s: _erf(np.sqrt(s) * x))):
+            rows = _rows(self.keys, kind)
+            if rows is not None:
+                acc[..., rows, :, :] *= f(scales[rows])
+        return _running_sum(acc)
 
     def integrate(self, extra_power: int = 0) -> np.ndarray:
         """Exact ``integral over R of t**extra_power * self(t) dt``, summed
         key by key and power by power. Only Gaussian atoms of positive scale
         are integrable; plain or erf atoms raise."""
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for (kind, s), v in self.polys.items():
+        for kind, _ in self.keys:
             if kind != GAUSS:
                 raise ValueError(f"cannot integrate a {kind} atom over R")
-            for k, c in enumerate(v.coeffs):
-                out += gauss_integral(k + extra_power, s) * c
-        return out
+        weights = np.array([[gauss_integral(k + extra_power, s)
+                             for k in range(self.coeffs.shape[1])] for _, s in self.keys])
+        terms = weights.reshape(weights.shape + (1, 1)) * self.coeffs
+        return _running_sum(terms.reshape(-1, self.dim, self.dim))
 
     def max_coeff(self) -> float:
-        return worst(v.max_coeff() for v in self.polys.values())
+        return max_abs(self.coeffs)
 
     def to_polynomial(self) -> MatrixPolynomial:
         """Collapse to a matrix polynomial, requiring all transcendental atoms
         to have cancelled: a non-plain coefficient above ``RESIDUAL_TOL``
-        relative to the largest coefficient, or any NaN, signals a
-        construction bug and raises. Sub-tolerance residue (including plain
-        dust above the true degree) is dropped."""
+        relative to the largest coefficient, or any NaN, raises. Smaller
+        residue (including plain dust above the true degree) is dropped."""
         scale = worst((1.0, self.max_coeff()))
-        residue = worst(v.max_coeff() for (kind, _), v in self.polys.items() if kind != PLAIN)
+        plain = [i for i, (kind, _) in enumerate(self.keys) if kind == PLAIN]
+        residue = max_abs(np.delete(self.coeffs, plain, axis=0))
         if not residue <= RESIDUAL_TOL * scale:
             raise ArithmeticError(
                 f"transcendental atoms did not cancel (residual {residue:.3e} "
                 f"vs scale {scale:.3e})")
-        coeffs = self.polys.get((PLAIN, 0.0), MatrixPolynomial.zero(self.dim)).coeffs
+        coeffs = self.coeffs[plain].reshape(-1, self.dim, self.dim)  # no plain key: none
         top = max((k + 1 for k, c in enumerate(coeffs)
                    if max_abs(c) > RESIDUAL_TOL * scale), default=0)
         return MatrixPolynomial(coeffs[:top], dim=self.dim)
 
     def __repr__(self) -> str:
-        return f"GaussErfMatrix(dim={self.dim}, keys={list(self.polys)})"
+        return f"GaussErfMatrix(dim={self.dim}, keys={list(self.keys)})"

@@ -55,15 +55,18 @@ def worst(values: Iterable[float]) -> float:
 
 def convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Coefficients of the product of two matrix power series, given as
-    (n, N, N) tensors: one batched matmul per coefficient of the shorter.
-    Each coefficient sums its terms by ascending power of ``a``."""
-    out = np.zeros((len(a) + len(b) - 1,) + a.shape[1:], dtype=complex)
-    if len(a) <= len(b):
-        for k, c in enumerate(a):
-            out[k:k + len(b)] += c @ b
+    (..., n, N, N) tensors whose leading axes broadcast: one batched matmul
+    per coefficient of the shorter. Each coefficient sums its terms by
+    ascending power of ``a``."""
+    n, m = a.shape[-3], b.shape[-3]
+    lead = np.broadcast(np.empty(a.shape[:-3]), np.empty(b.shape[:-3])).shape
+    out = np.zeros(lead + (n + m - 1 if n and m else 0,) + a.shape[-2:], dtype=complex)
+    if n <= m:
+        for k in range(n):
+            out[..., k:k + m, :, :] += a[..., k, None, :, :] @ b
     else:
-        for k in range(len(b) - 1, -1, -1):
-            out[k:k + len(a)] += a @ b[k]
+        for k in range(m - 1, -1, -1):
+            out[..., k:k + n, :, :] += a @ b[..., k, None, :, :]
     return out
 
 
@@ -173,8 +176,6 @@ class MatrixPolynomial:
             return MatrixPolynomial._of(other * self.coeffs)
         if other.dim != self.dim:
             raise ValueError("dimension mismatch")
-        if not len(self.coeffs) or not len(other.coeffs):
-            return MatrixPolynomial.zero(self.dim)
         return MatrixPolynomial._of(convolve(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__

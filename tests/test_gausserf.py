@@ -1,13 +1,122 @@
 import math
+from types import MappingProxyType
 
 import numpy as np
 import pytest
 
 from matorth.closed_forms import hermite_value
-from matorth.gausserf import ERF, GAUSS, PLAIN, GaussErfMatrix, atom, gauss_integral
-from matorth.linalg import MatrixPolynomial, max_abs
+from matorth.gausserf import ERF, GAUSS, PLAIN, Atom, GaussErfMatrix, atom, gauss_integral
+from matorth.linalg import MatrixPolynomial, max_abs, worst
+from matorth.sampling import draw_params
+from matorth.weights import build_structure, column_outers, exp_factor, weight_moment
 
 I1 = np.eye(1, dtype=complex)
+
+
+class PerKey:
+    """The function algebra as it was before the stacked tensor: one
+    ``MatrixPolynomial`` per atom key, every operation a loop over the keys.
+    The reference for ``GaussErfMatrix``."""
+
+    def __init__(self, dim, terms=(), polys=()):
+        monomials = (((a.kind, a.scale), MatrixPolynomial.monomial(np.asarray(c, complex), a.power))
+                     for a, c in terms)
+        merged = {}
+        for (kind, s), v in [*polys, *monomials]:
+            key = (PLAIN, 0.0) if kind == PLAIN or (kind == GAUSS and s == 0.0) else (kind, s)
+            merged[key] = merged[key] + v if key in merged else v
+        self.dim = dim
+        self.polys = MappingProxyType({k: v for k, v in merged.items() if v.degree >= 0})
+
+    def _map(self, fn):
+        return PerKey(self.dim, polys=((k, fn(v)) for k, v in self.polys.items()))
+
+    def __add__(self, other):
+        return PerKey(self.dim, polys=[*self.polys.items(), *other.polys.items()])
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, scalar):
+        return self._map(lambda v: scalar * v)
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return self._map(lambda v: -v)
+
+    def __matmul__(self, other):
+        return PerKey(self.dim, polys=[((k1 if k2 == PLAIN else k2, s1 + s2), v1 * v2)
+                                       for (k1, s1), v1 in self.polys.items()
+                                       for (k2, s2), v2 in other.polys.items()])
+
+    def lmul(self, m):
+        return self._map(lambda v: v.lmul(m))
+
+    def poly_mul(self, p, side="right"):
+        return self._map(lambda v: v * p if side == "right" else p * v)
+
+    def conj_t(self):
+        return self._map(MatrixPolynomial.conj_t)
+
+    def derivative(self, order=1):
+        out = self
+        for _ in range(order):
+            items = []
+            for (kind, s), v in out.polys.items():
+                d = v.derivative()
+                if kind == GAUSS:
+                    d = d + (-2.0 * s * v).times_t()
+                elif kind == ERF:
+                    items.append(((GAUSS, s), 2.0 * math.sqrt(s) / math.sqrt(math.pi) * v))
+                items.append(((kind, s), d))
+            out = PerKey(self.dim, polys=items)
+        return out
+
+    def __call__(self, t):
+        ts = np.asarray(t, dtype=float)
+        x = ts[..., None, None]
+        out = np.zeros(ts.shape + (self.dim, self.dim), dtype=complex)
+        for (kind, s), v in self.polys.items():
+            acc = v(ts)
+            if kind == GAUSS:
+                acc = acc * np.exp(-s * x * x)
+            elif kind == ERF:
+                acc = acc * np.vectorize(math.erf, otypes=[float])(math.sqrt(s) * x)
+            out = out + acc
+        return out
+
+    def integrate(self, extra_power=0):
+        out = np.zeros((self.dim, self.dim), dtype=complex)
+        for (kind, s), v in self.polys.items():
+            for k, c in enumerate(v.coeffs):
+                out += gauss_integral(k + extra_power, s) * c
+        return out
+
+    def to_polynomial(self):
+        scale = worst((1.0, *(v.max_coeff() for v in self.polys.values())))
+        coeffs = self.polys.get((PLAIN, 0.0), MatrixPolynomial.zero(self.dim)).coeffs
+        top = max((k + 1 for k, c in enumerate(coeffs) if max_abs(c) > 1e-9 * scale), default=0)
+        return MatrixPolynomial(coeffs[:top], dim=self.dim)
+
+
+def random_pair(rng, dim, kinds=(PLAIN, GAUSS, ERF), scales=(0.0, 0.5, 1.25, 2.0)):
+    """One random function of mixed kinds and degrees, stacked and per key; a
+    Gaussian of scale 0 is a plain power, an erf takes a positive scale."""
+    terms = []
+    for _ in range(int(rng.integers(1, 7))):
+        kind = kinds[int(rng.integers(len(kinds)))]
+        scale = scales[int(rng.integers(scales[0] == 0.0 and kind == ERF, len(scales)))]
+        coeff = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        terms.append((atom(int(rng.integers(0, 5)), kind, scale), coeff))
+    return GaussErfMatrix(dim, terms), PerKey(dim, terms)
+
+
+def assert_same(f, ref):
+    """The same keys, each with the same polynomial, value for value."""
+    assert set(f.polys) == set(ref.polys)
+    for key, v in ref.polys.items():
+        assert np.array_equal(f.polys[key].coeffs, v.coeffs), key
 
 
 def single(a, coeff=I1):
@@ -185,3 +294,110 @@ class TestIntegration:
     def test_plain_atom_rejected(self):
         with pytest.raises(ValueError):
             single(atom(2, PLAIN)).integrate()
+
+
+class TestAgainstPerKeyAlgebra:
+    """The stacked tensor computes what one polynomial per key computed:
+    equal keys, equal coefficients, and, where the keys come in the same
+    order, equal values to the bit."""
+
+    TS = np.linspace(-2.5, 2.5, 9)
+
+    def assert_values(self, f, ref):
+        assert_same(f, ref)
+        exact = list(f.keys) == list(ref.polys)
+        for t in (0.7, -1.3, self.TS):
+            got, want = f(t), ref(t)
+            assert got.shape == want.shape
+            if exact:
+                assert np.array_equal(got, want)
+            else:
+                assert max_abs(got - want) <= 1e-14 * max(1.0, max_abs(want))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_products_and_sums(self, seed):
+        rng = np.random.default_rng(seed)
+        dim = int(rng.integers(1, 5))
+        f, ref = random_pair(rng, dim)
+        g, gref = random_pair(rng, dim, kinds=(PLAIN, GAUSS))
+        p = MatrixPolynomial(rng.normal(size=(int(rng.integers(1, 4)), dim, dim)))
+        m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        self.assert_values(f, ref)
+        for side in ("left", "right"):
+            self.assert_values(f.poly_mul(p, side=side), ref.poly_mul(p, side=side))
+        self.assert_values(f.lmul(m), ref.lmul(m))
+        self.assert_values(f.conj_t(), ref.conj_t())
+        self.assert_values(f + g, ref + gref)
+        self.assert_values(g - f, gref - ref)
+        self.assert_values(2.5 * f - g, 2.5 * ref - gref)
+        self.assert_values(-f, -ref)
+        plain = GaussErfMatrix(dim, [(atom(1, PLAIN), m)])
+        self.assert_values(f @ plain, ref @ PerKey(dim, [(atom(1, PLAIN), m)]))
+        self.assert_values(g @ g, gref @ gref)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_derivatives(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        f, ref = random_pair(rng, int(rng.integers(1, 5)))
+        for order in (1, 2, 3):
+            self.assert_values(f.derivative(order), ref.derivative(order))
+
+    def test_an_erf_spawns_its_gaussian_key_after_the_others(self):
+        f = GaussErfMatrix(1, [(atom(1, ERF, 2.0), I1), (atom(0, GAUSS, 0.5), I1)])
+        assert f.derivative().keys == ((ERF, 2.0), (GAUSS, 0.5), (GAUSS, 2.0))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_integrals_and_collapse(self, seed):
+        rng = np.random.default_rng(200 + seed)
+        dim = int(rng.integers(1, 5))
+        f, ref = random_pair(rng, dim, kinds=(GAUSS,), scales=(0.5, 1.25, 2.0))
+        for m in range(4):
+            assert f.integrate(m).tobytes() == ref.integrate(m).tobytes()
+        q = MatrixPolynomial(rng.normal(size=(3, dim, dim)))
+        cancel = GaussErfMatrix(dim, [(atom(0, GAUSS, 1.25), np.eye(dim)),
+                                      (atom(0, PLAIN), np.eye(dim))]).poly_mul(q)
+        cancel = cancel - GaussErfMatrix(dim, [(atom(0, GAUSS, 1.25), np.eye(dim))]).poly_mul(q)
+        ref_cancel = PerKey(dim, [(atom(0, PLAIN), np.eye(dim))]).poly_mul(q)
+        assert cancel.keys == ((PLAIN, 0.0),)
+        assert np.array_equal(cancel.to_polynomial().coeffs, ref_cancel.to_polynomial().coeffs)
+
+    def test_moments_match_the_per_key_sum_on_a_sweep(self):
+        # the 150 members of a seeded sweep: 30 bands of b, sizes 2..6 each
+        rng, width = np.random.default_rng(1), (5.0 - 0.2) / 30
+        for band in range(30):
+            for size in range(2, 7):
+                p = draw_params(rng, sizes=(size, size),
+                                b_range=(0.2 + band * width, 0.2 + (band + 1) * width))
+                outers = column_outers(exp_factor(p).coeffs)
+                ref = PerKey(size, polys=[((GAUSS, -2.0 * g), MatrixPolynomial(row)) for g, row
+                                          in zip(build_structure(p).gauss_scales, outers)])
+                for m in range(2 * size + 1):
+                    assert weight_moment(p, m).tobytes() == ref.integrate(m).tobytes()
+
+
+class TestKeyValidation:
+    P = MatrixPolynomial([np.eye(2)])
+
+    @pytest.mark.parametrize("kind, scale", [("Gauss", 1.0), ("exp", 1.0), (GAUSS, math.nan),
+                                             (GAUSS, math.inf), (PLAIN, -math.inf),
+                                             (ERF, -1.0), (ERF, 0.0), (ERF, math.nan)])
+    def test_rejects_unknown_kinds_and_bad_scales(self, kind, scale):
+        with pytest.raises(ValueError, match="atom"):
+            atom(0, kind, scale)
+        with pytest.raises(ValueError, match="atom"):
+            GaussErfMatrix(2, polys=[((kind, scale), self.P)])
+        with pytest.raises(ValueError, match="atom"):
+            GaussErfMatrix(2, [(Atom(0, kind, scale), np.eye(2))])
+        with pytest.raises(ValueError, match="atom"):
+            GaussErfMatrix.stacked([(kind, scale)], np.ones((1, 1, 2, 2)))
+
+    def test_gauss_atom_is_not_read_as_a_power(self):
+        # a misspelt kind used to be accepted and evaluated as t**0 = 1
+        with pytest.raises(ValueError):
+            atom(0, "Gauss", 1.0)
+        assert single(atom(0, GAUSS, 1.0))(1.0)[0, 0] == math.exp(-1.0)
+
+    def test_negative_gaussian_scales_stay_allowed(self):
+        f = single(atom(0, GAUSS, -1.0))
+        assert f.keys == ((GAUSS, -1.0),)
+        assert f(1.0)[0, 0] == math.exp(1.0)
