@@ -295,10 +295,10 @@ class _MpFamily:
         # orthonormal A_k = Delta_{k-1} U_k (a zero pad at k = 0) and
         # B_k = Delta_k Bhat_k U_k, with U_k the upper Cholesky factor of H_k
         a = _mul(self._deltas[k - 1], 0, chol, 0) if k else np.zeros_like(chol)
-        views = (norm, bhat, self._chat[k], delta, a,
-                 _mul(_mul(delta, 0, bhat, 1), 1, chol, 0))
-        self._views.append(_Views(MatrixPolynomial(map(self._complex, coeffs)),
-                                  *map(self._complex, views)))
+        tables = np.stack((norm, bhat, self._chat[k], delta, a,
+                           _mul(_mul(delta, 0, bhat, 1), 1, chol, 0)))
+        self._views.append(_Views(MatrixPolynomial._of(self._complex(coeffs)),
+                                  *self._complex(tables)))
 
     def extend(self, nmax: int):
         """Grow the monic sequence from ``P_0 = I`` to degree ``nmax`` by the recurrence
@@ -324,7 +324,7 @@ class _MpFamily:
     # -- complex128 views ------------------------------------------------------
 
     def _complex(self, x: np.ndarray) -> np.ndarray:
-        """The matrix for ``a`` of the real state ``x`` for ``|a|``,
+        """The matrices for ``a`` of the real state ``x`` for ``|a|``,
         ``u_i conj(u_j) x_ij``, rounded to complex128, read-only."""
         out = np.empty(x.shape, dtype=complex)
         with localcontext(_CONTEXT):

@@ -12,6 +12,7 @@ cancel before a result is read as a polynomial, and cannot be integrated.
 from __future__ import annotations
 
 import math
+from operator import index
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
@@ -59,6 +60,8 @@ def atom(power: int, kind: str, scale: float = 0.0) -> Atom:
 
 def gauss_integral(power: int, scale: float) -> float:
     """Exact ``integral over R of t**power * exp(-scale t**2) dt``."""
+    if index(power) < 0:  # and TypeError for a power that is not an integer
+        raise ValueError("divergent integral: power must be >= 0")
     if scale <= 0.0:
         raise ValueError("divergent integral: Gaussian scale must be positive")
     if power % 2:
@@ -93,6 +96,49 @@ def _running_sum(terms: np.ndarray) -> np.ndarray:
     if not terms.shape[-3]:
         return np.zeros(terms.shape[:-3] + terms.shape[-2:], dtype=complex)
     return np.add.accumulate(terms, axis=-3)[..., -1, :, :] + 0.0
+
+
+def combine(a: np.ndarray, b: np.ndarray, op=np.subtract, rows=slice(None), size=None):
+    """``op`` (subtract or add) of two coefficient tensors, row ``rows[i]`` of
+    ``a`` with row i of ``b``, padded with zero powers and to ``size`` rows."""
+    stack = np.zeros((size or len(a), max(a.shape[1], b.shape[1])) + a.shape[2:], dtype=complex)
+    stack[:len(a), :a.shape[1]] = a
+    stack[rows, :b.shape[1]] = op(stack[rows, :b.shape[1]], b)
+    return stack
+
+
+def derivative_stack(keys: tuple[Key, ...], c: np.ndarray):
+    """Keys and unmerged tensor of the exact derivative of ``c`` on ``keys``:
+    ``(v g)' = v' g + v g'`` with ``g' = -2st g`` on a Gaussian and ``g' = 2
+    sqrt(s/pi) exp(-s t**2)`` on an erf, whose Gaussian key goes last."""
+    erf = [i for i, (kind, _) in enumerate(keys) if kind == ERF]
+    scales = np.array([s for _, s in keys])[:, None, None, None]
+    stack = np.zeros((len(keys) + len(erf), c.shape[1] + 1) + c.shape[2:], dtype=complex)
+    stack[:len(keys), :-2] = np.arange(1.0, c.shape[1])[:, None, None] * c[:, 1:]
+    gauss = _rows(keys, GAUSS)
+    if gauss is not None:
+        stack[gauss, 1:] += -2.0 * scales[gauss] * c[gauss]
+    if erf:
+        stack[len(keys):, :-1] = 2.0 * np.sqrt(scales[erf]) / math.sqrt(math.pi) * c[erf]
+    return keys + tuple((GAUSS, keys[i][1]) for i in erf), stack
+
+
+def evaluate(keys: tuple[Key, ...], c: np.ndarray, t) -> np.ndarray:
+    """Value of the tensor ``c`` on ``keys`` at a scalar t, shape (N, N), or
+    at each entry of a 1-D array of t, shape (n_t, N, N): one Horner pass over
+    every key, times each key's atom, summed over the keys in order."""
+    x = np.asarray(t, dtype=float)[..., None, None, None]
+    acc = np.zeros(x.shape[:-3] + (len(keys),) + c.shape[2:], dtype=complex)
+    for v in c.swapaxes(0, 1)[::-1]:
+        acc *= x
+        acc += v
+    scales = np.array([s for _, s in keys])[:, None, None]
+    for kind, f in ((GAUSS, lambda s: np.exp(-s * x * x)),
+                    (ERF, lambda s: _erf(np.sqrt(s) * x))):
+        rows = _rows(keys, kind)
+        if rows is not None:
+            acc[..., rows, :, :] *= f(scales[rows])
+    return _running_sum(acc)
 
 
 class GaussErfMatrix:
@@ -153,15 +199,9 @@ class GaussErfMatrix:
     def _combine(self, other: "GaussErfMatrix", op) -> "GaussErfMatrix":
         """``op`` (add or subtract) key by key: the keys of ``self``, then
         those only ``other`` has."""
-        a, b = self.coeffs, other.coeffs
         keys = self.keys + tuple(k for k in other.keys if k not in self.keys)
-        stack = np.zeros((len(keys), max(a.shape[1], b.shape[1]), self.dim, self.dim),
-                         dtype=complex)
-        stack[:len(a), :a.shape[1]] = a
         rows = [keys.index(k) for k in other.keys]
-        rows = slice(len(rows)) if rows == list(range(len(rows))) else rows
-        stack[rows, :b.shape[1]] = op(stack[rows, :b.shape[1]], b)
-        return self._of(keys, stack)
+        return self._of(keys, combine(self.coeffs, other.coeffs, op, rows, len(keys)))
 
     def __add__(self, other: "GaussErfMatrix") -> "GaussErfMatrix":
         return self._combine(other, np.add)
@@ -203,40 +243,15 @@ class GaussErfMatrix:
         return self._of(self.keys, np.conjugate(self.coeffs.swapaxes(2, 3), order="C"))
 
     def derivative(self, order: int = 1) -> "GaussErfMatrix":
-        """Exact derivative: ``(v g)' = v' g + v g'`` with ``g' = -2st g`` on
-        a Gaussian and ``g' = 2 sqrt(s/pi) exp(-s t**2)`` on an erf, whose
-        Gaussian key, if new, follows the others."""
+        """Exact derivative, by ``derivative_stack`` once per order."""
         out = self
         for _ in range(order):
-            c, keys = out.coeffs, out.keys
-            erf = [i for i, (kind, _) in enumerate(keys) if kind == ERF]
-            scales = np.array([s for _, s in keys])[:, None, None, None]
-            stack = np.zeros((len(keys) + len(erf), c.shape[1] + 1) + c.shape[2:], dtype=complex)
-            stack[:len(keys), :-2] = np.arange(1.0, c.shape[1])[:, None, None] * c[:, 1:]
-            gauss = _rows(keys, GAUSS)
-            if gauss is not None:
-                stack[gauss, 1:] += -2.0 * scales[gauss] * c[gauss]
-            if erf:
-                stack[len(keys):, :-1] = 2.0 * np.sqrt(scales[erf]) / math.sqrt(math.pi) * c[erf]
-            out = out._of(*_merged(keys + tuple((GAUSS, keys[i][1]) for i in erf), stack))
+            out = out._of(*_merged(*derivative_stack(out.keys, out.coeffs)))
         return out
 
     def __call__(self, t) -> np.ndarray:
-        """Value at a scalar t, shape (N, N), or at each entry of a 1-D array
-        of t, shape (n_t, N, N): one Horner pass over every key, times each
-        key's atom, summed over the keys in order."""
-        x = np.asarray(t, dtype=float)[..., None, None, None]
-        acc = np.zeros(x.shape[:-3] + (len(self.keys), self.dim, self.dim), dtype=complex)
-        for c in self.coeffs.swapaxes(0, 1)[::-1]:
-            acc *= x
-            acc += c
-        scales = np.array([s for _, s in self.keys])[:, None, None]
-        for kind, f in ((GAUSS, lambda s: np.exp(-s * x * x)),
-                        (ERF, lambda s: _erf(np.sqrt(s) * x))):
-            rows = _rows(self.keys, kind)
-            if rows is not None:
-                acc[..., rows, :, :] *= f(scales[rows])
-        return _running_sum(acc)
+        """Value at a scalar t or at each entry of a 1-D array of t."""
+        return evaluate(self.keys, self.coeffs, t)
 
     def integrate(self, extra_power: int = 0) -> np.ndarray:
         """Exact ``integral over R of t**extra_power * self(t) dt``, summed

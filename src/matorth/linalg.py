@@ -136,9 +136,11 @@ class MatrixPolynomial:
 
     def __call__(self, t) -> np.ndarray:
         """Value at a scalar t, shape (N, N), or at each entry of a 1-D array
-        of t, shape (n_t, N, N), by Horner's rule."""
-        x = np.asarray(t)[..., np.newaxis, np.newaxis]
-        out = np.zeros(x.shape[:-2] + (self.dim, self.dim), dtype=complex)
+        of t, shape (n_t, N, N), by Horner's rule: a Python float multiplies
+        as itself, any other t as an array, with the same arithmetic."""
+        scalar = isinstance(t, float)
+        x = t if scalar else np.asarray(t)[..., np.newaxis, np.newaxis]
+        out = np.zeros((() if scalar else x.shape[:-2]) + (self.dim, self.dim), dtype=complex)
         for c in self.coeffs[::-1]:
             out *= x
             out += c

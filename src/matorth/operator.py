@@ -14,7 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import MatrixPolynomial, ad_power, max_abs, worst
+from .gausserf import combine, derivative_stack, evaluate
+from .linalg import MatrixPolynomial, ad_power, convolve, max_abs, worst
 from .weights import (CACHE_SIZE, WeightParams, build_structure, exp_factor,
                       moment_pairing, weight_eval, weight_symbolic)
 
@@ -59,8 +60,7 @@ def build_operator(p: WeightParams) -> DifferentialOperator:
     """Assemble the symmetric operator's coefficients from the structure."""
     s = build_structure(p)
     n, b = p.size, p.b
-    acal, psi, number = s.nilpotent, s.diag_scale, s.number
-    bracket = acal @ number - number @ acal
+    acal, psi, number, bracket = s.nilpotent, s.diag_scale, s.number, s.bracket
     ident = np.eye(n, dtype=complex)
     f2 = MatrixPolynomial([psi, (b - 1.0) / (n - 1) * bracket])
     f1 = MatrixPolynomial([2.0 * acal @ psi,
@@ -106,37 +106,47 @@ class SymmetryReport:
                       self.residual_second_order))
 
 
+def _grid(ts: Sequence[float]) -> np.ndarray:
+    """The grid as a float array; ValueError unless a non-empty 1-D sequence."""
+    ts = np.asarray(ts, dtype=float)
+    if ts.ndim != 1 or not ts.size:
+        raise ValueError(f"the grid must be a non-empty 1-D sequence, got shape {ts.shape}")
+    return ts
+
+
 def check_symmetry_equations(p: WeightParams, ts: Sequence[float]) -> SymmetryReport:
     """Verify the weight equations making the operator symmetric.
 
     Derivatives of products like (f2 W)' are taken exactly in the
     Gaussian-polynomial function algebra, never by finite differences, and
-    the residuals are evaluated on the whole grid ``ts`` at once. The decay
+    the residuals are evaluated on the whole grid ``ts`` at once, all on the
+    tensor of ``weight_symbolic(p)``, whose keys every product keeps. The decay
     condition is sampled at |t| = 8 / sqrt(min(1, b)) (scaled so the slowest
     Gaussian in W has decayed equally far for every b) with power 10 and
     threshold ``BOUNDARY_DECAY_TOL``.
     """
+    ts = _grid(ts)
     op = build_operator(p)
     w = weight_symbolic(p)
-    f2w = w.poly_mul(op.f2, side="left")
-    f1w = w.poly_mul(op.f1, side="left")
-    f0w = w.poly_mul(op.f0, side="left")
-    wf2s = w.poly_mul(op.f2.conj_t(), side="right")
-    wf1s = w.poly_mul(op.f1.conj_t(), side="right")
-    wf0s = w.poly_mul(op.f0.conj_t(), side="right")
+    keys, c = w.keys, w.coeffs
 
-    df2w = f2w.derivative()
-    eq_ccp = f2w - wf2s
-    eq_first = 2.0 * df2w - f1w - wf1s
-    eq_second = df2w.derivative() - f1w.derivative() + f0w - wf0s
+    def peak(f, at=ts):
+        return max_abs(evaluate(keys, f, at))
 
-    ts = np.asarray(ts, dtype=float)
-    r_ccp, r_first, r_second = (max_abs(eq(ts)) for eq in (eq_ccp, eq_first, eq_second))
+    def deriv(v):
+        return derivative_stack(keys, v)[1]
+
+    # each equation is evaluated once formed, so few tensors are alive at once
+    f2w = convolve(op.f2.coeffs, c)
+    r_ccp = peak(f2w - convolve(c, op.f2.conj_t().coeffs))
+    f1w, df2w = convolve(op.f1.coeffs, c), deriv(f2w)
+    r_first = peak(combine(combine(2.0 * df2w, f1w), convolve(c, op.f1.conj_t().coeffs)))
+    eq_second = combine(combine(deriv(df2w), deriv(f1w)), convolve(op.f0.coeffs, c), np.add)
+    r_second = peak(combine(eq_second, convolve(c, op.f0.conj_t().coeffs)))
 
     tb = 8.0 / math.sqrt(min(1.0, p.b))
-    decay = df2w - f1w
     edges = np.array([-tb, tb])
-    bval = worst(max_abs(f(edges)) for f in (f2w, decay)) * tb ** 10
+    bval = worst((peak(f2w, edges), peak(combine(df2w, f1w), edges))) * tb ** 10
     return SymmetryReport(r_ccp, r_first, r_second, bval, bval < BOUNDARY_DECAY_TOL)
 
 
@@ -178,6 +188,7 @@ class ChiXiReport:
 
 def check_chi_xi(p: WeightParams, ts: Sequence[float]) -> ChiXiReport:
     """Check that chi is Hermitian and xi diagonal with the expected diagonal."""
+    ts = _grid(ts)
     op = build_operator(p)
     s = build_structure(p)
     n, b = p.size, p.b
@@ -187,7 +198,6 @@ def check_chi_xi(p: WeightParams, ts: Sequence[float]) -> ChiXiReport:
     xi_poly = exp_factor(p, -1) * m_poly * exp_factor(p)
 
     d = s.gauss_scales
-    ts = np.asarray(ts, dtype=float)
     xi = xi_poly(ts)
     chi = xi * np.exp((ts * ts)[:, np.newaxis, np.newaxis] * (d[np.newaxis, :] - d[:, np.newaxis]))
     m_t = m_poly(ts)

@@ -68,6 +68,10 @@ class WeightParams:
                 raise ValueError(f"a_{i + 1} must be finite and nonzero, got {v}")
         if not (math.isfinite(self.b) and self.b > 0):
             raise ValueError(f"b must be finite and positive, got {self.b}")
+        object.__setattr__(self, "_hash", hash((self.size, self.a, self.b)))
+
+    def __hash__(self) -> int:  # computed once: every per-parameter cache hashes it
+        return self._hash
 
     @property
     def degenerate_b(self) -> bool:
@@ -84,6 +88,7 @@ class StructureMatrices:
     diag_scale  identity plus (b-1)/(N-1) times ``number``; positive diagonal
     gauss_diag  -b/2 times the inverse of ``diag_scale``; negative diagonal
     nilpotent   odd-power series in ``shift`` generating the polynomial factor
+    bracket     the commutator ``[nilpotent, number]``
     odd_coeffs  its series coefficients, index j weighting shift**(2j+1)
     gauss_scales  the diagonal of ``gauss_diag`` as a real vector
     """
@@ -93,6 +98,7 @@ class StructureMatrices:
     diag_scale: np.ndarray
     gauss_diag: np.ndarray
     nilpotent: np.ndarray
+    bracket: np.ndarray
     odd_coeffs: tuple[float, ...]
     gauss_scales: np.ndarray
 
@@ -137,11 +143,12 @@ def build_structure(p: WeightParams) -> StructureMatrices:
     gauss_diag = np.diag(gauss).astype(complex)
     coeffs = tuple(alpha_coeff(n, b, j) for j in range(n // 2))
     nilpotent = odd_series(shift, coeffs)
+    bracket = nilpotent @ number - number @ nilpotent
     gauss_scales = np.array(gauss, dtype=float)
-    for m in (shift, number, diag_scale, gauss_diag, nilpotent, gauss_scales):
+    for m in (shift, number, diag_scale, gauss_diag, nilpotent, bracket, gauss_scales):
         m.setflags(write=False)
     return StructureMatrices(shift, number, diag_scale, gauss_diag,
-                             nilpotent, coeffs, gauss_scales)
+                             nilpotent, bracket, coeffs, gauss_scales)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -153,9 +160,10 @@ def exp_factor(p: WeightParams, sign: int = 1) -> MatrixPolynomial:
 
 def weight_eval(p: WeightParams, t) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate the factor T and the weight W = T T* at a scalar t, shapes
-    (N, N), or at each entry of a 1-D array of t, shapes (n_t, N, N)."""
+    (N, N), or at each entry of a 1-D array of t, shapes (n_t, N, N); a Python
+    float is used as itself, any other t as an array, in the same arithmetic."""
     s = build_structure(p)
-    x = np.asarray(t, dtype=float)[..., np.newaxis]
+    x = t if isinstance(t, float) else np.asarray(t, dtype=float)[..., np.newaxis]
     gt = np.exp(s.gauss_scales * x * x)
     big_t = exp_factor(p)(t) * gt[..., np.newaxis, :]
     return big_t, big_t @ np.swapaxes(big_t.conj(), -1, -2)
@@ -245,19 +253,39 @@ class IdentityReport:
         return worst(self.residuals.values())
 
 
-def verify_structure_identities(p: WeightParams, t: float) -> IdentityReport:
-    """Evaluate both sides of the six structural identities at one point."""
+@lru_cache(maxsize=CACHE_SIZE)
+def _fixed_identities(p: WeightParams) -> tuple[float, tuple[tuple[str, float], ...]]:
+    """The residuals that do not depend on t: bracket_series, then by name
+    even_power_sum (not at b = 1) and bracket_defect."""
     s = build_structure(p)
     n, b = p.size, p.b
-    acal, number, psi, gd = s.nilpotent, s.number, s.diag_scale, s.gauss_diag
-    bracket = acal @ number - number @ acal
-    ident = np.eye(n, dtype=complex)
-    res: dict[str, float] = {}
-    skipped: list[str] = []
-
+    acal, bracket = s.nilpotent, s.bracket
     series = odd_series(s.shift, [(2 * j + 1) * alpha
                                   for j, alpha in enumerate(s.odd_coeffs)])
-    res["bracket_series"] = max_abs(bracket - series)
+    tail = []
+    if not p.degenerate_b:
+        even = np.zeros((n, n), dtype=complex)
+        power = sq = s.shift @ s.shift
+        for j in range(1, (n - 1) // 2 + 1):
+            even += (alpha_coeff(n, b, j) * (2 * j) ** j
+                     / (2 * j + 1) ** (j - 1)) * power
+            power = power @ sq
+        lhs = acal @ bracket - 2 * b * (n - 1) / (1 - b) * even
+        tail.append(("even_power_sum", max_abs(lhs)))
+    rhs = (1 - b) / (2 * b * (n - 1)) * (acal @ acal @ bracket)
+    tail.append(("bracket_defect", max_abs(bracket - acal - rhs)))
+    return max_abs(bracket - series), tuple(tail)
+
+
+def verify_structure_identities(p: WeightParams, t: float) -> IdentityReport:
+    """Evaluate both sides of the six structural identities at one point;
+    the three that do not depend on t are computed once per parameter set."""
+    s = build_structure(p)
+    n, b = p.size, p.b
+    psi, gd, bracket = s.diag_scale, s.gauss_diag, s.bracket
+    ident = np.eye(n, dtype=complex)
+    series, tail = _fixed_identities(p)
+    res = {"bracket_series": series}
 
     et = exp_factor(p)(t)
     et_inv = exp_factor(p, -1)(t)
@@ -270,22 +298,8 @@ def verify_structure_identities(p: WeightParams, t: float) -> IdentityReport:
     rhs = -b / 2.0 * ident - (b - 1.0) * t / (n - 1) * (bracket @ conj_gd)
     res["gauss_conj_scale_right"] = max_abs(psi @ conj_gd - rhs)
 
-    if p.degenerate_b:
-        skipped.append("even_power_sum")
-    else:
-        even = np.zeros((n, n), dtype=complex)
-        power = sq = s.shift @ s.shift
-        for j in range(1, (n - 1) // 2 + 1):
-            even += (alpha_coeff(n, b, j) * (2 * j) ** j
-                     / (2 * j + 1) ** (j - 1)) * power
-            power = power @ sq
-        lhs = acal @ bracket
-        res["even_power_sum"] = max_abs(lhs - 2 * b * (n - 1) / (1 - b) * even)
-
-    rhs = (1 - b) / (2 * b * (n - 1)) * (acal @ acal @ bracket)
-    res["bracket_defect"] = max_abs(bracket - acal - rhs)
-
-    return IdentityReport(res, tuple(skipped))
+    res.update(tail)
+    return IdentityReport(res, ("even_power_sum",) if p.degenerate_b else ())
 
 
 def abel_identity_check(k: int, z: complex, w: complex) -> tuple[complex, complex, float]:

@@ -291,6 +291,13 @@ class TestIntegration:
         with pytest.raises(ValueError):
             gauss_integral(0, -1.0)
 
+    def test_power_must_be_a_nonnegative_integer(self):
+        # the integral of t**-2 exp(-t**2) diverges; t**2.5 is not real for t < 0
+        with pytest.raises(ValueError):
+            gauss_integral(-2, 1.0)
+        with pytest.raises(TypeError):
+            gauss_integral(2.5, 1.0)
+
     def test_plain_atom_rejected(self):
         with pytest.raises(ValueError):
             single(atom(2, PLAIN)).integrate()

@@ -4,14 +4,42 @@ import numpy as np
 import pytest
 
 from matorth import operator
-from matorth.linalg import MatrixPolynomial, hermitian_residual, max_abs
-from matorth.operator import (ChiXiReport, DifferentialOperator, SymmetryReport,
-                              _first_order_factor,
+from matorth.linalg import MatrixPolynomial, hermitian_residual, max_abs, worst
+from matorth.operator import (BOUNDARY_DECAY_TOL, ChiXiReport, DifferentialOperator,
+                              SymmetryReport, _first_order_factor,
                               apply_operator, build_operator, check_chi_xi,
                               check_symmetry_equations, eigenvalue_matrix,
                               symmetry_bilinear_check)
 from matorth.orthogonal import monic_sequence, orthonormalize_sequence
-from matorth.weights import WeightParams, build_structure
+from matorth.sampling import draw_params
+from matorth.weights import WeightParams, build_structure, weight_symbolic
+
+
+def chained_symmetry_check(p, ts):
+    """The symmetry check as a chain of ``GaussErfMatrix`` operations, one
+    object per step: the reference for ``check_symmetry_equations``."""
+    op = build_operator(p)
+    w = weight_symbolic(p)
+    f2w = w.poly_mul(op.f2, side="left")
+    f1w = w.poly_mul(op.f1, side="left")
+    f0w = w.poly_mul(op.f0, side="left")
+    wf2s = w.poly_mul(op.f2.conj_t(), side="right")
+    wf1s = w.poly_mul(op.f1.conj_t(), side="right")
+    wf0s = w.poly_mul(op.f0.conj_t(), side="right")
+
+    df2w = f2w.derivative()
+    eq_ccp = f2w - wf2s
+    eq_first = 2.0 * df2w - f1w - wf1s
+    eq_second = df2w.derivative() - f1w.derivative() + f0w - wf0s
+
+    ts = np.asarray(ts, dtype=float)
+    r_ccp, r_first, r_second = (max_abs(eq(ts)) for eq in (eq_ccp, eq_first, eq_second))
+
+    tb = 8.0 / math.sqrt(min(1.0, p.b))
+    decay = df2w - f1w
+    edges = np.array([-tb, tb])
+    bval = worst(max_abs(f(edges)) for f in (f2w, decay)) * tb ** 10
+    return SymmetryReport(r_ccp, r_first, r_second, bval, bval < BOUNDARY_DECAY_TOL)
 
 
 class TestBuildOperator:
@@ -142,6 +170,35 @@ class TestSymmetryEquations:
         for field in ("chi_hermitian_residual", "chi_literal_residual",
                       "xi_offdiagonal_residual", "xi_diagonal_residual"):
             assert getattr(chi, field) == max(getattr(r, field) for r in chi_single)
+
+
+class TestAgainstChainedCheck:
+    """The check on W's coefficient tensor reports what the chain of
+    ``GaussErfMatrix`` operations reported, to the bit."""
+
+    @staticmethod
+    def members():
+        rng = np.random.default_rng(16)
+        for size in range(2, 7):
+            for _ in range(4):
+                yield draw_params(rng, sizes=(size, size))
+            for b in (1.0, 1e-3, 50.0):
+                yield WeightParams(size, tuple(rng.uniform(0.5, 1.5, size - 1)), b)
+                yield WeightParams(size, (0.6 + 0.8j,) * (size - 1), b)
+
+    def test_reports_equal_the_chained_reference(self, grid):
+        for p in self.members():
+            for ts in (grid, [0.7], np.linspace(-9.0, 9.0, 7)):
+                assert (repr(check_symmetry_equations(p, ts))
+                        == repr(chained_symmetry_check(p, ts))), p
+
+
+class TestGridValidation:
+    @pytest.mark.parametrize("check", [check_symmetry_equations, check_chi_xi])
+    @pytest.mark.parametrize("ts", [[], (), 0.3, [[0.1, 0.2]], np.zeros((2, 3))])
+    def test_rejects_a_grid_that_is_not_a_nonempty_sequence(self, check, ts, flagship):
+        with pytest.raises(ValueError, match="grid"):
+            check(flagship, ts)
 
 
 class TestChiXi:

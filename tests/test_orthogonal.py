@@ -424,14 +424,15 @@ class TestFamilyViews:
         convert = _mp._MpFamily._complex
 
         def counted(fam, x):
-            calls.append(x)
+            calls.append(len(x))  # a stack of (N, N) matrices
             return convert(fam, x)
 
         monkeypatch.setattr(_mp._MpFamily, "_complex", counted)
         first = _tables(p, 6)
         built = len(calls)
-        # per degree: its coefficients, the norm, Bhat, Chat, Delta, A and B
-        assert built == sum(k + 1 + 6 for k in range(7))
+        # per degree one call for its k + 1 coefficients and one for its six
+        # tables: the norm, Bhat, Chat, Delta, A and B
+        assert calls == [m for k in range(7) for m in (k + 1, 6)]
         seq = monic_sequence(p, 6)
         seq.pairing(6, 3)
         again = _tables(p, 6) + _tables(p, 4)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import invalid_params
-from matorth import _mp
+from matorth import _mp, weights
 from matorth.gausserf import ERF, GAUSS, PLAIN, GaussErfMatrix, atom, gauss_integral
 from matorth.linalg import MatrixPolynomial, max_abs
 from matorth.weights import (IdentityReport, WeightParams, abel_identity_check,
@@ -151,6 +151,20 @@ class TestWeightEval:
             w_sym = weight_symbolic(p)
             for t in (-2.2, 0.1, 1.4):
                 assert max_abs(w_sym(t) - weight_eval(p, t)[1]) < 1e-13
+
+
+class TestScalarEvaluation:
+    """A Python float takes its own path through ``weight_eval``, with the
+    bits of the array path."""
+
+    @pytest.mark.parametrize("t", [0.0, -0.0, 3.25, -3.25, 19.5])
+    def test_matches_the_array_path_byte_for_byte(self, t):
+        for p in members():
+            scalar = weight_eval(p, t)
+            for array in (np.array([t]), np.array(t)):
+                for part, one in zip(weight_eval(p, array), scalar):
+                    assert one.shape == (p.size, p.size)
+                    assert one.tobytes() == part.reshape(one.shape).tobytes()
 
 
 class TestArrayEvaluation:
@@ -302,6 +316,21 @@ class TestStructureIdentities:
         assert rep.skipped == ("even_power_sum",)
         assert len(rep.residuals) == 5
         assert rep.max_residual < 1e-12
+
+    @pytest.mark.parametrize("b", [0.4, 1.0, 2.5])
+    def test_cached_report_equals_one_built_from_scratch(self, b):
+        # the identities that do not depend on t are kept per parameter set
+        p = WeightParams(5, (1.0, 0.4j, 1.1, -0.6), b)
+        verify_structure_identities(p, -2.0)
+        cached = [repr(verify_structure_identities(p, t)) for t in (0.3, 1.9)]
+        fresh = []
+        for t in (0.3, 1.9):
+            weights._fixed_identities.cache_clear()
+            fresh.append(repr(verify_structure_identities(p, t)))
+        assert cached == fresh
+        assert list(verify_structure_identities(p, 0.3).residuals) == [
+            "bracket_series", "exp_intertwines_scale", "gauss_conj_scale_left",
+            "gauss_conj_scale_right", *["even_power_sum"] * (b != 1.0), "bracket_defect"]
 
     def test_nan_residual_is_never_dropped(self):
         rep = IdentityReport({"x": 0.0, "y": math.nan, "z": 1e-3}, ())
