@@ -10,13 +10,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import index
 from typing import Sequence
 
 import numpy as np
 
 from .gausserf import ERF, GAUSS, GaussErfMatrix
 from .linalg import MatrixPolynomial, max_abs
-from .operator import build_operator, eigenvalue_matrix
+from .operator import _grid, build_operator, eigenvalue_matrix
 from .orthogonal import MonicSequence, RecurrenceTable, orthonormalize_sequence
 from .weights import WeightParams, weight_inverse_symbolic_2x2
 
@@ -43,9 +44,16 @@ __all__ = [
 _SQRT_PI = math.sqrt(math.pi)
 
 
-def _require_2x2(p: WeightParams):
+def _degree(n: int, low: int = 0):
+    if index(n) < low:  # and TypeError for a degree that is not an integer
+        raise ValueError(f"the degree must be >= {low}, got {n}")
+
+
+def _require_2x2(p: WeightParams, n: int = 0, low: int = 0):
+    """The guard of every closed form: size 2 and a degree ``n >= low``."""
     if p.size != 2:
         raise ValueError("closed forms exist only for size 2")
+    _degree(n, low)
 
 
 def hermite_value(n: int, x):
@@ -79,6 +87,7 @@ def _hermite_coeff_tuple(n: int) -> tuple[float, ...]:
 
 def hermite_coefficients(n: int) -> np.ndarray:
     """Monomial coefficients of the degree-n Hermite polynomial."""
+    _degree(n)
     return np.array(_hermite_coeff_tuple(n))
 
 
@@ -89,7 +98,7 @@ def _scaled_hermite(n: int, b: float) -> np.ndarray:
 
 def gamma_value(p: WeightParams, n: int) -> float:
     """The scalar normalization gamma_n = 2 + |a|^2 b^(n - 1/2) n."""
-    _require_2x2(p)
+    _require_2x2(p, n)
     if n == 0:
         return 2.0
     return 2.0 + abs(p.a[0]) ** 2 * p.b ** (n - 0.5) * n
@@ -104,7 +113,7 @@ def _log_gamma_value(p: WeightParams, n: int) -> float:
 
 def gamma_ratio(p: WeightParams, n: int) -> float:
     """gamma_{n+1} / gamma_n, stable for any n and b (no overflow)."""
-    _require_2x2(p)
+    _require_2x2(p, n)
     aa = abs(p.a[0]) ** 2
     b = p.b
     if b <= 1.0:
@@ -131,7 +140,7 @@ class NormalizationFactors:
 
 
 def normalization(p: WeightParams, n: int) -> NormalizationFactors:
-    _require_2x2(p)
+    _require_2x2(p, n)
     g = gamma_value(p, n)
     leading = 2.0 ** n * np.diag([1.0, g]).astype(complex)
     log_pref = 0.5 * (n * math.log(2.0) - 0.5 * math.log(math.pi)
@@ -147,7 +156,7 @@ def normalization(p: WeightParams, n: int) -> NormalizationFactors:
 def explicit_polynomial(p: WeightParams, n: int) -> MatrixPolynomial:
     """Degree-n member of the Rodrigues-normalized sequence, written out
     through scaled Hermite coefficient expansions (degree 0 is diag(1, 2))."""
-    _require_2x2(p)
+    _require_2x2(p, n)
     if n == 0:
         return MatrixPolynomial.constant(np.diag([1.0, 2.0]))
     a, b = p.a[0], p.b
@@ -177,9 +186,7 @@ def explicit_polynomial(p: WeightParams, n: int) -> MatrixPolynomial:
 def rodrigues_kernel(p: WeightParams, n: int) -> GaussErfMatrix:
     """The function matrix whose n-th derivative times the inverse weight
     produces the degree-n polynomial. Lives in the Gaussian-erf algebra."""
-    _require_2x2(p)
-    if n < 1:
-        raise ValueError("the Rodrigues kernel is defined for n >= 1")
+    _require_2x2(p, n, 1)
     a, b = p.a[0], p.b
     aa, sign, ca = abs(a) ** 2, (-1.0) ** n, np.conj(a)
     # keys (GAUSS, b), (GAUSS, 1), (ERF, b), (ERF, 1); index [key, power]
@@ -197,9 +204,7 @@ def rodrigues_polynomial(p: WeightParams, n: int) -> MatrixPolynomial:
     """Differentiate the Rodrigues kernel n times and multiply by the inverse
     weight, symbolically. Every transcendental atom must cancel; survivors
     beyond 1e-9 (relative) raise, as does a wrong resulting degree."""
-    _require_2x2(p)
-    if n < 1:
-        raise ValueError("rodrigues_polynomial is defined for n >= 1")
+    _require_2x2(p, n, 1)
     product = rodrigues_kernel(p, n).derivative(n) @ weight_inverse_symbolic_2x2(p)
     poly = product.to_polynomial()
     if poly.degree != n:
@@ -220,7 +225,7 @@ def orthonormal_recurrence(p: WeightParams, n: int) -> tuple[np.ndarray, np.ndar
     A_n (n >= 1) is diagonal positive, B_n (n >= 0) Hermitian with zero
     diagonal. Computed through gamma ratios and logs so large n stays finite.
     """
-    _require_2x2(p)
+    _require_2x2(p, n)
     a, b = p.a[0], p.b
     if n >= 1:
         a_mat = math.sqrt(n) * np.diag(_scaled_a_diagonal(p, n)).astype(complex)
@@ -251,7 +256,7 @@ class ClosedRecurrence:
 def recurrence_closed_forms(p: WeightParams, n: int) -> ClosedRecurrence:
     """All closed-form recurrence data at index n, cross-checked internally
     against the gauge transport of the orthonormal coefficients."""
-    _require_2x2(p)
+    _require_2x2(p, n)
     a, b = p.a[0], p.b
     g_n = gamma_value(p, n)
     g_np = gamma_value(p, n + 1)
@@ -305,7 +310,7 @@ def _consistent(name: str, lhs: np.ndarray, rhs: np.ndarray):
 def closed_norms(p: WeightParams, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Squared norms (monic gauge, Rodrigues gauge) as closed forms; computed
     in log space so factorial growth cannot overflow prematurely."""
-    _require_2x2(p)
+    _require_2x2(p, n)
     b = p.b
     log_pref = 0.5 * math.log(math.pi) + math.lgamma(n + 1) - n * math.log(2.0)
     monic = np.diag([
@@ -379,9 +384,8 @@ def rodrigues_pde_residual(p: WeightParams, n: int, ts: Sequence[float]) -> floa
     ``(R m2)'' - (R m1)' + R m0 = Lambda_n R`` over the grid, with every
     derivative taken exactly in the function algebra and the whole grid
     evaluated at once."""
-    _require_2x2(p)
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _require_2x2(p, n, 1)
+    ts = _grid(ts)
     kern = rodrigues_kernel(p, n)
     m2, m1, m0 = pde_coefficients(p, n)
     lam = eigenvalue_matrix(p, n)
@@ -389,7 +393,7 @@ def rodrigues_pde_residual(p: WeightParams, n: int, ts: Sequence[float]) -> floa
             - kern.poly_mul(m1).derivative()
             + kern.poly_mul(m0)
             - kern.lmul(lam))
-    return max_abs(expr(np.asarray(ts, dtype=float)))
+    return max_abs(expr(ts))
 
 
 def normalized_recurrence_from_moments(p: WeightParams, seq: MonicSequence) -> RecurrenceTable:

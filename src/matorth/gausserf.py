@@ -148,7 +148,7 @@ class GaussErfMatrix:
     and zero top powers dropped. ``polys`` (each key's polynomial) and
     ``terms`` (nonzero coefficients by :class:`Atom`) view ``coeffs``."""
 
-    __slots__ = ("dim", "keys", "coeffs")
+    __slots__ = ("dim", "keys", "coeffs", "_table")
 
     def __init__(self, dim: int, terms: Iterable[tuple[Atom, np.ndarray]] = (),
                  polys: Iterable[tuple[Key, MatrixPolynomial]] = ()):
@@ -176,7 +176,7 @@ class GaussErfMatrix:
             stack = stack[np.array(keep, dtype=bool), :depth]  # a copy: the rest can go
             keys = tuple(key for key, v in zip(keys, keep) if v)
         stack.setflags(write=False)
-        self.dim, self.keys, self.coeffs = dim, keys, stack
+        self.dim, self.keys, self.coeffs, self._table = dim, keys, stack, np.zeros((len(keys), 0))
         return self
 
     def _of(self, keys: tuple[Key, ...], stack: np.ndarray) -> "GaussErfMatrix":
@@ -256,12 +256,19 @@ class GaussErfMatrix:
     def integrate(self, extra_power: int = 0) -> np.ndarray:
         """Exact ``integral over R of t**extra_power * self(t) dt``, summed
         key by key and power by power. Only Gaussian atoms of positive scale
-        are integrable; plain or erf atoms raise."""
+        are integrable; plain or erf atoms raise. Every order reads the
+        instance's (K, Q) table of ``gauss_integral(q, scale)``, q < Q."""
         for kind, _ in self.keys:
             if kind != GAUSS:
                 raise ValueError(f"cannot integrate a {kind} atom over R")
-        weights = np.array([[gauss_integral(k + extra_power, s)
-                             for k in range(self.coeffs.shape[1])] for _, s in self.keys])
+        if index(extra_power) < 0:
+            raise ValueError("divergent integral: power must be >= 0")
+        table, top = self._table, extra_power + self.coeffs.shape[1]
+        if table.shape[1] < top:  # by top more powers, into a new array: none is written
+            table = self._table = np.hstack((table, np.array(
+                [[gauss_integral(q, s) for _, s in self.keys]
+                 for q in range(table.shape[1], table.shape[1] + top)]).T))
+        weights = table[:, extra_power:top]
         terms = weights.reshape(weights.shape + (1, 1)) * self.coeffs
         return _running_sum(terms.reshape(-1, self.dim, self.dim))
 

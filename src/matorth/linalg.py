@@ -43,7 +43,7 @@ def max_abs(a: np.ndarray) -> float:
     """Largest entry magnitude; 0 for empty input."""
     if a.size == 0:
         return 0.0
-    return float(np.max(np.abs(a)))
+    return float(np.abs(a).max())
 
 
 def worst(values: Iterable[float]) -> float:
@@ -137,13 +137,13 @@ class MatrixPolynomial:
     def __call__(self, t) -> np.ndarray:
         """Value at a scalar t, shape (N, N), or at each entry of a 1-D array
         of t, shape (n_t, N, N), by Horner's rule: a Python float multiplies
-        as itself, any other t as an array, with the same arithmetic."""
+        as ``complex(t)``, any other t as an array, with the same arithmetic."""
         scalar = isinstance(t, float)
-        x = t if scalar else np.asarray(t)[..., np.newaxis, np.newaxis]
+        x = complex(t) if scalar else np.asarray(t)[..., np.newaxis, np.newaxis]
         out = np.zeros((() if scalar else x.shape[:-2]) + (self.dim, self.dim), dtype=complex)
-        for c in self.coeffs[::-1]:
+        for k in range(len(self.coeffs) - 1, -1, -1):
             out *= x
-            out += c
+            out += self.coeffs[k]
         return out
 
     def derivative(self, order: int = 1) -> "MatrixPolynomial":

@@ -172,7 +172,7 @@ def _trapezoid(p: WeightParams, degree_hint: int,
     # bit-exactly instead of at eps times its (possibly huge) magnitude
     total = np.zeros((p.size, p.size), dtype=complex) + at_zero
     for pair in pairs:
-        total = total + pair
+        total += pair
     return h * total
 
 
@@ -181,7 +181,9 @@ def quadrature_oracle(p: WeightParams, integrand: Callable[[float], np.ndarray],
     """Trapezoid-rule cross-check of weight-type integrals over the real line,
     calling ``integrand`` once per node with a Python float. Reads only the
     size and b of ``p``, so it never depends on the exact-moment path it
-    checks."""
+    checks. A ``degree_hint`` that is not an integer raises TypeError."""
+    if index(degree_hint) < 0:
+        raise ValueError("degree_hint must be >= 0")
     return _trapezoid(p, degree_hint, lambda ts: (
         integrand(0.0), (integrand(t) + integrand(-t) for t in ts.tolist())))
 

@@ -163,10 +163,11 @@ def weight_eval(p: WeightParams, t) -> tuple[np.ndarray, np.ndarray]:
     (N, N), or at each entry of a 1-D array of t, shapes (n_t, N, N); a Python
     float is used as itself, any other t as an array, in the same arithmetic."""
     s = build_structure(p)
-    x = t if isinstance(t, float) else np.asarray(t, dtype=float)[..., np.newaxis]
-    gt = np.exp(s.gauss_scales * x * x)
-    big_t = exp_factor(p)(t) * gt[..., np.newaxis, :]
-    return big_t, big_t @ np.swapaxes(big_t.conj(), -1, -2)
+    scalar = isinstance(t, float)
+    x = t if scalar else np.asarray(t, dtype=float)[..., np.newaxis]
+    gt = np.exp(s.gauss_scales * x * x)  # at a float, shape (N,): it scales the columns
+    big_t = exp_factor(p)(t) * (gt if scalar else gt[..., np.newaxis, :])
+    return big_t, big_t @ big_t.conj().swapaxes(-1, -2)
 
 
 def column_outers(exp_coeffs) -> np.ndarray:

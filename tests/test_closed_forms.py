@@ -6,7 +6,8 @@ import pytest
 from conftest import poly_rel_dev, rel_dev
 from matorth.closed_forms import (asymptotic_report, branch_limit,
                                   closed_norms, explicit_polynomial,
-                                  gamma_ratio, gamma_value, hermite_value,
+                                  gamma_ratio, gamma_value, hermite_coefficients,
+                                  hermite_value,
                                   normalization, normalized_recurrence_from_moments,
                                   orthonormal_recurrence, pde_coefficients,
                                   recurrence_closed_forms, rodrigues_kernel,
@@ -38,6 +39,44 @@ class TestHermite:
     def test_degree_guard(self):
         with pytest.raises(ValueError):
             hermite_value(201, 0.0)
+
+
+class TestDegreeGuard:
+    """Every closed form takes a degree: an integer >= 0 (>= 1 for the
+    Rodrigues construction), or it raises before computing anything."""
+
+    FORMS = [lambda n: hermite_coefficients(n),
+             *(lambda n, f=f: f(WeightParams(2, (1.0,), 2.0), n)
+               for f in (explicit_polynomial, closed_norms, normalization,
+                         orthonormal_recurrence, recurrence_closed_forms,
+                         gamma_value, gamma_ratio))]
+
+    @pytest.mark.parametrize("form", FORMS)
+    @pytest.mark.parametrize("n", [-1, -3])
+    def test_negative_degree_raises_value_error(self, form, n):
+        with pytest.raises(ValueError, match="degree must be >= 0"):
+            form(n)
+
+    @pytest.mark.parametrize("form", FORMS)
+    @pytest.mark.parametrize("n", [2.5, 2.0])
+    def test_non_integer_degree_raises_type_error(self, form, n):
+        with pytest.raises(TypeError):
+            form(n)
+
+    @pytest.mark.parametrize("form", [rodrigues_kernel, rodrigues_polynomial,
+                                      lambda p, n: rodrigues_pde_residual(p, n, [0.5])])
+    def test_rodrigues_forms_start_at_degree_one(self, form):
+        p = WeightParams(2, (1.0,), 2.0)
+        for n in (0, -1):
+            with pytest.raises(ValueError, match="degree must be >= 1"):
+                form(p, n)
+        with pytest.raises(TypeError):
+            form(p, 2.5)
+
+    def test_integer_types_are_accepted(self):
+        p = WeightParams(2, (1.0,), 2.0)
+        assert np.array_equal(explicit_polynomial(p, np.int64(3)).coeffs,
+                              explicit_polynomial(p, 3).coeffs)
 
 
 class TestRodriguesKernel:
@@ -380,3 +419,9 @@ class TestRodriguesEquation:
     def test_residual_over_degrees(self, n, grid):
         p = WeightParams(2, (1.0,), 2.0)
         assert rodrigues_pde_residual(p, n, grid) < 1e-10
+
+    @pytest.mark.parametrize("ts", [[], 0.3, [[0.1, 0.2]]])
+    def test_rejects_a_grid_it_cannot_use(self, flagship, ts):
+        # an empty grid would check nothing and read 0.0, a pass
+        with pytest.raises(ValueError, match="non-empty 1-D"):
+            rodrigues_pde_residual(flagship, 2, ts)

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 from types import MappingProxyType
 
 import numpy as np
@@ -380,6 +382,72 @@ class TestAgainstPerKeyAlgebra:
                                           in zip(build_structure(p).gauss_scales, outers)])
                 for m in range(2 * size + 1):
                     assert weight_moment(p, m).tobytes() == ref.integrate(m).tobytes()
+
+
+class TestIntegralTable:
+    """One instance serves every moment order from its table of Gaussian
+    integrals, with the bits of a fresh instance and of the per-term sum."""
+
+    @staticmethod
+    def weights():
+        rng = np.random.default_rng(17)
+        for size in range(2, 7):
+            p = draw_params(rng, sizes=(size, size))
+            outers = column_outers(exp_factor(p).coeffs)
+            keys = [(GAUSS, -2.0 * g) for g in build_structure(p).gauss_scales]
+            ref = PerKey(size, polys=[(key, MatrixPolynomial(row))
+                                      for key, row in zip(keys, outers)])
+            yield keys, outers, ref
+
+    @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+    def test_any_order_of_calls_gives_the_same_bytes(self, order):
+        orders = list(range(41))
+        if order == "descending":
+            orders.reverse()
+        elif order == "shuffled":
+            np.random.default_rng(3).shuffle(orders)
+        for keys, outers, ref in self.weights():
+            f = GaussErfMatrix.stacked(keys, outers)
+            for m in orders:
+                got = f.integrate(m).tobytes()
+                assert got == GaussErfMatrix.stacked(keys, outers).integrate(m).tobytes()
+                assert got == ref.integrate(m).tobytes(), m
+
+    def test_threads_sharing_one_table_get_the_serial_bytes(self):
+        keys, outers, _ = list(self.weights())[-1]
+        shared = GaussErfMatrix.stacked(keys, outers)
+        want = {m: GaussErfMatrix.stacked(keys, outers).integrate(m).tobytes() for m in range(41)}
+        results: dict[int, dict] = {}
+        start = threading.Barrier(4)
+
+        def worker(k: int):
+            orders = list(range(41))
+            np.random.default_rng(k).shuffle(orders)
+            start.wait(timeout=30)
+            results[k] = {m: shared.integrate(m).tobytes() for m in orders}
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert sorted(results) == [0, 1, 2, 3]
+        assert all(results[k] == want for k in range(4))
+
+    def test_a_filled_table_still_rejects_bad_orders(self):
+        keys, outers, _ = next(self.weights())
+        f = GaussErfMatrix.stacked(keys, outers)
+        f.integrate(30)
+        with pytest.raises(ValueError):
+            f.integrate(-1)
+        with pytest.raises(TypeError):
+            f.integrate(1.5)
 
 
 class TestKeyValidation:

@@ -157,6 +157,19 @@ class TestAdPower:
             ad_power(np.eye(2), np.eye(3), 1)
 
 
+class TestMaxAbs:
+    def test_empty_is_zero(self):
+        assert max_abs(np.zeros((0, 3), dtype=complex)) == 0.0
+
+    def test_nan_propagates(self):
+        assert math.isnan(max_abs(np.array([1.0, math.nan, -2.0])))
+        assert math.isnan(max_abs(np.array([[1.0, complex(0.0, math.nan)]])))
+
+    def test_negative_zero_is_zero(self):
+        got = max_abs(np.array([-0.0]))
+        assert got == 0.0 and math.copysign(1.0, got) == 1.0
+
+
 class TestWorst:
     @settings(max_examples=60, deadline=None, database=None, derandomize=True)
     @given(st.lists(st.floats(0.0, 1e300), max_size=8), st.data())

@@ -296,6 +296,17 @@ class TestQuadratureOracle:
             for value in (moment_oracle(p, m), pointwise):
                 assert np.all(value[odd] == 0.0), (p, m)
 
+    @pytest.mark.parametrize("hint", [-1, -26, -27, -100])
+    def test_rejects_negative_degree_hint(self, flagship, hint):
+        # -26..-1 would shrink the rule below its budget 40 + 1.5 degree_hint,
+        # and from -27 down the budget is negative
+        def unused(t):
+            raise AssertionError("the integrand was evaluated")
+        with pytest.raises(ValueError, match="degree_hint"):
+            quadrature_oracle(flagship, unused, degree_hint=hint)
+        with pytest.raises(TypeError):
+            quadrature_oracle(flagship, unused, degree_hint=hint + 0.5)
+
     def test_moment_oracle_rejects_negative_order(self, flagship):
         with pytest.raises(ValueError, match="order"):
             moment_oracle(flagship, -1)

@@ -157,7 +157,7 @@ class TestScalarEvaluation:
     """A Python float takes its own path through ``weight_eval``, with the
     bits of the array path."""
 
-    @pytest.mark.parametrize("t", [0.0, -0.0, 3.25, -3.25, 19.5])
+    @pytest.mark.parametrize("t", [0.0, -0.0, 1e-300, -1e-300, -3.0, 3.25, -3.25, 19.5])
     def test_matches_the_array_path_byte_for_byte(self, t):
         for p in members():
             scalar = weight_eval(p, t)
