@@ -5,7 +5,8 @@ closed under differentiation and under multiplication by matrix polynomials.
 A function holds one read-only ``(K, D, N, N)`` tensor: ``[i, k]`` multiplies
 ``t**k`` times the atom of key i, ``(kind, scale)``. Each operation works on
 all keys at once and gives the bits of a loop over them: sums run in key
-order, powers ascending. Scales are keyed by their exact float.
+order, powers ascending. Scales are keyed by their exact float. A stack of
+functions on shared keys, with batch axes before K, gives each member its bits.
 Gaussian atoms with ``c <= 0`` appear transiently inside products; they must
 cancel before a result is read as a polynomial, and cannot be integrated.
 """
@@ -14,11 +15,11 @@ from __future__ import annotations
 import math
 from operator import index
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
-from .linalg import MatrixPolynomial, as_square, convolve, max_abs, worst
+from .linalg import MatrixPolynomial, as_square, convolve, max_abs
 
 __all__ = ["Atom", "GaussErfMatrix", "PLAIN", "GAUSS", "ERF", "gauss_integral"]
 
@@ -77,17 +78,19 @@ def _merged(keys: Iterable[Key], stack: np.ndarray) -> tuple[tuple[Key, ...], np
     index: dict[Key, int] = {}
     rows = [index.setdefault(_key(*key), len(index)) for key in keys]
     if len(index) < len(rows):
-        merged = np.zeros((len(index),) + stack.shape[1:], dtype=complex)
-        for row, v in zip(rows, stack):
-            merged[row] += v
+        merged = np.zeros(stack.shape[:-4] + (len(index),) + stack.shape[-3:], dtype=complex)
+        out = merged.swapaxes(0, -4)  # a view, the key axis first
+        for row, v in zip(rows, stack.swapaxes(0, -4)):
+            out[row] += v
         stack = merged
     return tuple(index), stack
 
 
 def _rows(keys: tuple[Key, ...], kind: str) -> slice | list[int] | None:
-    """The rows of the keys of ``kind``: None for none, a slice for all."""
+    """The rows of the keys of ``kind``: None for none, a slice for a run."""
     rows = [i for i, (k, _) in enumerate(keys) if k == kind]
-    return (slice(None) if len(rows) == len(keys) else rows) if rows else None
+    return (slice(rows[0], rows[-1] + 1) if len(rows) == rows[-1] + 1 - rows[0] else rows) \
+        if rows else None
 
 
 def _running_sum(terms: np.ndarray) -> np.ndarray:
@@ -101,9 +104,10 @@ def _running_sum(terms: np.ndarray) -> np.ndarray:
 def combine(a: np.ndarray, b: np.ndarray, op=np.subtract, rows=slice(None), size=None):
     """``op`` (subtract or add) of two coefficient tensors, row ``rows[i]`` of
     ``a`` with row i of ``b``, padded with zero powers and to ``size`` rows."""
-    stack = np.zeros((size or len(a), max(a.shape[1], b.shape[1])) + a.shape[2:], dtype=complex)
-    stack[:len(a), :a.shape[1]] = a
-    stack[rows, :b.shape[1]] = op(stack[rows, :b.shape[1]], b)
+    stack = np.zeros(a.shape[:-4] + (size or a.shape[-4], max(a.shape[-3], b.shape[-3]))
+                     + a.shape[-2:], dtype=complex)
+    stack[..., :a.shape[-4], :a.shape[-3], :, :] = a
+    stack[..., rows, :b.shape[-3], :, :] = op(stack[..., rows, :b.shape[-3], :, :], b)
     return stack
 
 
@@ -113,25 +117,27 @@ def derivative_stack(keys: tuple[Key, ...], c: np.ndarray):
     sqrt(s/pi) exp(-s t**2)`` on an erf, whose Gaussian key goes last."""
     erf = [i for i, (kind, _) in enumerate(keys) if kind == ERF]
     scales = np.array([s for _, s in keys])[:, None, None, None]
-    stack = np.zeros((len(keys) + len(erf), c.shape[1] + 1) + c.shape[2:], dtype=complex)
-    stack[:len(keys), :-2] = np.arange(1.0, c.shape[1])[:, None, None] * c[:, 1:]
+    depth = c.shape[-3]
+    stack = np.zeros(c.shape[:-4] + (len(keys) + len(erf), depth + 1) + c.shape[-2:], dtype=complex)
+    stack[..., :len(keys), :-2, :, :] = np.arange(1.0, depth)[:, None, None] * c[..., 1:, :, :]
     gauss = _rows(keys, GAUSS)
     if gauss is not None:
-        stack[gauss, 1:] += -2.0 * scales[gauss] * c[gauss]
+        stack[..., gauss, 1:, :, :] += -2.0 * scales[gauss] * c[..., gauss, :, :, :]
     if erf:
-        stack[len(keys):, :-1] = 2.0 * np.sqrt(scales[erf]) / math.sqrt(math.pi) * c[erf]
+        stack[..., len(keys):, :-1, :, :] = (2.0 * np.sqrt(scales[erf]) / math.sqrt(math.pi)
+                                             * c[..., erf, :, :, :])
     return keys + tuple((GAUSS, keys[i][1]) for i in erf), stack
 
 
 def evaluate(keys: tuple[Key, ...], c: np.ndarray, t) -> np.ndarray:
-    """Value of the tensor ``c`` on ``keys`` at a scalar t, shape (N, N), or
-    at each entry of a 1-D array of t, shape (n_t, N, N): one Horner pass over
-    every key, times each key's atom, summed over the keys in order."""
-    x = np.asarray(t, dtype=float)[..., None, None, None]
-    acc = np.zeros(x.shape[:-3] + (len(keys),) + c.shape[2:], dtype=complex)
-    for v in c.swapaxes(0, 1)[::-1]:
+    """Value of the tensor ``c`` on ``keys`` at a scalar t, shape (..., N, N),
+    or at each entry of a 1-D array of t, shape (n_t, ..., N, N): one Horner
+    pass over every key, times each key's atom, summed over the keys in order."""
+    x = np.asarray(t, dtype=float)[(...,) + (None,) * (c.ndim - 1)]
+    acc = np.zeros(x.shape[:x.ndim - c.ndim + 1] + c.shape[:-3] + c.shape[-2:], dtype=complex)
+    for k in range(c.shape[-3] - 1, -1, -1):
         acc *= x
-        acc += v
+        acc += c[..., k, :, :]
     scales = np.array([s for _, s in keys])[:, None, None]
     for kind, f in ((GAUSS, lambda s: np.exp(-s * x * x)),
                     (ERF, lambda s: _erf(np.sqrt(s) * x))):
@@ -141,12 +147,31 @@ def evaluate(keys: tuple[Key, ...], c: np.ndarray, t) -> np.ndarray:
     return _running_sum(acc)
 
 
+def polynomials(keys: tuple[Key, ...], stack: np.ndarray) -> Iterator[MatrixPolynomial]:
+    """Each function of an (M, K, D, N, N) stack on ``keys`` collapsed to a
+    matrix polynomial, in order, as ``GaussErfMatrix.to_polynomial`` does."""
+    peaks = np.abs(stack).max(axis=(-2, -1), initial=0.0)
+    scales = np.maximum(1.0, peaks.max(axis=(1, 2), initial=0.0))
+    plain = [i for i, (kind, _) in enumerate(keys) if kind == PLAIN]
+    residues = np.delete(peaks, plain, axis=1).max(axis=(1, 2), initial=0.0)
+    for c, peak, scale, residue in zip(stack, peaks, scales, residues):
+        if not residue <= RESIDUAL_TOL * scale:
+            raise ArithmeticError(
+                f"transcendental atoms did not cancel (residual {residue:.3e} "
+                f"vs scale {scale:.3e})")
+        live = np.flatnonzero(peak[plain].reshape(-1) > RESIDUAL_TOL * scale)
+        top = live[-1] + 1 if live.size else 0  # no plain key: the zero polynomial
+        yield MatrixPolynomial._of(c[plain].reshape((-1,) + c.shape[-2:])[:top])
+
+
 class GaussErfMatrix:
     """Matrix-valued function ``sum_i sum_k coeffs[i, k] t**k f_i(t)``, with
     ``f_i`` the atom of ``keys[i]``, from ``(Atom, matrix)`` and ``((kind,
     scale), MatrixPolynomial)`` pairs: equal keys summed in order, zero keys
     and zero top powers dropped. ``polys`` (each key's polynomial) and
-    ``terms`` (nonzero coefficients by :class:`Atom`) view ``coeffs``."""
+    ``terms`` (nonzero coefficients by :class:`Atom`) view ``coeffs``. From
+    ``stacked`` it can be a stack; ``polys``, ``terms``, ``integrate`` and
+    ``to_polynomial`` then do not apply."""
 
     __slots__ = ("dim", "keys", "coeffs", "_table")
 
@@ -163,17 +188,18 @@ class GaussErfMatrix:
 
     @classmethod
     def stacked(cls, keys: Iterable[Key], coeffs: np.ndarray) -> "GaussErfMatrix":
-        """The function of a copy of the (K, D, N, N) tensor ``coeffs`` on ``keys``."""
+        """The function of a copy of the (..., K, D, N, N) tensor ``coeffs`` on ``keys``."""
         stack = np.array(coeffs, dtype=complex)
         return cls.__new__(cls)._own(stack.shape[-1], *_merged(keys, stack))
 
     def _own(self, dim: int, keys: tuple[Key, ...], stack: np.ndarray) -> "GaussErfMatrix":
-        """Take over ``stack`` on distinct canonical ``keys``, trimmed, read-only."""
-        live = np.logical_or.reduce(stack, axis=(2, 3)).tolist()
+        """Take over ``stack`` on distinct canonical ``keys``, read-only, without
+        the keys and top powers that are zero in every member."""
+        live = np.logical_or.reduce(stack, axis=tuple(range(stack.ndim - 4)) + (-2, -1)).tolist()
         if not (all(map(any, live)) and any(row[-1] for row in live)):
             keep = [any(row) for row in live]
             depth = max((k + 1 for row in live for k, v in enumerate(row) if v), default=0)
-            stack = stack[np.array(keep, dtype=bool), :depth]  # a copy: the rest can go
+            stack = stack[..., keep, :depth, :, :]  # a copy: the rest can go
             keys = tuple(key for key, v in zip(keys, keep) if v)
         stack.setflags(write=False)
         self.dim, self.keys, self.coeffs, self._table = dim, keys, stack, np.zeros((len(keys), 0))
@@ -223,10 +249,10 @@ class GaussErfMatrix:
         pairs = [(k1, k2) for k1 in self.keys for k2 in other.keys]
         if any(ERF in (k1, k2) and PLAIN not in (k1, k2) for (k1, _), (k2, _) in pairs):
             raise ValueError("erf atoms can only be multiplied by polynomial factors")
-        stack = convolve(self.coeffs[:, None], other.coeffs[None])
+        stack = convolve(self.coeffs[..., :, None, :, :, :], other.coeffs[..., None, :, :, :, :])
         return self._of(*_merged([(k1 if k2 == PLAIN else k2, s1 + s2)
                                   for (k1, s1), (k2, s2) in pairs],
-                                 stack.reshape((len(pairs),) + stack.shape[2:])))
+                                 stack.reshape(stack.shape[:-5] + (len(pairs),) + stack.shape[-3:])))
 
     def lmul(self, m: np.ndarray) -> "GaussErfMatrix":
         return self._of(self.keys, as_square(m, self.dim) @ self.coeffs)
@@ -240,7 +266,7 @@ class GaussErfMatrix:
 
     def conj_t(self) -> "GaussErfMatrix":
         """Pointwise conjugate transpose (atoms are real-valued on R)."""
-        return self._of(self.keys, np.conjugate(self.coeffs.swapaxes(2, 3), order="C"))
+        return self._of(self.keys, np.conjugate(self.coeffs.swapaxes(-2, -1), order="C"))
 
     def derivative(self, order: int = 1) -> "GaussErfMatrix":
         """Exact derivative, by ``derivative_stack`` once per order."""
@@ -280,17 +306,7 @@ class GaussErfMatrix:
         to have cancelled: a non-plain coefficient above ``RESIDUAL_TOL``
         relative to the largest coefficient, or any NaN, raises. Smaller
         residue (including plain dust above the true degree) is dropped."""
-        scale = worst((1.0, self.max_coeff()))
-        plain = [i for i, (kind, _) in enumerate(self.keys) if kind == PLAIN]
-        residue = max_abs(np.delete(self.coeffs, plain, axis=0))
-        if not residue <= RESIDUAL_TOL * scale:
-            raise ArithmeticError(
-                f"transcendental atoms did not cancel (residual {residue:.3e} "
-                f"vs scale {scale:.3e})")
-        coeffs = self.coeffs[plain].reshape(-1, self.dim, self.dim)  # no plain key: none
-        top = max((k + 1 for k, c in enumerate(coeffs)
-                   if max_abs(c) > RESIDUAL_TOL * scale), default=0)
-        return MatrixPolynomial(coeffs[:top], dim=self.dim)
+        return next(polynomials(self.keys, self.coeffs[None]))
 
     def __repr__(self) -> str:
         return f"GaussErfMatrix(dim={self.dim}, keys={list(self.keys)})"

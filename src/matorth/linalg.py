@@ -25,6 +25,7 @@ __all__ = [
     "hermitian_residual",
     "max_abs",
     "nilpotent_exp",
+    "peaks",
     "worst",
 ]
 
@@ -44,6 +45,11 @@ def max_abs(a: np.ndarray) -> float:
     if a.size == 0:
         return 0.0
     return float(np.abs(a).max())
+
+
+def peaks(a: np.ndarray) -> np.ndarray:
+    """Largest entry magnitude of each matrix of a (..., N, N) stack."""
+    return np.abs(a).max(axis=(-2, -1))
 
 
 def worst(values: Iterable[float]) -> float:

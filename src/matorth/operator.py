@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import index
 from typing import Sequence
 
 import numpy as np
@@ -84,7 +85,7 @@ def eigenvalue_matrix(p: WeightParams, n: int) -> np.ndarray:
     coefficient of ``fk``; for size 2 it collapses to the real diagonal
     ``diag(-2bn, -2b(n-1))``.
     """
-    if n < 0:
+    if index(n) < 0:  # and TypeError for a degree that is not an integer
         raise ValueError("n must be >= 0")
     op = build_operator(p)
     return n * (n - 1) * op.f2.coeff(2) + n * op.f1.coeff(1) + op.f0.coeff(0)

@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from . import closed_forms as cf
-from .linalg import MatrixPolynomial, max_abs, worst
+from .linalg import MatrixPolynomial, max_abs, peaks, worst
 from .operator import (BOUNDARY_DECAY_TOL, apply_operator, build_operator,
                        check_chi_xi, check_symmetry_equations, eigenvalue_matrix)
 from .orthogonal import (_monic_table, moment_oracle, monic_sequence,
@@ -116,8 +116,9 @@ def params_to_dict(p: WeightParams) -> dict:
     return {"size": p.size, "a": [_ri(v) for v in p.a], "b": p.b}
 
 
-def _rel_dev(x: np.ndarray, y: np.ndarray) -> float:
-    return max_abs(x - y) / max(1.0, max_abs(x), max_abs(y))
+def _rel_devs(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The relative deviation of each pair of matrices of two stacks."""
+    return peaks(x - y) / np.maximum(1.0, np.maximum(peaks(x), peaks(y)))
 
 
 def _poly_rel_dev(x: MatrixPolynomial, y: MatrixPolynomial) -> float:
@@ -215,9 +216,9 @@ def run_suite(config: RunConfig) -> VerificationSummary:
         return worst(deviation(n) for n in range(len(s.polys))), ""
 
     def c_rodrigues_explicit():
-        return worst(_poly_rel_dev(cf.rodrigues_polynomial(p, n),
-                                   cf.explicit_polynomial(p, n))
-                     for n in range(1, min(config.nmax, 12) + 1)), ""
+        degrees = range(1, min(config.nmax, 12) + 1)
+        return worst(map(_poly_rel_dev, cf._rodrigues_table(p, degrees),
+                         cf._explicit_table(p, degrees))), ""
 
     def c_recurrence_closed():
         s = seq()
@@ -225,17 +226,10 @@ def run_suite(config: RunConfig) -> VerificationSummary:
         orth, _ = orthonormalize_sequence(s)
         tilde = cf.normalized_recurrence_from_moments(p, s)
         top = len(s.polys) - 2
-
-        def deviations(n):
-            a_cl, b_cl = cf.orthonormal_recurrence(p, n)
-            rec = cf.recurrence_closed_forms(p, n)
-            return (_rel_dev(orth.A[n], a_cl), _rel_dev(orth.B[n], b_cl),
-                    _rel_dev(monic_b[n], rec.monic_b),
-                    _rel_dev(monic_c[n], rec.monic_c),
-                    _rel_dev(tilde.A[n], rec.rodrigues_a),
-                    _rel_dev(tilde.B[n], rec.rodrigues_b),
-                    _rel_dev(tilde.C[n], rec.rodrigues_c))
-        return (worst(d for n in range(1, top + 1) for d in deviations(n)),
+        closed = cf._recurrence_table(p, range(1, top + 1))
+        built = (monic_b, monic_c, tilde.A, tilde.B, tilde.C, orth.A, orth.B)
+        return (worst(np.concatenate([_rel_devs(np.array(x[1:top + 1]).reshape(-1, 2, 2), y)
+                                      for x, y in zip(built, closed)])),
                 f"degrees 1..{top}")
 
     def c_recurrence_identity():
@@ -243,19 +237,17 @@ def run_suite(config: RunConfig) -> VerificationSummary:
 
     def c_norms():
         s = seq()
-        top = len(s.polys) - 1
-
-        def deviations(n):
-            monic_cl, rodr_cl = cf.closed_norms(p, n)
-            lead = cf.normalization(p, n).leading
-            return (_rel_dev(s.norms[n], monic_cl),
-                    _rel_dev(lead @ s.norms[n] @ lead.conj().T, rodr_cl))
-        return (worst(d for n in range(top + 1) for d in deviations(n)),
-                f"degrees 0..{top}")
+        degrees = range(len(s.polys))
+        monic_cl, rodr_cl = cf._norms_table(p, degrees)
+        lead = cf._normalization_table(p, degrees)[0]
+        norms = np.array(s.norms[:len(degrees)])
+        return (worst(np.concatenate((
+                    _rel_devs(norms, monic_cl),
+                    _rel_devs(lead @ norms @ lead.conj().swapaxes(-1, -2), rodr_cl)))),
+                f"degrees 0..{degrees[-1]}")
 
     def c_rodrigues_equation():
-        return worst(cf.rodrigues_pde_residual(p, n, grid)
-                     for n in range(1, min(config.nmax, 10) + 1)), ""
+        return worst(cf._pde_residual_table(p, range(1, min(config.nmax, 10) + 1), grid)), ""
 
     def c_asymptotics():
         rep = cf.asymptotic_report(p, horizon=200)

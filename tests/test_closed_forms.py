@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import poly_rel_dev, rel_dev
+from matorth import closed_forms as cf
 from matorth.closed_forms import (asymptotic_report, branch_limit,
                                   closed_norms, explicit_polynomial,
                                   gamma_ratio, gamma_value, hermite_coefficients,
@@ -12,10 +13,11 @@ from matorth.closed_forms import (asymptotic_report, branch_limit,
                                   orthonormal_recurrence, pde_coefficients,
                                   recurrence_closed_forms, rodrigues_kernel,
                                   rodrigues_pde_residual, rodrigues_polynomial)
-from matorth.gausserf import GaussErfMatrix, atom, GAUSS
+from matorth.gausserf import ERF, GaussErfMatrix, atom, GAUSS
 from matorth.linalg import MatrixPolynomial, max_abs
-from matorth.operator import eigenvalue_matrix
-from matorth.weights import WeightParams, moment_pairing
+from matorth.operator import build_operator, eigenvalue_matrix
+from matorth.orthogonal import monic_sequence, orthonormalize_sequence
+from matorth.weights import WeightParams, moment_pairing, weight_inverse_symbolic_2x2
 
 TINY = WeightParams(2, (1e-120,), 2.0)
 
@@ -349,6 +351,12 @@ class TestAsymptotics:
         with pytest.raises(ValueError):
             branch_limit(-2.0)
 
+    @pytest.mark.parametrize("b", [math.nan, math.inf, -math.inf])
+    def test_rejects_a_b_that_is_not_finite(self, b):
+        # nan used to give [[nan, 0], [0, 0.7071]] and inf [[0.7071, 0], [0, 0]]
+        with pytest.raises(ValueError, match="finite and positive"):
+            branch_limit(b)
+
     def test_convergence_above_one(self):
         rep = asymptotic_report(WeightParams(2, (1.0,), 4.0), horizon=200)
         assert rep.error_at(200) < 0.02
@@ -425,3 +433,264 @@ class TestRodriguesEquation:
         # an empty grid would check nothing and read 0.0, a pass
         with pytest.raises(ValueError, match="non-empty 1-D"):
             rodrigues_pde_residual(flagship, 2, ts)
+
+
+# The per-degree closed forms as they were before the degree tables, one
+# degree per call: the reference every table matches byte for byte.
+
+def _ref_kernel(p, n):
+    a, b = p.a[0], p.b
+    aa, sign, ca = abs(a) ** 2, (-1.0) ** n, np.conj(a)
+    coeffs = np.zeros((4, 3, 2, 2), dtype=complex)
+    coeffs[0, 0, 0, 0] = sign * b ** float(-n)
+    coeffs[1, 0] = [[sign * aa * n / 2.0, 0.0], [0.0, sign * 2.0]]
+    coeffs[1, 1] = [[0.0, sign * a], [sign * ca * 2.0, 0.0]]
+    coeffs[1, 2, 0, 0] = sign * aa
+    coeffs[2, 0, 1, 0] = sign * ca * math.sqrt(math.pi) * n
+    coeffs[3, 0, 1, 0] = -sign * ca * math.sqrt(math.pi) * n
+    return GaussErfMatrix.stacked([(GAUSS, b), (GAUSS, 1.0), (ERF, b), (ERF, 1.0)], coeffs)
+
+
+def _ref_rodrigues(p, n):
+    poly = (_ref_kernel(p, n).derivative(n) @ weight_inverse_symbolic_2x2(p)).to_polynomial()
+    if poly.degree != n:
+        raise ArithmeticError(f"Rodrigues product has degree {poly.degree}, expected {n}")
+    return poly
+
+
+def _ref_explicit(p, n):
+    if n == 0:
+        return MatrixPolynomial.constant(np.diag([1.0, 2.0]))
+    a, b = p.a[0], p.b
+    aa = abs(a) ** 2
+    hn_b = hermite_coefficients(n) * b ** (np.arange(n + 1) / 2.0)
+    hnm1_b = hermite_coefficients(n - 1) * b ** (np.arange(n) / 2.0)
+    coeffs = [np.zeros((2, 2), dtype=complex) for _ in range(n + 2)]
+    pref = b ** (-n / 2.0)
+    for k, v in enumerate(hn_b):
+        coeffs[k][0, 0] += pref * v
+        coeffs[k + 1][0, 1] += -a * pref * v
+    for k, v in enumerate(hermite_coefficients(n + 1)):
+        coeffs[k][0, 1] += 0.5 * a * v
+    pref = 2.0 * b ** (n / 2.0) * n
+    for k, v in enumerate(hnm1_b):
+        coeffs[k][1, 0] += -np.conj(a) * pref * v
+        coeffs[k + 1][1, 1] += aa * pref * v
+    for k, v in enumerate(hermite_coefficients(n)):
+        coeffs[k][1, 1] += 2.0 * v
+    coeffs[n + 1][0, 1] = 0.0
+    return MatrixPolynomial(coeffs)
+
+
+def _ref_pde_residual(p, n, ts):
+    kern = _ref_kernel(p, n)
+    op = build_operator(p)
+    f2s, f1s, f0s = op.f2.conj_t(), op.f1.conj_t(), op.f0.conj_t()
+    m1 = f1s + float(n) * f2s.derivative()
+    m0 = f0s + float(n) * f1s.derivative() + float(math.comb(n, 2)) * f2s.derivative(2)
+    expr = (kern.poly_mul(f2s).derivative(2) - kern.poly_mul(m1).derivative()
+            + kern.poly_mul(m0) - kern.lmul(eigenvalue_matrix(p, n)))
+    return max_abs(expr(np.asarray(ts, dtype=float)))
+
+
+def _log_gamma(p, n):
+    if n == 0:
+        return math.log(2.0)
+    t = 2.0 * math.log(abs(p.a[0])) + (n - 0.5) * math.log(p.b) + math.log(n)
+    return np.logaddexp(math.log(2.0), t)
+
+
+def _ref_normalization(p, n):
+    g = gamma_value(p, n)
+    leading = 2.0 ** n * np.diag([1.0, g]).astype(complex)
+    log_pref = 0.5 * (n * math.log(2.0) - 0.5 * math.log(math.pi) - math.lgamma(n + 1))
+    d1 = math.exp(log_pref + 0.5 * (math.log(2.0) + (n + 0.5) * math.log(p.b)
+                                    - _log_gamma(p, n + 1)))
+    d2 = math.exp(log_pref + 0.5 * (_log_gamma(p, n) - math.log(2.0)))
+    return (g, leading, np.diag([d1, d2]).astype(complex),
+            np.diag([2.0 ** n / d1, 2.0 ** n * g / d2]).astype(complex))
+
+
+def _ref_orthonormal(p, n):
+    a, b = p.a[0], p.b
+    if n >= 1:
+        diag = [math.sqrt(gamma_ratio(p, n) / (2.0 * b)),
+                math.sqrt(1.0 / (2.0 * gamma_ratio(p, n - 1)))]
+        a_mat = math.sqrt(n) * np.diag(diag).astype(complex)
+    else:
+        a_mat = np.zeros((2, 2), dtype=complex)
+    drift = b + (b - 1.0) * n
+    log_mag = ((2.0 * n - 3.0) / 4.0 * math.log(b)
+               - 0.5 * (_log_gamma(p, n) + _log_gamma(p, n + 1)))
+    factor = math.copysign(math.exp(log_mag + math.log(abs(drift))), drift) \
+        if drift != 0.0 else 0.0
+    return a_mat, factor * np.array([[0.0, a], [np.conj(a), 0.0]], dtype=complex)
+
+
+def _ref_to_rodrigues(p, n, a, b):
+    g = _ref_normalization(p, n)[3]
+    inv = np.linalg.inv(g)
+    if not n:
+        return np.zeros((2, 2), dtype=complex), g @ b @ inv, np.zeros((2, 2), dtype=complex)
+    g_prev = _ref_normalization(p, n - 1)[3]
+    return g_prev @ a @ inv, g @ b @ inv, g @ (a.conj().T + 0.0) @ np.linalg.inv(g_prev)
+
+
+def _ref_recurrence(p, n):
+    """Monic B, C and Rodrigues-normalized A, B, C, checked by gauge transport."""
+    a, b = p.a[0], p.b
+    g_n, g_np = gamma_value(p, n), gamma_value(p, n + 1)
+    drift = b + (b - 1.0) * n
+    monic_b = drift * np.array([[0.0, a / (2.0 * b)],
+                                [2.0 * np.conj(a) * b ** (n - 0.5) / (g_n * g_np), 0.0]],
+                               dtype=complex)
+    zero = np.zeros((2, 2), dtype=complex)
+    monic_c = rodrigues_a = rodrigues_c = zero
+    if n >= 1:
+        g_nm = gamma_value(p, n - 1)
+        monic_c = (n / (2.0 * b)) * np.diag([g_np / g_n, b * g_nm / g_n]).astype(complex)
+        rodrigues_a = 0.5 * np.diag([1.0, g_nm / g_n]).astype(complex)
+        rodrigues_c = float(n) * np.diag([g_np / (b * g_n), 1.0]).astype(complex)
+    rodrigues_b = (-n + (n + 1) * b) * np.array([[0.0, a / (2.0 * b * g_n)],
+                                                 [2.0 * np.conj(a) * b ** (n - 0.5) / g_np, 0.0]],
+                                                dtype=complex)
+    tilde = _ref_to_rodrigues(p, n, *_ref_orthonormal(p, n))
+    for name, lhs, rhs in (("rodrigues_b", tilde[1], rodrigues_b),
+                           ("rodrigues_a", tilde[0], rodrigues_a),
+                           ("rodrigues_c", tilde[2], rodrigues_c)):
+        if max_abs(lhs - rhs) > 1e-8 * max(1.0, max_abs(lhs), max_abs(rhs)):
+            raise ArithmeticError(f"gauge consistency failed for {name}")
+    return monic_b, monic_c, rodrigues_a, rodrigues_b, rodrigues_c
+
+
+def _ref_norms(p, n):
+    b = p.b
+    log_pref = 0.5 * math.log(math.pi) + math.lgamma(n + 1) - n * math.log(2.0)
+    monic = np.diag([math.exp(log_pref + _log_gamma(p, n + 1) - math.log(2.0)
+                              - (n + 0.5) * math.log(b)),
+                     math.exp(log_pref + math.log(2.0) - _log_gamma(p, n))]).astype(complex)
+    log_pref = n * math.log(2.0) + 0.5 * math.log(math.pi) + math.lgamma(n + 1)
+    rodrigues = np.diag([math.exp(log_pref + _log_gamma(p, n + 1) - math.log(2.0)
+                                  - (n + 0.5) * math.log(b)),
+                         math.exp(log_pref + math.log(2.0) + _log_gamma(p, n))]).astype(complex)
+    return monic, rodrigues
+
+
+def _bytes(x):
+    """The bytes of an array, a polynomial's coefficients or a float."""
+    return np.asarray(getattr(x, "coeffs", x)).tobytes()
+
+
+def _ref_rows(f, degrees):
+    """``f`` at each degree, as bytes, up to the first degree that raises:
+    the rows and that exception (None when every degree returns)."""
+    rows = []
+    for n in degrees:
+        try:
+            rows.append(f(n))
+        except ArithmeticError as exc:
+            return rows, exc
+    return rows, None
+
+
+TABLE_PARAMS = [WeightParams(2, (a,), b) for b in (1e-3, 0.25, 1.0, 2.0, 4.0, 50.0)
+                for a in (1.0, -0.7, 0.6 + 0.8j, 1e-3j)]
+
+
+class TestDegreeTables:
+    """Each table over its degree range gives the bytes of the per-degree
+    reference at every degree, and raises where the first degree raises."""
+
+    @pytest.mark.parametrize("p", TABLE_PARAMS, ids=lambda p: f"a={p.a[0]}-b={p.b}")
+    def test_polynomial_tables(self, p):
+        degrees = range(1, 13)
+        want, exc = _ref_rows(lambda n: _ref_rodrigues(p, n), degrees)
+        if exc is None:
+            got = cf._rodrigues_table(p, degrees)
+        else:  # b = 1e-3: from degree 7 the product's low entries fall below the tolerance
+            with pytest.raises(ArithmeticError, match=str(exc)):
+                cf._rodrigues_table(p, degrees)
+            got = cf._rodrigues_table(p, degrees[:len(want)])
+        assert [_bytes(x) for x in got] == [_bytes(x) for x in want]
+        want = [_bytes(_ref_explicit(p, n)) for n in range(0, 13)]
+        assert [_bytes(x) for x in cf._explicit_table(p, range(0, 13))] == want
+
+    @pytest.mark.parametrize("p", TABLE_PARAMS, ids=lambda p: f"a={p.a[0]}-b={p.b}")
+    def test_kernel_equation_table(self, p, grid):
+        want = [_ref_pde_residual(p, n, grid) for n in range(1, 11)]
+        got = cf._pde_residual_table(p, range(1, 11), grid)
+        assert got.tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("p", TABLE_PARAMS, ids=lambda p: f"a={p.a[0]}-b={p.b}")
+    @pytest.mark.parametrize("degrees", [range(0, 41), range(7, 19)])
+    def test_recurrence_norm_and_gauge_tables(self, p, degrees):
+        got = cf._recurrence_table(p, degrees)
+        for k, n in enumerate(degrees):
+            want = _ref_recurrence(p, n) + _ref_orthonormal(p, n)
+            assert [m[k].tobytes() for m in got] == [m.tobytes() for m in want], n
+        *mats, gammas = cf._normalization_table(p, degrees)
+        for k, n in enumerate(degrees):
+            want = _ref_normalization(p, n)
+            assert [gammas[k].hex()] + [m[k].tobytes() for m in mats] == [
+                want[0].hex()] + [m.tobytes() for m in want[1:]], n
+        norms = cf._norms_table(p, degrees)
+        for k, n in enumerate(degrees):
+            assert [m[k].tobytes() for m in norms] == [m.tobytes() for m in _ref_norms(p, n)], n
+
+    @pytest.mark.parametrize("p", TABLE_PARAMS, ids=lambda p: f"a={p.a[0]}-b={p.b}")
+    def test_gauge_transport(self, p):
+        orth = [_ref_orthonormal(p, n) for n in range(41)]
+        got = cf._transport(cf._normalization_table(p, range(41))[2],
+                            np.array([a for a, _ in orth]), np.array([b for _, b in orth]), 0)
+        for n, row in enumerate(orth):
+            want = _ref_to_rodrigues(p, n, *row)
+            assert [m[n].tobytes() for m in got] == [m.tobytes() for m in want], n
+        seq = monic_sequence(p, 12)
+        tilde = normalized_recurrence_from_moments(p, seq)
+        table, _ = orthonormalize_sequence(seq)
+        rows = zip(table.A, table.B + (np.zeros((2, 2), dtype=complex),))
+        want = list(zip(*(_ref_to_rodrigues(p, n, *row) for n, row in enumerate(rows))))
+        assert [[m.tobytes() for m in got] for got in (tilde.A, tilde.B, tilde.C)] == [
+            [m.tobytes() for m in want[0]], [m.tobytes() for m in want[1][:-1]],
+            [m.tobytes() for m in want[2]]]
+
+    @pytest.mark.parametrize("a, b", [(1.0, 1e-30), (1e100, 1e-300), (1e-100, 1e-100),
+                                      (1e100, 1e30), (0.6 + 0.8j, 1e-310)])
+    def test_tables_raise_what_the_first_failing_degree_raises(self, a, b, grid):
+        """Where kernels overflow, the operator divides by zero or products
+        do not cancel, each table raises what the per-degree loop met first."""
+        p = WeightParams(2, (a,), b)
+        for table, ref, degrees in (
+                (cf._rodrigues_table, _ref_rodrigues, range(1, 13)),
+                (lambda p, d: cf._pde_residual_table(p, d, grid),
+                 lambda p, n: _ref_pde_residual(p, n, grid), range(1, 11))):
+            with np.errstate(all="ignore"):  # as the suite runs its checks
+                want, exc = _ref_rows(lambda n: ref(p, n), degrees)
+                try:
+                    got = [_bytes(x) for x in table(p, degrees)]
+                except ArithmeticError as err:
+                    got = err
+            if exc is None:
+                assert got == [_bytes(x) for x in want]
+            else:
+                assert (type(got), str(got)) == (type(exc), str(exc))
+
+    def test_failed_gauge_consistency_raises_at_the_first_degree(self, monkeypatch):
+        """Row 3 spoils its Rodrigues A and C, row 5 its B: the table raises
+        for A, the first name checked at the first degree that fails, as the
+        per-degree loop does."""
+        p = WeightParams(2, (0.6 + 0.8j,), 2.0)
+        row = cf._closed_row
+        spoilt = {3: (2, 4), 5: (3,)}
+
+        def spoil(p, n):  # the row lists the entries of its five matrices
+            entries = list(row(p, n))
+            for i in spoilt.get(n, ()):
+                entries[4 * i:4 * i + 4] = [1.5 * v for v in entries[4 * i:4 * i + 4]]
+            return tuple(entries)
+        monkeypatch.setattr(cf, "_closed_row", spoil)
+        with pytest.raises(ArithmeticError, match="failed for rodrigues_a"):
+            cf._recurrence_table(p, range(1, 8))
+        with pytest.raises(ArithmeticError, match="failed for rodrigues_b"):
+            recurrence_closed_forms(p, 5)
+        cf._recurrence_table(p, range(0, 3))  # the degrees before still agree

@@ -97,6 +97,16 @@ class TestEigenvalueMatrix:
             expected = np.diag([-2 * p.b * n, -2 * p.b * (n - 1)])
             assert max_abs(eigenvalue_matrix(p, n) - expected) < 1e-13
 
+    @pytest.mark.parametrize("n", [2.5, 2.0])
+    def test_degree_that_is_not_an_integer_raises_type_error(self, n):
+        # 2.5 used to give diag(-20, -12) at b = 4
+        with pytest.raises(TypeError):
+            eigenvalue_matrix(WeightParams(2, (0.6 + 0.8j,), 4.0), n)
+
+    def test_negative_degree_raises_value_error(self):
+        with pytest.raises(ValueError, match=">= 0"):
+            eigenvalue_matrix(WeightParams(2, (0.6 + 0.8j,), 4.0), -1)
+
     def test_degree_zero_equals_constant_coefficient(self):
         p = WeightParams(4, (1.0, 0.4, 0.9j), 2.2)
         op = build_operator(p)

@@ -45,6 +45,32 @@ def check_map(summary):
 
 
 class TestRunSuite:
+    def test_derivative_passes_at_size_two(self, monkeypatch):
+        """A size-2 run to nmax 12 differentiates 18 times: 3 passes for the
+        symmetry equations, one chain of 12 for the Rodrigues polynomials of
+        degrees 1..12 (78 when each degree starts its own) and 3 for the
+        kernel equation of degrees 1..10 (30 one degree at a time)."""
+        import matorth.gausserf as gausserf
+        import matorth.operator as operator
+        import matorth.closed_forms as cf
+        calls = []
+
+        def counted(keys, c):
+            calls.append(c.shape)
+            return derivative_stack(keys, c)
+        derivative_stack = gausserf.derivative_stack
+        for module in (gausserf, operator, cf):
+            monkeypatch.setattr(module, "derivative_stack", counted)
+        p = WeightParams(2, (0.6 + 0.8j,), 2.5)
+        assert run_suite(RunConfig(p, nmax=12)).overall
+        assert len(calls) == 18
+        calls.clear()
+        cf._rodrigues_table(p, range(1, 13))
+        assert len(calls) == 12
+        calls.clear()
+        cf._pde_residual_table(p, range(1, 11), [0.5])
+        assert len(calls) == 3
+
     def test_flagship_all_pass(self):
         summary = run_suite(RunConfig(FLAGSHIP, nmax=8))
         assert summary.overall
