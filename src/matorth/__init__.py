@@ -10,7 +10,7 @@ from .closed_forms import (AsymptoticReport, ClosedRecurrence,
                            orthonormal_recurrence, recurrence_closed_forms,
                            rodrigues_kernel, rodrigues_pde_residual,
                            rodrigues_polynomial)
-from .gausserf import Atom, GaussErfMatrix
+from .gausserf import GaussErfMatrix
 from .linalg import MatrixPolynomial, ad_power, nilpotent_exp
 from .operator import (ChiXiReport, DifferentialOperator, SymmetryReport,
                        apply_operator, build_operator, check_chi_xi,
@@ -28,7 +28,7 @@ from .weights import (IdentityReport, StructureMatrices, WeightParams,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AsymptoticReport", "Atom", "ChiXiReport", "ClosedRecurrence",
+    "AsymptoticReport", "ChiXiReport", "ClosedRecurrence",
     "DifferentialOperator", "GaussErfMatrix", "IdentityReport",
     "MatrixPolynomial", "MonicSequence", "NormalizationFactors",
     "RecurrenceTable", "RunConfig", "StructureMatrices", "SymmetryReport",

@@ -250,7 +250,7 @@ def rodrigues_kernel(p: WeightParams, n: int) -> GaussErfMatrix:
     keys, coeffs, overflow = _kernels(p, _one(p, n, 1))
     if overflow:
         raise overflow
-    return GaussErfMatrix.stacked(keys, coeffs[0])
+    return GaussErfMatrix(keys, coeffs[0])
 
 
 def _rodrigues_table(p: WeightParams, degrees: range) -> list[MatrixPolynomial]:
@@ -259,11 +259,11 @@ def _rodrigues_table(p: WeightParams, degrees: range) -> list[MatrixPolynomial]:
     each ``_CHUNK`` kernels that left share a product with the inverse weight
     and a collapse."""
     keys, coeffs, overflow = _kernels(p, degrees)
-    kern, degrees = GaussErfMatrix.stacked(keys, coeffs), degrees[:len(coeffs)]
+    kern, degrees = GaussErfMatrix(keys, coeffs), degrees[:len(coeffs)]
     inv, polys, done = weight_inverse_symbolic_2x2(p), [], []
     for i, n in enumerate(degrees):
         if i:
-            kern = kern._of(kern.keys, kern.coeffs[1:])
+            kern = GaussErfMatrix._of(kern.keys, kern.coeffs[1:])
         kern = kern.derivative(1 if i else n)
         done.append((kern.keys, kern.coeffs[0].copy()))
         if len(done) == _CHUNK or i == len(degrees) - 1:
@@ -285,7 +285,7 @@ def _collapse(done: list, inv: GaussErfMatrix, degrees: range) -> list[MatrixPol
                           dtype=complex)
         for d, (own, c) in zip(derivs, done):
             d[[keys.index(k) for k in own], :c.shape[-3]] = c
-    prod = inv._of(keys, derivs) @ inv  # _of: a function of inv's size on keys
+    prod = GaussErfMatrix._of(keys, derivs) @ inv
     polys = []
     for n, poly in zip(degrees, polynomials(prod.keys, prod.coeffs)):
         if poly.degree != n:

@@ -1,6 +1,6 @@
 """Exact function algebra for matrices whose entries are finite sums of
 ``t**k``, ``t**k * exp(-c t**2)`` and ``t**k * erf(sqrt(c) t)`` atoms,
-closed under differentiation and under multiplication by matrix polynomials.
+closed under differentiation and under products.
 
 A function holds one read-only ``(K, D, N, N)`` tensor: ``[i, k]`` multiplies
 ``t**k`` times the atom of key i, ``(kind, scale)``. Each operation works on
@@ -14,32 +14,23 @@ from __future__ import annotations
 
 import math
 from operator import index
-from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from .linalg import MatrixPolynomial, as_square, convolve, max_abs
+from .linalg import MatrixPolynomial, convolve
 
-__all__ = ["Atom", "GaussErfMatrix", "PLAIN", "GAUSS", "ERF", "gauss_integral"]
+__all__ = ["GaussErfMatrix", "PLAIN", "GAUSS", "ERF", "gauss_integral"]
 
 PLAIN = "plain"
 GAUSS = "gauss"
 ERF = "erf"
-# relative size up to which ``to_polynomial`` drops leftover coefficients
+# relative size up to which ``polynomials`` drops leftover coefficients
 RESIDUAL_TOL = 1e-9
 
 _erf = np.vectorize(math.erf, otypes=[float])
 
 Key = tuple[str, float]
-
-
-class Atom(NamedTuple):
-    """One basis function ``t**power * f(t)`` with ``f`` fixed by ``kind``."""
-
-    power: int
-    kind: str
-    scale: float
 
 
 def _key(kind: str, scale: float) -> Key:
@@ -50,13 +41,6 @@ def _key(kind: str, scale: float) -> Key:
         raise ValueError(f"no ({kind!r}, {scale}) atom: kinds are plain, gauss and erf, "
                          "scales finite and erf scales > 0")
     return (PLAIN, 0.0) if kind == PLAIN or (kind == GAUSS and scale == 0.0) else (kind, scale)
-
-
-def atom(power: int, kind: str, scale: float = 0.0) -> Atom:
-    """Canonical atom: a Gaussian of scale 0 is a plain power."""
-    if power < 0:
-        raise ValueError("atom power must be >= 0")
-    return Atom(power, *_key(kind, scale))
 
 
 def gauss_integral(power: int, scale: float) -> float:
@@ -101,13 +85,13 @@ def _running_sum(terms: np.ndarray) -> np.ndarray:
     return np.add.accumulate(terms, axis=-3)[..., -1, :, :] + 0.0
 
 
-def combine(a: np.ndarray, b: np.ndarray, op=np.subtract, rows=slice(None), size=None):
-    """``op`` (subtract or add) of two coefficient tensors, row ``rows[i]`` of
-    ``a`` with row i of ``b``, padded with zero powers and to ``size`` rows."""
-    stack = np.zeros(a.shape[:-4] + (size or a.shape[-4], max(a.shape[-3], b.shape[-3]))
-                     + a.shape[-2:], dtype=complex)
-    stack[..., :a.shape[-4], :a.shape[-3], :, :] = a
-    stack[..., rows, :b.shape[-3], :, :] = op(stack[..., rows, :b.shape[-3], :, :], b)
+def combine(a: np.ndarray, b: np.ndarray, op=np.subtract):
+    """``op`` (subtract or add) of two coefficient tensors on the same keys,
+    the shallower padded with zero powers."""
+    stack = np.zeros(a.shape[:-3] + (max(a.shape[-3], b.shape[-3]),) + a.shape[-2:],
+                     dtype=complex)
+    stack[..., :a.shape[-3], :, :] = a
+    stack[..., :b.shape[-3], :, :] = op(stack[..., :b.shape[-3], :, :], b)
     return stack
 
 
@@ -149,7 +133,10 @@ def evaluate(keys: tuple[Key, ...], c: np.ndarray, t) -> np.ndarray:
 
 def polynomials(keys: tuple[Key, ...], stack: np.ndarray) -> Iterator[MatrixPolynomial]:
     """Each function of an (M, K, D, N, N) stack on ``keys`` collapsed to a
-    matrix polynomial, in order, as ``GaussErfMatrix.to_polynomial`` does."""
+    matrix polynomial, in order. All transcendental atoms must have cancelled:
+    a non-plain coefficient above ``RESIDUAL_TOL`` relative to the function's
+    largest coefficient, or any NaN, raises. Smaller residue (including plain
+    dust above the true degree) is dropped."""
     peaks = np.abs(stack).max(axis=(-2, -1), initial=0.0)
     scales = np.maximum(1.0, peaks.max(axis=(1, 2), initial=0.0))
     plain = [i for i, (kind, _) in enumerate(keys) if kind == PLAIN]
@@ -166,33 +153,23 @@ def polynomials(keys: tuple[Key, ...], stack: np.ndarray) -> Iterator[MatrixPoly
 
 class GaussErfMatrix:
     """Matrix-valued function ``sum_i sum_k coeffs[i, k] t**k f_i(t)``, with
-    ``f_i`` the atom of ``keys[i]``, from ``(Atom, matrix)`` and ``((kind,
-    scale), MatrixPolynomial)`` pairs: equal keys summed in order, zero keys
-    and zero top powers dropped. ``polys`` (each key's polynomial) and
-    ``terms`` (nonzero coefficients by :class:`Atom`) view ``coeffs``. From
-    ``stacked`` it can be a stack; ``polys``, ``terms``, ``integrate`` and
-    ``to_polynomial`` then do not apply."""
+    ``f_i`` the atom of ``keys[i]``, from a copy of the (..., K, D, N, N)
+    tensor ``coeffs`` on ``keys``: equal keys summed in order, and the keys
+    and top powers that are zero in every member dropped. With batch axes
+    it is a stack, which ``integrate`` does not take."""
 
     __slots__ = ("dim", "keys", "coeffs", "_table")
 
-    def __init__(self, dim: int, terms: Iterable[tuple[Atom, np.ndarray]] = (),
-                 polys: Iterable[tuple[Key, MatrixPolynomial]] = ()):
-        items = [*polys, *(((a.kind, a.scale),
-                            MatrixPolynomial.monomial(as_square(c, dim), a.power))
-                           for a, c in terms)]
-        stack = np.zeros((len(items), max((len(v.coeffs) for _, v in items), default=0),
-                          dim, dim), dtype=complex)
-        for row, (_, v) in zip(stack, items):
-            row[:len(v.coeffs)] = v.coeffs
-        self._own(int(dim), *_merged((key for key, _ in items), stack))
+    def __init__(self, keys: Iterable[Key], coeffs: np.ndarray):
+        self._own(*_merged(keys, np.array(coeffs, dtype=complex)))
 
     @classmethod
-    def stacked(cls, keys: Iterable[Key], coeffs: np.ndarray) -> "GaussErfMatrix":
-        """The function of a copy of the (..., K, D, N, N) tensor ``coeffs`` on ``keys``."""
-        stack = np.array(coeffs, dtype=complex)
-        return cls.__new__(cls)._own(stack.shape[-1], *_merged(keys, stack))
+    def _of(cls, keys: tuple[Key, ...], stack: np.ndarray) -> "GaussErfMatrix":
+        """The function of a fresh tensor on distinct canonical keys, taken
+        over, not copied."""
+        return cls.__new__(cls)._own(keys, stack)
 
-    def _own(self, dim: int, keys: tuple[Key, ...], stack: np.ndarray) -> "GaussErfMatrix":
+    def _own(self, keys: tuple[Key, ...], stack: np.ndarray) -> "GaussErfMatrix":
         """Take over ``stack`` on distinct canonical ``keys``, read-only, without
         the keys and top powers that are zero in every member."""
         live = np.logical_or.reduce(stack, axis=tuple(range(stack.ndim - 4)) + (-2, -1)).tolist()
@@ -202,46 +179,9 @@ class GaussErfMatrix:
             stack = stack[..., keep, :depth, :, :]  # a copy: the rest can go
             keys = tuple(key for key, v in zip(keys, keep) if v)
         stack.setflags(write=False)
-        self.dim, self.keys, self.coeffs, self._table = dim, keys, stack, np.zeros((len(keys), 0))
+        self.dim, self.keys, self.coeffs = stack.shape[-1], keys, stack
+        self._table = np.zeros((len(keys), 0))
         return self
-
-    def _of(self, keys: tuple[Key, ...], stack: np.ndarray) -> "GaussErfMatrix":
-        return GaussErfMatrix.__new__(GaussErfMatrix)._own(self.dim, keys, stack)
-
-    @property
-    def polys(self) -> Mapping[Key, MatrixPolynomial]:
-        return MappingProxyType({key: MatrixPolynomial._of(v)
-                                 for key, v in zip(self.keys, self.coeffs)})
-
-    @property
-    def terms(self) -> Mapping[Atom, np.ndarray]:
-        return MappingProxyType({Atom(k, *key): c for key, v in zip(self.keys, self.coeffs)
-                                 for k, c in enumerate(v) if np.any(c)})
-
-    @classmethod
-    def from_polynomial(cls, p: MatrixPolynomial) -> "GaussErfMatrix":
-        return cls(p.dim, polys=[((PLAIN, 0.0), p)])
-
-    def _combine(self, other: "GaussErfMatrix", op) -> "GaussErfMatrix":
-        """``op`` (add or subtract) key by key: the keys of ``self``, then
-        those only ``other`` has."""
-        keys = self.keys + tuple(k for k in other.keys if k not in self.keys)
-        rows = [keys.index(k) for k in other.keys]
-        return self._of(keys, combine(self.coeffs, other.coeffs, op, rows, len(keys)))
-
-    def __add__(self, other: "GaussErfMatrix") -> "GaussErfMatrix":
-        return self._combine(other, np.add)
-
-    def __sub__(self, other: "GaussErfMatrix") -> "GaussErfMatrix":
-        return self._combine(other, np.subtract)
-
-    def __mul__(self, scalar) -> "GaussErfMatrix":
-        return self._of(self.keys, scalar * self.coeffs)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "GaussErfMatrix":
-        return self._of(self.keys, -self.coeffs)
 
     def __matmul__(self, other: "GaussErfMatrix") -> "GaussErfMatrix":
         if other.dim != self.dim:
@@ -253,20 +193,6 @@ class GaussErfMatrix:
         return self._of(*_merged([(k1 if k2 == PLAIN else k2, s1 + s2)
                                   for (k1, s1), (k2, s2) in pairs],
                                  stack.reshape(stack.shape[:-5] + (len(pairs),) + stack.shape[-3:])))
-
-    def lmul(self, m: np.ndarray) -> "GaussErfMatrix":
-        return self._of(self.keys, as_square(m, self.dim) @ self.coeffs)
-
-    def poly_mul(self, p: MatrixPolynomial, side: str = "right") -> "GaussErfMatrix":
-        """``self(t) @ p(t)`` for side="right", ``p(t) @ self(t)`` for side="left"."""
-        if side not in ("right", "left"):
-            raise ValueError(f"side must be 'right' or 'left', not {side!r}")
-        return self._of(self.keys, convolve(self.coeffs, p.coeffs) if side == "right"
-                        else convolve(p.coeffs, self.coeffs))
-
-    def conj_t(self) -> "GaussErfMatrix":
-        """Pointwise conjugate transpose (atoms are real-valued on R)."""
-        return self._of(self.keys, np.conjugate(self.coeffs.swapaxes(-2, -1), order="C"))
 
     def derivative(self, order: int = 1) -> "GaussErfMatrix":
         """Exact derivative, by ``derivative_stack`` once per order."""
@@ -297,16 +223,6 @@ class GaussErfMatrix:
         weights = table[:, extra_power:top]
         terms = weights.reshape(weights.shape + (1, 1)) * self.coeffs
         return _running_sum(terms.reshape(-1, self.dim, self.dim))
-
-    def max_coeff(self) -> float:
-        return max_abs(self.coeffs)
-
-    def to_polynomial(self) -> MatrixPolynomial:
-        """Collapse to a matrix polynomial, requiring all transcendental atoms
-        to have cancelled: a non-plain coefficient above ``RESIDUAL_TOL``
-        relative to the largest coefficient, or any NaN, raises. Smaller
-        residue (including plain dust above the true degree) is dropped."""
-        return next(polynomials(self.keys, self.coeffs[None]))
 
     def __repr__(self) -> str:
         return f"GaussErfMatrix(dim={self.dim}, keys={list(self.keys)})"

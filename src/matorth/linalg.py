@@ -22,7 +22,6 @@ __all__ = [
     "ad_power",
     "as_square",
     "convolve",
-    "hermitian_residual",
     "max_abs",
     "nilpotent_exp",
     "peaks",
@@ -74,11 +73,6 @@ def convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         for k in range(m - 1, -1, -1):
             out[..., k:k + n, :, :] += a @ b[..., k, None, :, :]
     return out
-
-
-def hermitian_residual(m: np.ndarray) -> float:
-    """max |M - M*|, i.e. the distance from being Hermitian."""
-    return max_abs(m - m.conj().T)
 
 
 class MatrixPolynomial:

@@ -191,16 +191,19 @@ def quadrature_oracle(p: WeightParams, integrand: Callable[[float], np.ndarray],
 def moment_oracle(p: WeightParams, m: int) -> np.ndarray:
     """``integral t**m W(t) dt`` by the trapezoid rule: bit for bit
     ``quadrature_oracle(p, lambda t: t ** m * weight_eval(p, t)[1],
-    m + 2 N + 10)``, with one ``weight_eval`` call over all nodes. Powers in
-    Python floats keep ``t ** m`` exactly odd for odd m, so the entries with
-    ``m + i + j`` odd cancel to 0 (``W(-t) = S W(t) S``, ``S = diag((-1)**i)``).
-    An ``m`` that is not an integer raises TypeError."""
+    m + 2 N + 10)``, with one ``weight_eval`` call over 0 and the positive
+    nodes. ``W(-t) = S W(t) S`` with ``S = diag((-1)**i)`` holds bit for bit
+    but for the sign of a zero, and Python float powers keep ``t ** m``
+    exactly odd for odd m: so each pair sum is twice the value at t where
+    ``m + i + j`` is even, and 0 where it is odd. An ``m`` that is not an
+    integer raises TypeError."""
     if index(m) < 0:
         raise ValueError("moment order must be >= 0")
 
     def values(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        nodes = np.concatenate(([0.0], ts, -ts))
+        nodes = np.concatenate(([0.0], ts))
         powers = np.array([x ** m for x in nodes.tolist()])
         vals = powers[:, np.newaxis, np.newaxis] * weight_eval(p, nodes)[1]
-        return vals[0], vals[1:len(ts) + 1] + vals[len(ts) + 1:]
+        even = np.add.outer(np.arange(p.size), np.arange(p.size) + m) % 2 == 0
+        return vals[0], vals[1:] + np.where(even, vals[1:], -vals[1:])
     return _trapezoid(p, m + 2 * p.size + 10, values)

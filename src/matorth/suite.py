@@ -55,6 +55,8 @@ class RunConfig:
     def __post_init__(self):
         if self.nmax < 0:
             raise ValueError("nmax must be >= 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not self.t_grid:
             raise ValueError("the evaluation grid must not be empty")
         if self.fmt not in ("json", "csv"):

@@ -68,6 +68,11 @@ class WeightParams:
                 raise ValueError(f"a_{i + 1} must be finite and nonzero, got {v}")
         if not (math.isfinite(self.b) and self.b > 0):
             raise ValueError(f"b must be finite and positive, got {self.b}")
+        try:  # a scale diagonal is never negative, but 0 below b of about 2**-53
+            scale_diagonals(self.size, self.b)
+        except ZeroDivisionError:
+            raise ValueError(f"b = {self.b} is below the supported range: a scale "
+                             "diagonal rounds to 0 in double precision") from None
         object.__setattr__(self, "_hash", hash((self.size, self.a, self.b)))
 
     def __hash__(self) -> int:  # computed once: every per-parameter cache hashes it
@@ -196,8 +201,8 @@ def weight_symbolic(p: WeightParams) -> GaussErfMatrix:
     ``column_outers`` of the factor, column c on the atoms
     ``t**d exp(2 d_c t**2)``."""
     s = build_structure(p)
-    return GaussErfMatrix.stacked([(GAUSS, -2.0 * g) for g in s.gauss_scales],
-                                  column_outers(exp_factor(p).coeffs))
+    return GaussErfMatrix([(GAUSS, -2.0 * g) for g in s.gauss_scales],
+                          column_outers(exp_factor(p).coeffs))
 
 
 def weight_moment(p: WeightParams, m: int) -> np.ndarray:
@@ -235,7 +240,7 @@ def weight_inverse_symbolic_2x2(p: WeightParams) -> GaussErfMatrix:
     coeffs = np.zeros((2, 3, 2, 2), dtype=complex)  # keys (GAUSS, -b), (GAUSS, -1)
     coeffs[0, 0, 0, 0], coeffs[0, 2, 1, 1], coeffs[1, 0, 1, 1] = 1.0, abs(a) ** 2, 1.0
     coeffs[0, 1] = [[0.0, -a], [-np.conj(a), 0.0]]
-    return GaussErfMatrix.stacked([(GAUSS, -b), (GAUSS, -1.0)], coeffs)
+    return GaussErfMatrix([(GAUSS, -b), (GAUSS, -1.0)], coeffs)
 
 
 @dataclass(frozen=True)

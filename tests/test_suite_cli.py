@@ -1,6 +1,8 @@
 import csv
+import importlib
 import json
 import math
+import pkgutil
 import re
 import warnings
 
@@ -8,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import matorth
 import matorth.suite as suite
 from conftest import invalid_params
 from matorth.cli import main
@@ -504,6 +507,25 @@ class TestCli:
         assert captured.out == ""
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("argv", [["--seed", "-1"], ["--sweeps", "3", "--seed", "-5"]])
+    def test_negative_seed_is_config_error(self, argv, tmp_path, capsys):
+        assert main(["verify", *argv, "--out", str(tmp_path / "x")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: seed must be >= 0, got {argv[-1]}\n"
+        assert captured.out == ""
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("command", list(OWN_FLAGS))
+    @pytest.mark.parametrize("b", ["1e-20", "1e-100"])
+    def test_b_below_the_supported_range_is_config_error(self, command, b, tmp_path, capsys):
+        # the last scale diagonal 1 + (b - 1) rounds to 0 in double precision
+        assert main([command, "--b", b, "--out", str(tmp_path / "x")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: b = {float(b)} is below the supported range: a "
+                                "scale diagonal rounds to 0 in double precision\n")
+        assert captured.out == ""
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("command", ["norms", "export"])
     @pytest.mark.parametrize("b, nmax", [("1e80", "30"), ("1e300", "3")])
     def test_closed_form_overflow_is_config_error(self, command, b, nmax, tmp_path, capsys):
@@ -514,3 +536,11 @@ class TestCli:
         assert "outside the supported range" in errors[0]
         assert "Traceback" not in captured.err
         assert captured.out == ""
+
+
+@pytest.mark.parametrize("module", ["matorth", *(f"matorth.{m.name}" for m in
+                                                 pkgutil.iter_modules(matorth.__path__))])
+def test_every_exported_name_resolves(module):
+    # a name left in __all__ after its definition went makes `import *` raise
+    mod = importlib.import_module(module)
+    assert [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)] == []

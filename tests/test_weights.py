@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import invalid_params
 from matorth import _mp, weights
-from matorth.gausserf import ERF, GAUSS, PLAIN, GaussErfMatrix, atom, gauss_integral
+from matorth.gausserf import ERF, GAUSS, PLAIN, GaussErfMatrix, gauss_integral
 from matorth.linalg import MatrixPolynomial, max_abs
+from matorth.sampling import draw_params
 from matorth.weights import (IdentityReport, WeightParams, abel_identity_check,
                              alpha_coeff, build_structure, column_outers, exp_factor,
                              verify_structure_identities,
@@ -146,6 +147,19 @@ class TestWeightEval:
             det = np.linalg.det(weight_eval(p, t)[1]).real
             assert abs(det - expected) < 1e-8 * expected
 
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 6),
+           st.lists(st.floats(-8.0, 8.0), min_size=1, max_size=5))
+    def test_parity_is_exact(self, seed, size, ts):
+        # W(-t) = S W(t) S with S = diag((-1)**i), bit for bit but for the sign
+        # of a zero (W(0) = I): moment_oracle sums its node pairs from the
+        # positive nodes alone on this premise
+        p = draw_params(np.random.default_rng(seed), sizes=(size, size))
+        odd = np.add.outer(np.arange(size), np.arange(size)) % 2 == 1
+        for t in (ts[0], np.array(ts)):
+            w = weight_eval(p, t)[1]
+            assert np.array_equal(weight_eval(p, -t)[1], np.where(odd, -w, w))
+
     def test_symbolic_matches_pointwise(self):
         for p in [WeightParams(4, (1.0, -0.7, 0.3j), 0.6), *members()]:
             w_sym = weight_symbolic(p)
@@ -191,9 +205,11 @@ class TestArrayEvaluation:
             return rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
         poly = MatrixPolynomial([matrix() for _ in range(rng.integers(1, 6))])
         self.assert_stacked(poly, ts, size)
-        terms = [(atom(int(rng.integers(0, 5)), kind, float(rng.uniform(0.3, 3.0))), matrix())
-                 for kind in (PLAIN, GAUSS, ERF) for _ in range(2)]
-        self.assert_stacked(GaussErfMatrix(size, terms), ts, size)
+        keys, coeffs = [], np.zeros((6, 5, size, size), dtype=complex)
+        for c, kind in zip(coeffs, (PLAIN, PLAIN, GAUSS, GAUSS, ERF, ERF)):
+            c[int(rng.integers(0, 5))] = matrix()
+            keys.append((kind, float(rng.uniform(0.3, 3.0))))
+        self.assert_stacked(GaussErfMatrix(keys, coeffs), ts, size)
         a = rng.uniform(0.3, 1.5, size - 1) * np.exp(2j * np.pi * rng.random(size - 1))
         p = WeightParams(size, tuple(a), float(rng.uniform(0.2, 5.0)))
         for part in (0, 1):
