@@ -45,16 +45,12 @@ from functools import lru_cache
 import numpy as np
 
 from .linalg import MatrixPolynomial
-from .weights import (WeightParams, alpha_coeff, column_outers, odd_series,
-                      scale_diagonals)
+from .weights import (CACHE_SIZE, WeightParams, alpha_coeff, column_outers,
+                      odd_series, scale_diagonals)
 
 # 51 digits hold at least the 169 bits of a 50-digit binary build; at 50 the
 # b = 1e6 member loses positive definiteness one degree earlier
 DIGITS = 51
-# Families kept at once. One holds megabytes (a size-5 family built to degree
-# 20 with all 231 pairings: 2.07 MiB under tracemalloc), far more than an entry
-# of the double-precision caches, and a verify run or sweep member needs only one.
-FAMILY_CACHE_SIZE = 8
 
 _CONTEXT = Context(prec=DIGITS)
 _PI = Decimal("3.14159265358979323846264338327950288419716939937510582097494459")
@@ -72,7 +68,7 @@ def family(p: WeightParams) -> "_MpFamily":
         return _family(p)
 
 
-@lru_cache(maxsize=FAMILY_CACHE_SIZE)
+@lru_cache(maxsize=CACHE_SIZE)
 def _family(p: WeightParams) -> "_MpFamily":
     return _MpFamily(p)
 

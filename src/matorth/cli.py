@@ -182,11 +182,9 @@ def _cmd_norms(args) -> int:
     _note(seq.truncation_reason)
     doc = {"params": params_to_dict(seq.params),
            "monic_norms": [_matrix_to_json(m) for m in seq.norms]}
-    if seq.params.size == 2:  # before printing, as closed_norms may overflow
-        doc["closed_monic"] = []
-        for n in range(len(seq.norms)):
-            closed, _ = cf.closed_norms(seq.params, n)
-            doc["closed_monic"].append(_matrix_to_json(closed))
+    if seq.params.size == 2:  # before printing, as the closed norms may overflow
+        closed = cf._norms_table(seq.params, range(len(seq.norms)))[0]
+        doc["closed_monic"] = [_matrix_to_json(m) for m in closed]
     for n, m in enumerate(seq.norms):
         print(f"n={n}: diag {np.real(np.diag(m)).tolist()}")
     if args.out:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from operator import index
 from typing import Sequence
 
@@ -81,25 +80,27 @@ def hermite_value(n: int, x):
     return h if np.ndim(x) else float(h)
 
 
-@lru_cache(maxsize=None)
-def _hermite_coeff_tuple(n: int) -> tuple[float, ...]:
-    if n == 0:
-        return (1.0,)
-    if n == 1:
-        return (0.0, 2.0)
-    prev2, prev1 = _hermite_coeff_tuple(n - 2), _hermite_coeff_tuple(n - 1)
-    out = [0.0] * (n + 1)
-    for k, v in enumerate(prev1):
-        out[k + 1] += 2.0 * v
-    for k, v in enumerate(prev2):
-        out[k] -= 2.0 * (n - 1) * v
-    return tuple(out)
+_HERMITE = [np.ones(1), np.array([0.0, 2.0])]  # H_0, H_1, ...: replaced, never extended
 
 
 def hermite_coefficients(n: int) -> np.ndarray:
-    """Monomial coefficients of the degree-n Hermite polynomial."""
+    """Monomial coefficients of the degree-n Hermite polynomial, by its
+    recurrence; OverflowError from degree 263, past the double range."""
+    global _HERMITE
     _degree(n)
-    return np.array(_hermite_coeff_tuple(n))
+    table = _HERMITE
+    if len(table) <= n:
+        table = list(table)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(len(table), n + 1):
+                h = np.zeros(k + 1)
+                h[1:] += 2.0 * table[k - 1]
+                h[:k - 1] -= 2.0 * (k - 1) * table[k - 2]
+                if not np.isfinite(h).all():
+                    raise OverflowError(f"Hermite coefficients overflow at degree {k}")
+                table.append(h)
+        _HERMITE = table
+    return table[n].copy()
 
 
 def _scaled_hermite(n: int, b: float) -> np.ndarray:
@@ -199,25 +200,28 @@ def _explicit_table(p: WeightParams, degrees: range) -> list[MatrixPolynomial]:
         if n == 0:
             out.append(MatrixPolynomial.constant(np.diag([1.0, 2.0])))
             continue
-        hn_b, hnm1_b = _scaled_hermite(n, b), _scaled_hermite(n - 1, b)
-        c = np.zeros((n + 2, 2, 2), dtype=complex)
-        pref = b ** (-n / 2.0)
-        c[:n + 1, 0, 0] += pref * hn_b
-        c[1:, 0, 1] += -a * pref * hn_b
-        c[:, 0, 1] += 0.5 * a * hermite_coefficients(n + 1)
-        pref = 2.0 * b ** (n / 2.0) * n
-        c[:n, 1, 0] += -np.conj(a) * pref * hnm1_b
-        c[1:n + 1, 1, 1] += aa * pref * hnm1_b
-        c[:n + 1, 1, 1] += 2.0 * hermite_coefficients(n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            hn_b, hnm1_b = _scaled_hermite(n, b), _scaled_hermite(n - 1, b)
+            c = np.zeros((n + 2, 2, 2), dtype=complex)
+            pref = b ** (-n / 2.0)
+            c[:n + 1, 0, 0] += pref * hn_b
+            c[1:, 0, 1] += -a * pref * hn_b
+            c[:, 0, 1] += 0.5 * a * hermite_coefficients(n + 1)
+            pref = 2.0 * b ** (n / 2.0) * n
+            c[:n, 1, 0] += -np.conj(a) * pref * hnm1_b
+            c[1:n + 1, 1, 1] += aa * pref * hnm1_b
+            c[:n + 1, 1, 1] += 2.0 * hermite_coefficients(n)
         # the top (1,2) contributions cancel exactly; drop the residue
         c[n + 1, 0, 1] = 0.0
+        if not np.isfinite(c).all():
+            raise OverflowError(f"explicit polynomial overflows at degree {n}")
         out.append(MatrixPolynomial._of(c))
     return out
 
 
 def explicit_polynomial(p: WeightParams, n: int) -> MatrixPolynomial:
-    """Degree-n member of the Rodrigues-normalized sequence, written out
-    through scaled Hermite coefficient expansions (degree 0 is diag(1, 2))."""
+    """Degree-n member of the Rodrigues-normalized sequence, through scaled Hermite
+    expansions (degree 0 is diag(1, 2)); OverflowError if a coefficient overflows."""
     return _explicit_table(p, _one(p, n))[0]
 
 

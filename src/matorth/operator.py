@@ -17,8 +17,8 @@ import numpy as np
 
 from .gausserf import combine, derivative_stack, evaluate
 from .linalg import MatrixPolynomial, ad_power, convolve, max_abs, worst
-from .weights import (CACHE_SIZE, WeightParams, build_structure, exp_factor,
-                      moment_pairing, weight_eval, weight_symbolic)
+from .weights import (CACHE_SIZE, WeightParams, build_structure, moment_pairing,
+                      weight_eval, weight_symbolic)
 
 __all__ = [
     "ChiXiReport",
@@ -196,7 +196,7 @@ def check_chi_xi(p: WeightParams, ts: Sequence[float]) -> ChiXiReport:
     f = _first_order_factor(p)
     ff2 = f * op.f2
     m_poly = -(ff2 * f) - ff2.derivative() + op.f0
-    xi_poly = exp_factor(p, -1) * m_poly * exp_factor(p)
+    xi_poly = s.factor_inv * m_poly * s.factor
 
     d = s.gauss_scales
     xi = xi_poly(ts)

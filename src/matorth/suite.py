@@ -13,6 +13,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
+from operator import index
 from pathlib import Path
 from typing import Callable
 
@@ -53,6 +54,7 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "nmax", index(self.nmax))  # TypeError unless an integer
         if self.nmax < 0:
             raise ValueError("nmax must be >= 0")
         if self.seed < 0:
@@ -380,10 +382,10 @@ def export_tables(config: RunConfig) -> dict:
     add("monic_polys", poly_rows, 0, kind="poly")
 
     if p.size == 2:
-        add("gamma", [cf.gamma_value(p, n) for n in range(len(seq.polys))], 0,
-            kind="scalar")
-        add("Delta", [cf.normalization(p, n).delta for n in range(len(seq.polys))], 0)
-        add("G", [cf.normalization(p, n).gauge for n in range(len(seq.polys))], 0)
+        _, delta, gauge, gamma = cf._normalization_table(p, range(len(seq.polys)))
+        add("gamma", gamma, 0, kind="scalar")
+        add("Delta", list(delta), 0)
+        add("G", list(gauge), 0)
         tilde = cf.normalized_recurrence_from_moments(p, seq)
         add("normalized_Atilde", [tilde.A[n] for n in range(1, len(tilde.A))], 1)
         add("normalized_Btilde", [tilde.B[n] for n in range(len(tilde.B))], 0)

@@ -37,14 +37,12 @@ __all__ = [
     "weight_symbolic",
 ]
 
-# Entries kept by every per-parameter cache. A check asks for the structure
-# and the factor of its parameter set dozens of times (about 90 times per
-# member of a parameter sweep) and for the symbolic weight and the operator
-# several times; a long parameter sweep keeps only the most recent sets.
-CACHE_SIZE = 64
-# The symbolic weight pads every column to the longest, near twice the bytes
-# (38 KB against 21 KB at size 6), and is rebuilt in about 0.1 ms: it keeps 8.
-SYMBOLIC_CACHE_SIZE = 8
+# Parameter sets kept by every per-parameter cache: the structure (with its
+# factors), the symbolic weight, the fixed identity residuals, the operator and
+# the 51-digit family. Callers finish with one set before they move on: in the
+# seed-1 perfbench rounds each set misses once (sweep-wide: 150 structure misses
+# against 11978 hits; build-deep: 3 against 3), with equal counts at 8 and 64.
+CACHE_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -96,6 +94,7 @@ class StructureMatrices:
     bracket     the commutator ``[nilpotent, number]``
     odd_coeffs  its series coefficients, index j weighting shift**(2j+1)
     gauss_scales  the diagonal of ``gauss_diag`` as a real vector
+    factor, factor_inv  ``exp(+-nilpotent t)``; T(t) = factor(t) exp(gauss_diag t**2)
     """
 
     shift: np.ndarray
@@ -106,6 +105,8 @@ class StructureMatrices:
     bracket: np.ndarray
     odd_coeffs: tuple[float, ...]
     gauss_scales: np.ndarray
+    factor: MatrixPolynomial
+    factor_inv: MatrixPolynomial
 
 
 def alpha_coeff(size: int, b: float, j: int) -> float:
@@ -152,26 +153,20 @@ def build_structure(p: WeightParams) -> StructureMatrices:
     gauss_scales = np.array(gauss, dtype=float)
     for m in (shift, number, diag_scale, gauss_diag, nilpotent, bracket, gauss_scales):
         m.setflags(write=False)
-    return StructureMatrices(shift, number, diag_scale, gauss_diag,
-                             nilpotent, bracket, coeffs, gauss_scales)
-
-
-@lru_cache(maxsize=CACHE_SIZE)
-def exp_factor(p: WeightParams, sign: int = 1) -> MatrixPolynomial:
-    """Polynomial ``exp(sign * nilpotent * t)``; sign=-1 gives the inverse."""
-    s = build_structure(p)
-    return nilpotent_exp(sign * s.nilpotent)
+    return StructureMatrices(shift, number, diag_scale, gauss_diag, nilpotent, bracket,
+                             coeffs, gauss_scales, nilpotent_exp(nilpotent),
+                             nilpotent_exp(-nilpotent))
 
 
 def weight_eval(p: WeightParams, t) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate the factor T and the weight W = T T* at a scalar t, shapes
+    """T(t) = factor(t) exp(gauss_diag t**2) and W = T T* at a scalar t, shapes
     (N, N), or at each entry of a 1-D array of t, shapes (n_t, N, N); a Python
     float is used as itself, any other t as an array, in the same arithmetic."""
     s = build_structure(p)
     scalar = isinstance(t, float)
     x = t if scalar else np.asarray(t, dtype=float)[..., np.newaxis]
     gt = np.exp(s.gauss_scales * x * x)  # at a float, shape (N,): it scales the columns
-    big_t = exp_factor(p)(t) * (gt if scalar else gt[..., np.newaxis, :])
+    big_t = s.factor(t) * (gt if scalar else gt[..., np.newaxis, :])
     return big_t, big_t @ big_t.conj().swapaxes(-1, -2)
 
 
@@ -195,14 +190,14 @@ def column_outers(exp_coeffs) -> np.ndarray:
     return outers
 
 
-@lru_cache(maxsize=SYMBOLIC_CACHE_SIZE)
+@lru_cache(maxsize=CACHE_SIZE)
 def weight_symbolic(p: WeightParams) -> GaussErfMatrix:
     """The weight as an exact polynomial-times-Gaussian function matrix:
     ``column_outers`` of the factor, column c on the atoms
     ``t**d exp(2 d_c t**2)``."""
     s = build_structure(p)
     return GaussErfMatrix([(GAUSS, -2.0 * g) for g in s.gauss_scales],
-                          column_outers(exp_factor(p).coeffs))
+                          column_outers(s.factor.coeffs))
 
 
 def weight_moment(p: WeightParams, m: int) -> np.ndarray:
@@ -293,8 +288,7 @@ def verify_structure_identities(p: WeightParams, t: float) -> IdentityReport:
     series, tail = _fixed_identities(p)
     res = {"bracket_series": series}
 
-    et = exp_factor(p)(t)
-    et_inv = exp_factor(p, -1)(t)
+    et, et_inv = s.factor(t), s.factor_inv(t)
     f2_t = psi + (b - 1.0) / (n - 1) * t * bracket
     res["exp_intertwines_scale"] = max_abs(et @ psi - f2_t @ et)
 

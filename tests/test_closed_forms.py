@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -42,6 +43,49 @@ class TestHermite:
     def test_degree_guard(self):
         with pytest.raises(ValueError):
             hermite_value(201, 0.0)
+
+
+def _digest(a: np.ndarray) -> str:
+    return hashlib.sha256(a.tobytes()).hexdigest()[:16]
+
+
+class TestHermiteOverflow:
+    """The Hermite table is built without recursion, and the coefficients
+    that leave the double range raise OverflowError instead of coming back as
+    inf or NaN; every finite result keeps the bits it had under the
+    recursive build (sha256 prefixes of the coefficient bytes)."""
+
+    # b: the first degree of explicit_polynomial(a = 1) with a non-finite
+    # coefficient, and the digest at the degree below it
+    EXPLICIT = {4.0: (209, "f872779990c9a1f3"), 0.25: (218, "26e53b3ea0e727ed"),
+                2.0: (233, "694f85f41a74c7de")}
+
+    @pytest.mark.parametrize("n", [1000, 3000])
+    def test_cold_high_degree_overflows(self, monkeypatch, n):
+        monkeypatch.setattr(cf, "_HERMITE", cf._HERMITE[:2])
+        with pytest.raises(OverflowError, match="degree 263"):
+            hermite_coefficients(n)
+
+    def test_first_degree_past_the_double_range_raises(self, monkeypatch):
+        monkeypatch.setattr(cf, "_HERMITE", cf._HERMITE[:2])
+        with pytest.raises(OverflowError):
+            hermite_coefficients(263)
+        assert _digest(hermite_coefficients(262)) == "35dbfd3b839a4bbb"
+        assert _digest(hermite_coefficients(100)) == "72330d44a5622043"
+        with pytest.raises(OverflowError):
+            hermite_coefficients(263)
+
+    def test_results_are_fresh_arrays(self):
+        h = hermite_coefficients(5)
+        h[:] = 0.0
+        assert hermite_coefficients(5).tolist() == [0.0, 120.0, 0.0, -160.0, 0.0, 32.0]
+
+    @pytest.mark.parametrize("b", sorted(EXPLICIT))
+    def test_explicit_polynomial_overflows(self, b):
+        p, (n, digest) = WeightParams(2, (1.0,), b), self.EXPLICIT[b]
+        assert _digest(explicit_polynomial(p, n - 1).coeffs) == digest
+        with pytest.raises(OverflowError, match=f"degree {n}"):
+            explicit_polynomial(p, n)
 
 
 class TestDegreeGuard:

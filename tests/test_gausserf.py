@@ -10,7 +10,7 @@ from matorth.gausserf import (ERF, GAUSS, PLAIN, GaussErfMatrix, combine, gauss_
                               polynomials)
 from matorth.linalg import MatrixPolynomial, max_abs
 from matorth.sampling import draw_params
-from matorth.weights import build_structure, column_outers, exp_factor, weight_moment
+from matorth.weights import build_structure, column_outers, weight_moment
 from per_key import PerKey
 
 I1 = np.eye(1, dtype=complex)
@@ -281,7 +281,7 @@ class TestAgainstPerKeyAlgebra:
             for size in range(2, 7):
                 p = draw_params(rng, sizes=(size, size),
                                 b_range=(0.2 + band * width, 0.2 + (band + 1) * width))
-                outers = column_outers(exp_factor(p).coeffs)
+                outers = column_outers(build_structure(p).factor.coeffs)
                 ref = PerKey(size, polys=[((GAUSS, -2.0 * g), MatrixPolynomial(row)) for g, row
                                           in zip(build_structure(p).gauss_scales, outers)])
                 for m in range(2 * size + 1):
@@ -297,7 +297,7 @@ class TestIntegralTable:
         rng = np.random.default_rng(17)
         for size in range(2, 7):
             p = draw_params(rng, sizes=(size, size))
-            outers = column_outers(exp_factor(p).coeffs)
+            outers = column_outers(build_structure(p).factor.coeffs)
             keys = [(GAUSS, -2.0 * g) for g in build_structure(p).gauss_scales]
             ref = PerKey(size, polys=[(key, MatrixPolynomial(row))
                                       for key, row in zip(keys, outers)])

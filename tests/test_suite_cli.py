@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import matorth
+import matorth.closed_forms as cf
 import matorth.suite as suite
 from conftest import invalid_params
 from matorth.cli import main
@@ -172,6 +173,18 @@ class TestRunSuite:
         with pytest.raises(ValueError):
             RunConfig(FLAGSHIP, fmt="xml")
 
+    def test_nmax_must_be_an_integer(self, tmp_path):
+        out = tmp_path / "tables"
+        for nmax in (2.5, 3.0, "3"):
+            with pytest.raises(TypeError):
+                run_suite(RunConfig(FLAGSHIP, nmax=nmax))
+            with pytest.raises(TypeError):
+                export_tables(RunConfig(FLAGSHIP, nmax=nmax, out=str(out)))
+        assert not out.exists()  # refused before the directory is made
+        config = RunConfig(FLAGSHIP, nmax=np.int64(3), out=str(out))
+        assert type(config.nmax) is int
+        assert export_tables(config)["nmax"] == 3
+
 
 def _reference_json_table(path, p, name, layout):
     """The JSON table writer as first released: ``json.dump`` with indent 1."""
@@ -318,6 +331,22 @@ class TestExport:
             assert ((tmp_path / f"new.{fmt}").read_bytes()
                     == (tmp_path / f"ref.{fmt}").read_bytes()), fmt
 
+    @pytest.mark.parametrize("b", [0.25, 1.0, 4.0])
+    def test_size2_closed_form_tables_match_the_per_degree_forms(self, tmp_path, b):
+        # the export takes them from one table; each degree keeps the bytes
+        # of the per-degree closed forms
+        p = WeightParams(2, (0.7 + 0.2j,), b)
+        degrees = range(14)  # the sequence reaches nmax + 1
+        expected = {"gamma": ("scalar", [cf.gamma_value(p, n) for n in degrees]),
+                    "Delta": ("matrix", [cf.normalization(p, n).delta for n in degrees]),
+                    "G": ("matrix", [cf.normalization(p, n).gauge for n in degrees])}
+        for fmt, ref in (("json", _reference_json_table), ("csv", _reference_csv_table)):
+            export_tables(RunConfig(p, nmax=12, fmt=fmt, out=str(tmp_path / fmt)))
+            for name, (kind, data) in expected.items():
+                ref(tmp_path / "ref", p, name, {"start_index": 0, "kind": kind, "data": data})
+                assert ((tmp_path / fmt / f"{name}.{fmt}").read_bytes()
+                        == (tmp_path / "ref").read_bytes()), (fmt, name)
+
     def test_truncated_build_is_in_the_manifest(self, tmp_path):
         # b = 1e6 loses positive definiteness at degree 10 (see test_orthogonal)
         manifest = export_tables(RunConfig(WeightParams(2, (1.0,), 1e6), nmax=12,
@@ -426,6 +455,16 @@ class TestCli:
 
     def test_norms_command(self, capsys):
         assert main(["norms", "--nmax", "3"]) == 0
+
+    @pytest.mark.parametrize("b", ["0.25", "1", "4"])
+    def test_norms_closed_monic_matches_the_per_degree_form(self, tmp_path, capsys, b):
+        # taken from one table; each degree keeps the bytes of closed_norms
+        out = tmp_path / "norms.json"
+        assert main(["norms", "--a", "0.7+0.2i", "--b", b, "--nmax", "12",
+                     "--out", str(out)]) == 0
+        p = WeightParams(2, (0.7 + 0.2j,), float(b))
+        expected = [suite._matrix_to_json(cf.closed_norms(p, n)[0]) for n in range(13)]
+        assert json.dumps(json.loads(out.read_text())["closed_monic"]) == json.dumps(expected)
 
     def test_asymptotics_command(self, tmp_path, capsys):
         out = tmp_path / "asym.json"

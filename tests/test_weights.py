@@ -1,17 +1,22 @@
 import decimal
+import importlib
+import inspect
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import matorth
 from conftest import invalid_params
 from matorth import _mp, weights
 from matorth.gausserf import ERF, GAUSS, PLAIN, GaussErfMatrix, gauss_integral
-from matorth.linalg import MatrixPolynomial, max_abs
+from matorth.linalg import MatrixPolynomial, max_abs, nilpotent_exp
 from matorth.sampling import draw_params
+from matorth.suite import RunConfig, run_parameter_sweep
 from matorth.weights import (IdentityReport, WeightParams, abel_identity_check,
-                             alpha_coeff, build_structure, column_outers, exp_factor,
+                             alpha_coeff, build_structure, column_outers,
                              verify_structure_identities,
                              weight_eval, weight_inverse_2x2, weight_moment,
                              weight_symbolic)
@@ -99,6 +104,48 @@ class TestStructure:
         assert s.odd_coeffs[0] == 1.0
         assert all(c == 0.0 for c in s.odd_coeffs[1:])
         assert np.array_equal(s.nilpotent, s.shift)
+
+    def test_factors_are_the_exponentials_of_the_nilpotent(self):
+        for p in members():
+            s = build_structure(p)
+            for poly, m in ((s.factor, s.nilpotent), (s.factor_inv, -s.nilpotent)):
+                assert poly.coeffs.tobytes() == nilpotent_exp(m).coeffs.tobytes()
+                assert not poly.coeffs.flags.writeable
+            prod = (s.factor * s.factor_inv).coeffs
+            assert max_abs(prod[0] - np.eye(p.size)) < 1e-13
+            assert max_abs(prod[1:]) < 1e-13
+
+
+def _parameter_caches() -> dict:
+    """Every ``lru_cache`` in the package keyed by a ``WeightParams``."""
+    found = {}
+    for info in pkgutil.iter_modules(matorth.__path__):
+        mod = importlib.import_module(f"matorth.{info.name}")
+        for name, fn in vars(mod).items():
+            if hasattr(fn, "cache_info") and fn.__module__ == mod.__name__:
+                first = next(iter(inspect.signature(fn.__wrapped__).parameters.values()))
+                if first.annotation in ("WeightParams", WeightParams):
+                    found[f"{info.name}.{name}"] = fn
+    return found
+
+
+class TestCachePolicy:
+    """Every per-parameter cache keeps the same ``CACHE_SIZE`` sets."""
+
+    def test_every_parameter_cache_keeps_cache_size_sets(self):
+        caches = _parameter_caches()
+        assert {"weights.build_structure", "weights.weight_symbolic",
+                "weights._fixed_identities", "operator.build_operator",
+                "_mp._family"} <= set(caches)
+        assert {name: fn.cache_parameters()["maxsize"] for name, fn in caches.items()} \
+            == dict.fromkeys(caches, weights.CACHE_SIZE)
+
+    def test_a_sweep_fills_no_cache_past_cache_size(self):
+        p = WeightParams(2, (1.0,), 2.0)
+        run_parameter_sweep(20, RunConfig(p, t_grid=(-1.0, 0.0, 1.0), seed=3))
+        sizes = {name: fn.cache_info().currsize for name, fn in _parameter_caches().items()}
+        assert sizes["weights.build_structure"] == weights.CACHE_SIZE
+        assert max(sizes.values()) <= weights.CACHE_SIZE
 
 
 class TestWeightEval:
@@ -224,7 +271,7 @@ class TestMoments:
         for size in range(2, 7):
             for p in [q for q in members() if q.size == size]:
                 g = build_structure(p).gauss_scales
-                outers = column_outers(exp_factor(p).coeffs)
+                outers = column_outers(build_structure(p).factor.coeffs)
                 for m in range(2 * size + 1):
                     expected = np.zeros((size, size), dtype=complex)
                     for c in range(size):
