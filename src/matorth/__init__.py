@@ -6,24 +6,22 @@ operator the family carries and the full set of 2x2 closed forms.
 from .closed_forms import (AsymptoticReport, ClosedRecurrence,
                            NormalizationFactors, asymptotic_report,
                            branch_limit, closed_norms, explicit_polynomial,
-                           hermite_coefficients, hermite_value, normalization,
+                           hermite_coefficients, normalization,
                            orthonormal_recurrence, recurrence_closed_forms,
-                           rodrigues_kernel, rodrigues_pde_residual,
-                           rodrigues_polynomial)
+                           rodrigues_pde_residual, rodrigues_polynomial)
 from .gausserf import GaussErfMatrix
 from .linalg import MatrixPolynomial, ad_power, nilpotent_exp
 from .operator import (ChiXiReport, DifferentialOperator, SymmetryReport,
                        apply_operator, build_operator, check_chi_xi,
-                       check_symmetry_equations, eigenvalue_matrix,
-                       symmetry_bilinear_check)
+                       check_symmetry_equations, eigenvalue_matrix)
 from .orthogonal import (MonicSequence, RecurrenceTable, moment_oracle,
                          monic_sequence, orthonormalize_sequence,
                          quadrature_oracle, recurrence_from_sequence)
 from .suite import RunConfig, VerificationSummary, export_tables, run_suite
 from .weights import (IdentityReport, StructureMatrices, WeightParams,
-                      abel_identity_check, build_structure, moment_pairing,
-                      verify_structure_identities, weight_eval,
-                      weight_inverse_2x2, weight_moment, weight_symbolic)
+                      abel_identity_check, build_structure,
+                      verify_structure_identities, weight_eval, weight_moment,
+                      weight_symbolic)
 
 __version__ = "0.1.0"
 
@@ -36,11 +34,11 @@ __all__ = [
     "apply_operator", "asymptotic_report", "branch_limit", "build_operator",
     "build_structure", "check_chi_xi", "check_symmetry_equations",
     "closed_norms", "eigenvalue_matrix", "explicit_polynomial",
-    "export_tables", "hermite_coefficients", "hermite_value",
-    "moment_oracle", "moment_pairing", "monic_sequence", "nilpotent_exp",
-    "normalization", "orthonormal_recurrence", "orthonormalize_sequence",
-    "quadrature_oracle", "recurrence_closed_forms", "recurrence_from_sequence",
-    "rodrigues_kernel", "rodrigues_pde_residual", "rodrigues_polynomial",
-    "run_suite", "symmetry_bilinear_check", "verify_structure_identities",
-    "weight_eval", "weight_inverse_2x2", "weight_moment", "weight_symbolic",
+    "export_tables", "hermite_coefficients", "moment_oracle",
+    "monic_sequence", "nilpotent_exp", "normalization",
+    "orthonormal_recurrence", "orthonormalize_sequence", "quadrature_oracle",
+    "recurrence_closed_forms", "recurrence_from_sequence",
+    "rodrigues_pde_residual", "rodrigues_polynomial", "run_suite",
+    "verify_structure_identities", "weight_eval", "weight_moment",
+    "weight_symbolic",
 ]

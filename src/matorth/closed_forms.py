@@ -30,13 +30,10 @@ __all__ = [
     "closed_norms",
     "explicit_polynomial",
     "hermite_coefficients",
-    "hermite_value",
     "normalization",
     "normalized_recurrence_from_moments",
     "orthonormal_recurrence",
-    "pde_coefficients",
     "recurrence_closed_forms",
-    "rodrigues_kernel",
     "rodrigues_pde_residual",
     "rodrigues_polynomial",
 ]
@@ -66,46 +63,30 @@ def _one(p: WeightParams, n: int, low: int = 0) -> range:
     return range(n, n + 1)
 
 
-def hermite_value(n: int, x):
-    """Physicists' Hermite polynomial by forward recurrence (stable for the
-    moderate degrees used here; refuses n > 200)."""
-    if n < 0 or n > 200:
-        raise ValueError("need 0 <= n <= 200")
-    h_prev = np.ones_like(np.asarray(x, dtype=float))
-    if n == 0:
-        return h_prev if np.ndim(x) else float(h_prev)
-    h = 2.0 * np.asarray(x, dtype=float)
-    for k in range(1, n):
-        h, h_prev = 2.0 * x * h - 2.0 * k * h_prev, h
-    return h if np.ndim(x) else float(h)
-
-
-_HERMITE = [np.ones(1), np.array([0.0, 2.0])]  # H_0, H_1, ...: replaced, never extended
+def _hermite(table: list, n: int) -> np.ndarray:
+    """The coefficients of H_n from ``table``, the caller's H_0, H_1, ..., which
+    the recurrence extends through degree n; OverflowError from degree 263."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(len(table), n + 1):
+            h = np.zeros(k + 1)
+            h[1:] += 2.0 * table[k - 1]
+            h[:k - 1] -= 2.0 * (k - 1) * table[k - 2]  # at k = 1 an empty slice
+            if not np.isfinite(h).all():
+                raise OverflowError(f"Hermite coefficients overflow at degree {k}")
+            table.append(h)
+    return table[n]
 
 
 def hermite_coefficients(n: int) -> np.ndarray:
-    """Monomial coefficients of the degree-n Hermite polynomial, by its
-    recurrence; OverflowError from degree 263, past the double range."""
-    global _HERMITE
+    """Monomial coefficients of the degree-n Hermite polynomial, built by its
+    recurrence on every call; OverflowError from degree 263, past the double range."""
     _degree(n)
-    table = _HERMITE
-    if len(table) <= n:
-        table = list(table)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(len(table), n + 1):
-                h = np.zeros(k + 1)
-                h[1:] += 2.0 * table[k - 1]
-                h[:k - 1] -= 2.0 * (k - 1) * table[k - 2]
-                if not np.isfinite(h).all():
-                    raise OverflowError(f"Hermite coefficients overflow at degree {k}")
-                table.append(h)
-        _HERMITE = table
-    return table[n].copy()
+    return _hermite([np.ones(1)], n)
 
 
-def _scaled_hermite(n: int, b: float) -> np.ndarray:
+def _scaled_hermite(table: list, n: int, b: float) -> np.ndarray:
     """Coefficients of H_n(sqrt(b) t)."""
-    return hermite_coefficients(n) * b ** (np.arange(n + 1) / 2.0)
+    return _hermite(table, n) * b ** (np.arange(n + 1) / 2.0)
 
 
 def gamma_value(p: WeightParams, n: int) -> float:
@@ -195,22 +176,22 @@ def _explicit_table(p: WeightParams, degrees: range) -> list[MatrixPolynomial]:
     coefficient entry summed term by term in the same order at every degree."""
     a, b = p.a[0], p.b
     aa = abs(a) ** 2
-    out = []
+    hermite, out = [np.ones(1)], []  # H_0, H_1, ...: extended as the degrees ask
     for n in degrees:
         if n == 0:
             out.append(MatrixPolynomial.constant(np.diag([1.0, 2.0])))
             continue
         with np.errstate(over="ignore", invalid="ignore"):
-            hn_b, hnm1_b = _scaled_hermite(n, b), _scaled_hermite(n - 1, b)
+            hn_b, hnm1_b = _scaled_hermite(hermite, n, b), _scaled_hermite(hermite, n - 1, b)
             c = np.zeros((n + 2, 2, 2), dtype=complex)
             pref = b ** (-n / 2.0)
             c[:n + 1, 0, 0] += pref * hn_b
             c[1:, 0, 1] += -a * pref * hn_b
-            c[:, 0, 1] += 0.5 * a * hermite_coefficients(n + 1)
+            c[:, 0, 1] += 0.5 * a * _hermite(hermite, n + 1)
             pref = 2.0 * b ** (n / 2.0) * n
             c[:n, 1, 0] += -np.conj(a) * pref * hnm1_b
             c[1:n + 1, 1, 1] += aa * pref * hnm1_b
-            c[:n + 1, 1, 1] += 2.0 * hermite_coefficients(n)
+            c[:n + 1, 1, 1] += 2.0 * _hermite(hermite, n)
         # the top (1,2) contributions cancel exactly; drop the residue
         c[n + 1, 0, 1] = 0.0
         if not np.isfinite(c).all():
@@ -246,15 +227,6 @@ def _kernels(p: WeightParams, degrees: range) -> tuple[list, np.ndarray, Excepti
         c[2, 0, 1, 0] = sign * ca * _SQRT_PI * n
         c[3, 0, 1, 0] = -sign * ca * _SQRT_PI * n
     return keys, coeffs, None
-
-
-def rodrigues_kernel(p: WeightParams, n: int) -> GaussErfMatrix:
-    """The function matrix whose n-th derivative times the inverse weight
-    produces the degree-n polynomial. Lives in the Gaussian-erf algebra."""
-    keys, coeffs, overflow = _kernels(p, _one(p, n, 1))
-    if overflow:
-        raise overflow
-    return GaussErfMatrix(keys, coeffs[0])
 
 
 def _rodrigues_table(p: WeightParams, degrees: range) -> list[MatrixPolynomial]:
@@ -469,19 +441,13 @@ def asymptotic_report(p: WeightParams, horizon: int = 200) -> AsymptoticReport:
 
 
 def _pde_coefficient_table(p: WeightParams, degrees: range) -> list[tuple[MatrixPolynomial, ...]]:
-    """``pde_coefficients`` at each of ``degrees``, sharing the adjoints and
-    their derivatives."""
+    """The coefficients (m2, m1, m0) of the kernel equation at each of ``degrees``,
+    from the operator's adjoints and their derivatives, shared by the degrees."""
     op = build_operator(p)
     f2s, f1s, f0s = op.f2.conj_t(), op.f1.conj_t(), op.f0.conj_t()
     d2, d1, dd2 = f2s.derivative(), f1s.derivative(), f2s.derivative(2)
     return [(f2s, f1s + float(n) * d2, f0s + float(n) * d1 + float(math.comb(n, 2)) * dd2)
             for n in degrees]
-
-
-def pde_coefficients(p: WeightParams, n: int) -> tuple[MatrixPolynomial, MatrixPolynomial, MatrixPolynomial]:
-    """Coefficients of the second-order equation the Rodrigues kernel solves,
-    instantiated from the adjoints of the operator coefficients."""
-    return _pde_coefficient_table(p, range(n, n + 1))[0]
 
 
 def _pde_residual_table(p: WeightParams, degrees: range, ts: Sequence[float]) -> np.ndarray:

@@ -17,8 +17,7 @@ import numpy as np
 
 from .gausserf import combine, derivative_stack, evaluate
 from .linalg import MatrixPolynomial, ad_power, convolve, max_abs, worst
-from .weights import (CACHE_SIZE, WeightParams, build_structure, moment_pairing,
-                      weight_eval, weight_symbolic)
+from .weights import CACHE_SIZE, WeightParams, build_structure, weight_eval, weight_symbolic
 
 __all__ = [
     "ChiXiReport",
@@ -29,7 +28,6 @@ __all__ = [
     "check_chi_xi",
     "check_symmetry_equations",
     "eigenvalue_matrix",
-    "symmetry_bilinear_check",
 ]
 
 # bound on the power-10 boundary sample of check_symmetry_equations, below
@@ -209,12 +207,3 @@ def check_chi_xi(p: WeightParams, ts: Sequence[float]) -> ChiXiReport:
                        max_abs(chi - chi.conj().transpose(0, 2, 1)),
                        max_abs(xi * off),
                        max_abs(np.diagonal(xi, axis1=1, axis2=2) - diag_target))
-
-
-def symmetry_bilinear_check(p: WeightParams, lhs: MatrixPolynomial,
-                            rhs: MatrixPolynomial) -> float:
-    """Residual of ``integral D(P) W Q* = integral P W D(Q)*`` via exact moments."""
-    op = build_operator(p)
-    left = moment_pairing(p, apply_operator(op, lhs), rhs)
-    right = moment_pairing(p, lhs, apply_operator(op, rhs))
-    return max_abs(left - right)

@@ -55,6 +55,8 @@ class RunConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "nmax", index(self.nmax))  # TypeError unless an integer
+        object.__setattr__(self, "seed", index(self.seed))
+        object.__setattr__(self, "t_grid", tuple(self.t_grid))  # also from an array
         if self.nmax < 0:
             raise ValueError("nmax must be >= 0")
         if self.seed < 0:

@@ -29,10 +29,8 @@ __all__ = [
     "alpha_coeff",
     "build_structure",
     "column_outers",
-    "moment_pairing",
     "verify_structure_identities",
     "weight_eval",
-    "weight_inverse_2x2",
     "weight_moment",
     "weight_symbolic",
 ]
@@ -208,22 +206,6 @@ def weight_moment(p: WeightParams, m: int) -> np.ndarray:
     if index(m) < 0:
         raise ValueError("moment order must be >= 0")
     return weight_symbolic(p).integrate(extra_power=m)
-
-
-def moment_pairing(p: WeightParams, lhs: MatrixPolynomial,
-                   rhs: MatrixPolynomial) -> np.ndarray:
-    """``integral lhs(t) W(t) rhs(t)* dt`` expanded over exact moments."""
-    moments = [weight_moment(p, m) for m in range(lhs.degree + rhs.degree + 1)]
-    out = np.zeros((p.size, p.size), dtype=complex)
-    for j, cj in enumerate(lhs.coeffs):
-        for k, ck in enumerate(rhs.coeffs):
-            out += cj @ moments[j + k] @ ck.conj().T
-    return out
-
-
-def weight_inverse_2x2(p: WeightParams, t: float) -> np.ndarray:
-    """Closed-form inverse of the 2x2 weight."""
-    return weight_inverse_symbolic_2x2(p)(t)
 
 
 def weight_inverse_symbolic_2x2(p: WeightParams) -> GaussErfMatrix:

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from matorth import WeightParams
 from matorth.linalg import max_abs
+from matorth.weights import weight_moment
 
 
 def rel_dev(x, y) -> float:
@@ -15,6 +16,14 @@ def rel_dev(x, y) -> float:
 
 def poly_rel_dev(x, y) -> float:
     return (x - y).max_coeff() / max(1.0, x.max_coeff(), y.max_coeff())
+
+
+def moment_pairing(p: WeightParams, lhs, rhs) -> np.ndarray:
+    """``integral lhs(t) W(t) rhs(t)* dt`` for matrix polynomials, expanded
+    over the exact moments ``weight_moment``."""
+    moments = [weight_moment(p, m) for m in range(lhs.degree + rhs.degree + 1)]
+    return sum(cj @ moments[j + k] @ ck.conj().T
+               for j, cj in enumerate(lhs.coeffs) for k, ck in enumerate(rhs.coeffs))
 
 
 @pytest.fixture

@@ -3,34 +3,49 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.hermite import hermval
 
-from conftest import poly_rel_dev, rel_dev
+from conftest import moment_pairing, poly_rel_dev, rel_dev
 from matorth import closed_forms as cf
 from matorth.closed_forms import (asymptotic_report, branch_limit,
                                   closed_norms, explicit_polynomial,
                                   gamma_ratio, gamma_value, hermite_coefficients,
-                                  hermite_value,
                                   normalization, normalized_recurrence_from_moments,
-                                  orthonormal_recurrence, pde_coefficients,
-                                  recurrence_closed_forms, rodrigues_kernel,
+                                  orthonormal_recurrence, recurrence_closed_forms,
                                   rodrigues_pde_residual, rodrigues_polynomial)
 from matorth.gausserf import ERF, GAUSS, GaussErfMatrix
 from matorth.linalg import MatrixPolynomial, max_abs
 from matorth.operator import build_operator, eigenvalue_matrix
 from matorth.orthogonal import monic_sequence, orthonormalize_sequence
-from matorth.weights import WeightParams, moment_pairing, weight_inverse_symbolic_2x2
+from matorth.weights import WeightParams, weight_inverse_symbolic_2x2
 from per_key import PerKey
 
 TINY = WeightParams(2, (1e-120,), 2.0)
 
 
+def hermite(n: int, x):
+    """The physicists' Hermite polynomial H_n at x, from numpy."""
+    return hermval(x, [0.0] * n + [1.0])
+
+
+def rodrigues_kernel(p: WeightParams, n: int) -> GaussErfMatrix:
+    """The degree-n Rodrigues kernel, the function matrix whose n-th
+    derivative times the inverse weight is the degree-n polynomial."""
+    keys, coeffs, overflow = cf._kernels(p, range(n, n + 1))
+    assert overflow is None
+    return GaussErfMatrix(keys, coeffs[0])
+
+
+def pde_coefficients(p: WeightParams, n: int) -> tuple:
+    """The coefficients (m2, m1, m0) of the degree-n kernel equation."""
+    return cf._pde_coefficient_table(p, range(n, n + 1))[0]
+
+
 class TestHermite:
     def test_seeds(self):
-        assert hermite_value(0, 1.7) == 1.0
-        assert hermite_value(1, 1.7) == 2.0 * 1.7
-
-    def test_h2_at_one(self):
-        assert hermite_value(2, 1.0) == 2.0
+        assert hermite_coefficients(0).tolist() == [1.0]
+        assert hermite_coefficients(1).tolist() == [0.0, 2.0]
+        assert hermite_coefficients(2).tolist() == [-2.0, 0.0, 4.0]
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_rodrigues_definition(self, n):
@@ -38,11 +53,7 @@ class TestHermite:
         dn = GaussErfMatrix([(GAUSS, 1.0)], np.ones((1, 1, 1, 1))).derivative(n)
         for x in (-1.1, 0.0, 0.6, 2.3):
             val = (-1.0) ** n * dn(x)[0, 0].real * math.exp(x * x)
-            assert abs(val - hermite_value(n, x)) < 1e-9 * max(1.0, abs(val))
-
-    def test_degree_guard(self):
-        with pytest.raises(ValueError):
-            hermite_value(201, 0.0)
+            assert abs(val - hermite(n, x)) < 1e-9 * max(1.0, abs(val))
 
 
 def _digest(a: np.ndarray) -> str:
@@ -50,10 +61,10 @@ def _digest(a: np.ndarray) -> str:
 
 
 class TestHermiteOverflow:
-    """The Hermite table is built without recursion, and the coefficients
-    that leave the double range raise OverflowError instead of coming back as
-    inf or NaN; every finite result keeps the bits it had under the
-    recursive build (sha256 prefixes of the coefficient bytes)."""
+    """The Hermite coefficients are built without recursion, and those that
+    leave the double range raise OverflowError instead of coming back as inf
+    or NaN; every finite result keeps the bits it had under the recursive
+    build (sha256 prefixes of the coefficient bytes)."""
 
     # b: the first degree of explicit_polynomial(a = 1) with a non-finite
     # coefficient, and the digest at the degree below it
@@ -61,13 +72,11 @@ class TestHermiteOverflow:
                 2.0: (233, "694f85f41a74c7de")}
 
     @pytest.mark.parametrize("n", [1000, 3000])
-    def test_cold_high_degree_overflows(self, monkeypatch, n):
-        monkeypatch.setattr(cf, "_HERMITE", cf._HERMITE[:2])
+    def test_cold_high_degree_overflows(self, n):
         with pytest.raises(OverflowError, match="degree 263"):
             hermite_coefficients(n)
 
-    def test_first_degree_past_the_double_range_raises(self, monkeypatch):
-        monkeypatch.setattr(cf, "_HERMITE", cf._HERMITE[:2])
+    def test_first_degree_past_the_double_range_raises(self):
         with pytest.raises(OverflowError):
             hermite_coefficients(263)
         assert _digest(hermite_coefficients(262)) == "35dbfd3b839a4bbb"
@@ -110,7 +119,7 @@ class TestDegreeGuard:
         with pytest.raises(TypeError):
             form(n)
 
-    @pytest.mark.parametrize("form", [rodrigues_kernel, rodrigues_polynomial,
+    @pytest.mark.parametrize("form", [rodrigues_polynomial,
                                       lambda p, n: rodrigues_pde_residual(p, n, [0.5])])
     def test_rodrigues_forms_start_at_degree_one(self, form):
         p = WeightParams(2, (1.0,), 2.0)
@@ -146,10 +155,6 @@ class TestRodriguesKernel:
         val = kern(t)
         assert abs(val[0, 0] + b ** -1.0 * math.exp(-b * t * t)) < 1e-100
         assert abs(val[0, 1]) < 1e-100 and abs(val[1, 0]) < 1e-100
-
-    def test_rejects_degree_zero(self):
-        with pytest.raises(ValueError):
-            rodrigues_kernel(WeightParams(2, (1.0,), 2.0), 0)
 
 
 class TestRodriguesPolynomial:
@@ -193,8 +198,8 @@ class TestExplicitPolynomial:
             for t in (-0.7, 1.2):
                 val = poly(t)
                 assert abs(val[0, 0] - b ** (-n / 2.0)
-                           * hermite_value(n, math.sqrt(b) * t)) < 1e-10
-                assert abs(val[1, 1] - 2.0 * hermite_value(n, t)) < 1e-10
+                           * hermite(n, math.sqrt(b) * t)) < 1e-10
+                assert abs(val[1, 1] - 2.0 * hermite(n, t)) < 1e-10
                 assert abs(val[0, 1]) < 1e-100 and abs(val[1, 0]) < 1e-100
 
     def test_orthogonality_via_moments(self):

@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from conftest import moment_pairing
 from matorth import operator
 from matorth.linalg import MatrixPolynomial, max_abs, worst
 from matorth.operator import (BOUNDARY_DECAY_TOL, ChiXiReport, DifferentialOperator,
                               SymmetryReport, _first_order_factor,
                               apply_operator, build_operator, check_chi_xi,
-                              check_symmetry_equations, eigenvalue_matrix,
-                              symmetry_bilinear_check)
+                              check_symmetry_equations, eigenvalue_matrix)
 from matorth.orthogonal import monic_sequence, orthonormalize_sequence
 from matorth.sampling import draw_params
 from matorth.weights import WeightParams, build_structure, weight_symbolic
@@ -249,6 +249,15 @@ class TestChiXi:
     def test_max_residual_leaves_out_the_literal_chi_and_keeps_nan(self):
         assert ChiXiReport(1e-12, 5.0, 3e-12, 2e-12).max_residual == 3e-12
         assert math.isnan(ChiXiReport(0.0, 0.0, math.nan, 1e-3).max_residual)
+
+
+def symmetry_bilinear_check(p, lhs, rhs) -> float:
+    """Residual of ``integral D(P) W Q* = integral P W D(Q)*`` over the exact
+    moments: the operator D is symmetric for the weight W."""
+    op = build_operator(p)
+    left = moment_pairing(p, apply_operator(op, lhs), rhs)
+    right = moment_pairing(p, lhs, apply_operator(op, rhs))
+    return max_abs(left - right)
 
 
 class TestBilinearSymmetry:

@@ -185,6 +185,22 @@ class TestRunSuite:
         assert type(config.nmax) is int
         assert export_tables(config)["nmax"] == 3
 
+    def test_seed_must_be_an_integer(self):
+        for seed in (2.5, 3.0, "3"):
+            with pytest.raises(TypeError):
+                RunConfig(FLAGSHIP, seed=seed)
+        assert type(RunConfig(FLAGSHIP, seed=np.int64(3)).seed) is int
+
+    def test_an_array_grid_gives_the_report_of_its_tuple(self):
+        grid = np.linspace(-3.0, 3.0, 11)
+        docs = [run_suite(RunConfig(FLAGSHIP, nmax=4, t_grid=g)).to_dict()
+                for g in (grid, tuple(grid))]
+        for doc in docs:
+            del doc["total_seconds"]
+            for check in doc["checks"]:
+                del check["seconds"]
+        assert docs[0] == docs[1]
+
 
 def _reference_json_table(path, p, name, layout):
     """The JSON table writer as first released: ``json.dump`` with indent 1."""

@@ -1,8 +1,10 @@
+import ast
 import decimal
 import importlib
 import inspect
 import math
 import pkgutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from matorth.suite import RunConfig, run_parameter_sweep
 from matorth.weights import (IdentityReport, WeightParams, abel_identity_check,
                              alpha_coeff, build_structure, column_outers,
                              verify_structure_identities,
-                             weight_eval, weight_inverse_2x2, weight_moment,
+                             weight_eval, weight_inverse_symbolic_2x2, weight_moment,
                              weight_symbolic)
 
 SQPI = math.sqrt(math.pi)
@@ -146,6 +148,15 @@ class TestCachePolicy:
         sizes = {name: fn.cache_info().currsize for name, fn in _parameter_caches().items()}
         assert sizes["weights.build_structure"] == weights.CACHE_SIZE
         assert max(sizes.values()) <= weights.CACHE_SIZE
+
+    def test_no_function_rebinds_a_module_global(self):
+        # a new cache is a CACHE_SIZE lru_cache or lives with its caller, never
+        # a module global that a function rebinds
+        found = [f"{path.name}:{node.lineno}"
+                 for path in sorted(Path(matorth.__file__).parent.glob("*.py"))
+                 for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Global)]
+        assert found == []
 
 
 class TestWeightEval:
@@ -326,19 +337,19 @@ class TestMoments:
 class TestInverse2x2:
     def test_identity_at_zero(self):
         p = WeightParams(2, (2.0,), 0.5)
-        assert max_abs(weight_inverse_2x2(p, 0.0) - np.eye(2)) == 0.0
+        assert max_abs(weight_inverse_symbolic_2x2(p)(0.0) - np.eye(2)) == 0.0
 
     def test_product_is_identity_on_grid(self):
         p = WeightParams(2, (1.0,), 2.0)
         for t in np.linspace(-3, 3, 13):
-            prod = weight_eval(p, t)[1] @ weight_inverse_2x2(p, t)
+            prod = weight_eval(p, t)[1] @ weight_inverse_symbolic_2x2(p)(t)
             assert max_abs(prod - np.eye(2)) < 1e-10
 
     def test_product_is_identity_complex_parameter(self):
         # |a|^2 = 2 doubles the exp(b t^2) cancellation scale at |t| = 3
         p = WeightParams(2, (1.0 + 1.0j,), 2.0)
         for t in np.linspace(-3, 3, 13):
-            prod = weight_eval(p, t)[1] @ weight_inverse_2x2(p, t)
+            prod = weight_eval(p, t)[1] @ weight_inverse_symbolic_2x2(p)(t)
             assert max_abs(prod - np.eye(2)) < 5e-10
 
     def test_tiny_a_diagonal(self):
@@ -346,11 +357,11 @@ class TestInverse2x2:
         p = WeightParams(2, (1e-160,), b)
         t = 1.1
         expected = np.diag([math.exp(b * t * t), math.exp(t * t)])
-        assert max_abs(weight_inverse_2x2(p, t) - expected) < 1e-140
+        assert max_abs(weight_inverse_symbolic_2x2(p)(t) - expected) < 1e-140
 
     def test_rejects_other_sizes(self):
         with pytest.raises(ValueError):
-            weight_inverse_2x2(WeightParams(3, (1.0, 1.0), 2.0), 0.5)
+            weight_inverse_symbolic_2x2(WeightParams(3, (1.0, 1.0), 2.0))
 
 
 class TestStructureIdentities:
