@@ -47,6 +47,9 @@ class TestHermite:
         assert hermite_coefficients(1).tolist() == [0.0, 2.0]
         assert hermite_coefficients(2).tolist() == [-2.0, 0.0, 4.0]
 
+    def test_h2_at_one(self):
+        assert np.polyval(hermite_coefficients(2)[::-1], 1.0) == 2.0
+
     @pytest.mark.parametrize("n", range(1, 11))
     def test_rodrigues_definition(self, n):
         # (-1)^n (d/dt)^n e^{-t^2} times e^{t^2} recovers the polynomial
@@ -88,6 +91,16 @@ class TestHermiteOverflow:
         h = hermite_coefficients(5)
         h[:] = 0.0
         assert hermite_coefficients(5).tolist() == [0.0, 120.0, 0.0, -160.0, 0.0, 32.0]
+
+    def test_range_error_of_the_scale_comes_first(self):
+        """At b = 1e-15, b**(-n/2) leaves the double range at degree 262,
+        before the Hermite coefficients do at 263; each degree raises the
+        error that its own build meets first."""
+        p = WeightParams(2, (1.0,), 1e-15)
+        with pytest.raises(OverflowError, match="Numerical result out of range"):
+            explicit_polynomial(p, 262)
+        with pytest.raises(OverflowError, match="Hermite coefficients overflow at degree 263"):
+            explicit_polynomial(p, 263)
 
     @pytest.mark.parametrize("b", sorted(EXPLICIT))
     def test_explicit_polynomial_overflows(self, b):
