@@ -6,9 +6,9 @@ operator the family carries and the full set of 2x2 closed forms.
 from .closed_forms import (AsymptoticReport, ClosedRecurrence,
                            NormalizationFactors, asymptotic_report,
                            branch_limit, closed_norms, explicit_polynomial,
-                           hermite_coefficients, normalization,
-                           orthonormal_recurrence, recurrence_closed_forms,
-                           rodrigues_pde_residual, rodrigues_polynomial)
+                           normalization, orthonormal_recurrence,
+                           recurrence_closed_forms, rodrigues_pde_residual,
+                           rodrigues_polynomial)
 from .gausserf import GaussErfMatrix
 from .linalg import MatrixPolynomial, ad_power, nilpotent_exp
 from .operator import (ChiXiReport, DifferentialOperator, SymmetryReport,
@@ -34,7 +34,7 @@ __all__ = [
     "apply_operator", "asymptotic_report", "branch_limit", "build_operator",
     "build_structure", "check_chi_xi", "check_symmetry_equations",
     "closed_norms", "eigenvalue_matrix", "explicit_polynomial",
-    "export_tables", "hermite_coefficients", "moment_oracle",
+    "export_tables", "moment_oracle",
     "monic_sequence", "nilpotent_exp", "normalization",
     "orthonormal_recurrence", "orthonormalize_sequence", "quadrature_oracle",
     "recurrence_closed_forms", "recurrence_from_sequence",

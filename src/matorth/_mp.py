@@ -41,6 +41,7 @@ import threading
 from collections import namedtuple
 from decimal import Context, Decimal, localcontext
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
@@ -156,7 +157,7 @@ class _MpFamily:
     phase ``u`` that carries them to ``a``.
 
     ``extend`` (with the moments and the class strips of ``_row``) and the
-    float rows of ``pair_float`` grow under the family's lock, so one family
+    float rows of ``pair_column`` grow under the family's lock, so one family
     may be shared between threads; what has been built is never changed, nor
     is ``stop`` once set.
     """
@@ -208,7 +209,7 @@ class _MpFamily:
         self._bhat: list[np.ndarray] = []
         self._chat: list[np.ndarray] = []
         # per returned polynomial, per parity class: its coefficients times
-        # U and their rows against the moments (see pair_float)
+        # U and their rows against the moments (see pair_column)
         self._float_rows: list[list[tuple[np.ndarray, np.ndarray]]] = []
         # per degree, the complex128 values the tables return, read-only
         self._views: list[_Views] = []
@@ -330,7 +331,7 @@ class _MpFamily:
         return out
 
     def _class_rows(self, k: int) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per class ``c`` of ``pair_float``: the rows of ``Y_k`` in class
+        """Per class ``c`` of ``pair_column``: the rows of ``Y_k`` in class
         ``c``, real over imaginary parts, on its columns, and those times ``H``."""
         n = self.n
         coeffs = self._views[k].poly.coeffs.transpose(1, 0, 2).reshape(n, -1)
@@ -347,31 +348,35 @@ class _MpFamily:
             out.append((y, y @ moments[l[:, None] + l, r[:, None], r]))
         return out
 
-    def pair_float(self, i: int, j: int) -> np.ndarray:
-        """``<P_i, P_j>`` of the complex128 polynomials of ``_views``,
-        paired exactly against the DIGITS-digit moments: with ``Y_k = C_k U``
-        for the returned coefficients ``C_k``, the moments for ``a`` are
-        ``U S U*``, so ``<P_i, P_j> = Y^i H (Y^j)*`` with the real block Hankel
-        ``H[(k, r), (l, s)] = S_{k+l}[r, s]``. As ``W(-t) = S W(t) S`` for
-        ``S = diag((-1)**r)``, ``H`` is block diagonal in the class
-        ``(l + r) % 2`` of its index and row ``a`` of ``Y^k`` lives in class
-        ``(k + a) % 2``. So one product per class does a quarter of the full
-        decimal work for the rows and half for a pair, and entries with
-        ``i + j + a + b`` odd are exact zeros."""
-        if i < j:
-            return self.pair_float(j, i).conj().T + 0.0
+    def pair_column(self, j: int, degrees: Sequence[int]) -> np.ndarray:
+        """``<P_i, P_j>`` for each i >= j of ``degrees``, stacked, of the
+        complex128 polynomials of ``_views``: with ``Y_k = C_k U`` for their
+        coefficients ``C_k``, ``Y^i H (Y^j)*`` for the real block Hankel
+        ``H[(k, r), (l, s)] = S_{k+l}[r, s]``, block diagonal in the class
+        ``(l + r) % 2``; row ``a`` of ``Y^k`` is in class ``(k + a) % 2``. One
+        product per class of the rows ``Y^i H``, stacked and cut to the width of
+        ``Y^j``, sums each entry as its own pair would; odd ``i + j + a + b`` is 0."""
         with self._lock, localcontext(_CONTEXT):
-            while len(self._float_rows) <= i:
+            while len(self._float_rows) <= max(j, *degrees):
                 self._float_rows.append(self._class_rows(len(self._float_rows)))
-        parts = np.zeros((2, self.n, self.n), dtype=object)  # real, imaginary
+        parts = np.zeros((2, len(degrees), self.n, self.n), dtype=object)  # real, imaginary
         with localcontext(_CONTEXT):
-            for c, ((_, v), (y, _)) in enumerate(zip(self._float_rows[i],
-                                                     self._float_rows[j])):
-                # class c's columns with power l <= j lead the row
-                prod, ri, rj = v[:, :y.shape[1]] @ y.T, len(v) // 2, len(y) // 2
-                block = slice((i + c) % 2, None, 2), slice((j + c) % 2, None, 2)
+            for c, (y, _) in enumerate(self._float_rows[j]):
+                # the real rows of each i, then the imaginary ones, cut to y's width
+                vs = [self._float_rows[i][c][1][:, :y.shape[1]] for i in degrees]
+                stack = np.concatenate([v[:len(v) // 2] for v in vs]
+                                       + [v[len(v) // 2:] for v in vs])
+                prod, ri, rj = stack @ y.T, len(stack) // 2, len(y) // 2
+                # the place q of each real row's degree, and its row a
+                q, a = zip(*[(q, a) for q, i in enumerate(degrees)
+                             for a in range((i + c) % 2, self.n, 2)])
+                block = q, a, slice((j + c) % 2, None, 2)
                 parts[0][block] = prod[:ri, :rj] + prod[ri:, rj:]
                 parts[1][block] = prod[ri:, :rj] - prod[:ri, rj:]
-        out = np.empty((self.n, self.n), dtype=complex)
+        out = np.empty(parts.shape[1:], dtype=complex)
         out.real, out.imag = _to_float(parts)
         return out
+
+    def pair_float(self, i: int, j: int) -> np.ndarray:
+        """``<P_i, P_j>``: the one-entry case of ``pair_column``."""
+        return self.pair_column(j, (i,))[0] if i >= j else self.pair_float(j, i).conj().T + 0.0

@@ -29,7 +29,6 @@ __all__ = [
     "branch_limit",
     "closed_norms",
     "explicit_polynomial",
-    "hermite_coefficients",
     "normalization",
     "normalized_recurrence_from_moments",
     "orthonormal_recurrence",
@@ -75,13 +74,6 @@ def _hermite(table: list, n: int) -> np.ndarray:
                 raise OverflowError(f"Hermite coefficients overflow at degree {k}")
             table.append(h)
     return table[n]
-
-
-def hermite_coefficients(n: int) -> np.ndarray:
-    """Monomial coefficients of the degree-n Hermite polynomial, built by its
-    recurrence on every call; OverflowError from degree 263, past the double range."""
-    _degree(n)
-    return _hermite([np.ones(1)], n)
 
 
 def _scaled_hermite(table: list, n: int, b: float) -> np.ndarray:

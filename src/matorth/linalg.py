@@ -58,6 +58,20 @@ def worst(values: Iterable[float]) -> float:
     return float(np.max(np.fromiter(values, dtype=float), initial=0.0))
 
 
+def _chunks(items: Sequence, entries: int) -> list[Sequence]:
+    """``items`` in runs of at most 512 matrix entries at ``entries`` an item, or one item."""
+    step = max(1, 512 // entries)
+    return [items[k:k + step] for k in range(0, len(items), step)]
+
+
+def _padded(polys: Sequence["MatrixPolynomial"], length: int) -> np.ndarray:
+    """The coefficient tensors of ``polys`` stacked, zero-padded to ``length``."""
+    out = np.zeros((len(polys), length, polys[0].dim, polys[0].dim), dtype=complex)
+    for row, poly in zip(out, polys):
+        row[:len(poly.coeffs)] = poly.coeffs
+    return out
+
+
 def convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Coefficients of the product of two matrix power series, given as
     (..., n, N, N) tensors whose leading axes broadcast: one batched matmul

@@ -68,11 +68,24 @@ def build_operator(p: WeightParams) -> DifferentialOperator:
     return DifferentialOperator(f2, f1, f0)
 
 
+def _apply_stack(op: DifferentialOperator, coeffs: np.ndarray) -> np.ndarray:
+    """``P'' f2 + P' f1 + P f0`` for each zero-padded polynomial of a (..., D, N, N)
+    tensor, with the bits of its own sum: the terms add in the same order, and
+    the padding adds only zeros to sums that are never -0.0."""
+    k = np.arange(coeffs.shape[-3], dtype=float)[:, None, None]  # the derivative factors
+    out = np.zeros(coeffs.shape, dtype=complex)
+    for term in (convolve((k * (k - 1))[2:] * coeffs[..., 2:, :, :], op.f2.coeffs),
+                 convolve(k[1:] * coeffs[..., 1:, :, :], op.f1.coeffs),
+                 convolve(coeffs, op.f0.coeffs)):
+        out[..., :term.shape[-3], :, :] += term
+    return out
+
+
 def apply_operator(op: DifferentialOperator, poly: MatrixPolynomial) -> MatrixPolynomial:
     """``P'' f2 + P' f1 + P f0`` as a matrix polynomial."""
     if poly.dim != op.dim:
         raise ValueError("dimension mismatch")
-    return (poly.derivative(2) * op.f2 + poly.derivative() * op.f1 + poly * op.f0)
+    return MatrixPolynomial._of(_apply_stack(op, poly.coeffs))
 
 
 def eigenvalue_matrix(p: WeightParams, n: int) -> np.ndarray:

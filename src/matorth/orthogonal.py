@@ -11,12 +11,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from operator import index
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
 from . import _mp
-from .linalg import MatrixPolynomial
+from .linalg import MatrixPolynomial, _chunks, _padded, peaks
 from .weights import WeightParams, weight_eval
 
 __all__ = [
@@ -60,7 +60,9 @@ class MonicSequence:
         Their coefficients are converted exactly to decimal and paired
         against the 51-digit moments, through the phase gauge of
         :mod:`matorth._mp`; the result is rounded once, to complex128.
-        Raises IndexError unless both degrees lie in ``0..top_degree``."""
+        Raises TypeError unless both degrees are integers, and IndexError
+        unless both lie in ``0..top_degree``."""
+        i, j = index(i), index(j)
         for k in (i, j):
             if not 0 <= k <= self.top_degree:
                 raise IndexError(f"degree {k} outside 0..{self.top_degree}")
@@ -119,16 +121,18 @@ def recurrence_from_sequence(seq: MonicSequence) -> RecurrenceTable:
     returned double-precision data.
     """
     b, c = _monic_table(seq)
-    count = len(seq.polys)
-    eye = np.eye(seq.params.size, dtype=complex)
-    a = tuple(eye.copy() for _ in range(count))
+    count, n = len(seq.polys), seq.params.size
+    a = tuple(np.eye(n, dtype=complex) for _ in range(count))
     residuals = []
-    for k in range(count - 1):
-        shifted = seq.polys[k].times_t()
-        resid = shifted - seq.polys[k + 1] - seq.polys[k].lmul(b[k])
-        if k >= 1:
-            resid = resid - seq.polys[k - 1].lmul(c[k])
-        residuals.append(resid.max_coeff() / max(1.0, shifted.max_coeff()))
+    # a run of rows k on zero-padded P_{k-1}, P_k, P_{k+1}; P_0 for P_{-1} meets C_0 = 0
+    for rows in _chunks(range(count - 1), (count + 1) * n * n):
+        prev, cur, nxt = (_padded([seq.polys[max(k + d, 0)] for k in rows], rows[-1] + 2)
+                          for d in (-1, 0, 1))
+        shifted = np.roll(cur, 1, axis=1)  # t P_k: the top slot of cur is 0
+        resid = (shifted - nxt - np.array([b[k] for k in rows])[:, None] @ cur
+                 - np.array([c[k] for k in rows])[:, None] @ prev)
+        residuals += (peaks(resid).max(axis=-1)
+                      / np.maximum(1.0, peaks(shifted).max(axis=-1))).tolist()
     return RecurrenceTable("monic", a, tuple(b), tuple(c), tuple(residuals))
 
 
@@ -149,10 +153,9 @@ def orthonormalize_sequence(seq: MonicSequence) -> tuple[RecurrenceTable, tuple[
     return table, tuple(v.delta for v in views)
 
 
-def _trapezoid(p: WeightParams, degree_hint: int,
-               values: Callable[[np.ndarray], tuple[np.ndarray, Iterable[np.ndarray]]]
-               ) -> np.ndarray:
-    """The trapezoid rule of both oracles on the whole real line.
+def _trapezoid(p: WeightParams, degree_hint: int) -> tuple[float, np.ndarray]:
+    """The step h and the positive nodes ``t_k = k h`` of the trapezoid rule
+    of both oracles on the whole real line.
 
     Every integrand is entire and decays like a Gaussian exp(-s t**2) with
     s between min(1, b) and max(1, b), where the plain trapezoid rule
@@ -160,20 +163,15 @@ def _trapezoid(p: WeightParams, degree_hint: int,
     aliasing error exp(-pi**2 / (s h**2)) and the half-width
     L = sqrt(K / min(1, b)) keeps the cut-off error exp(-s L**2) below
     exp(-K) for every such s, with K = 40 + 1.5 degree_hint leaving room for
-    a polynomial factor of that degree. ``values`` gets the positive nodes
-    ``t_k = k h`` as a 1-D array and returns ``f(0)`` and, in increasing k,
-    the pair sums ``f(t_k) + f(-t_k)``.
+    a polynomial factor of that degree. Both oracles add ``f(0)`` and then the
+    pair sums ``f(t_k) + f(-t_k)`` to 0.0, one after another in increasing k:
+    summing exact +/- node pairs lets the integrand's odd part cancel
+    bit-exactly instead of at eps times its (possibly huge) magnitude.
     """
     budget = 40.0 + 1.5 * degree_hint
     h = math.pi / math.sqrt(max(1.0, p.b) * budget)
     half_width = math.sqrt(budget / min(1.0, p.b))
-    at_zero, pairs = values(np.arange(1, int(half_width / h) + 1) * h)
-    # summing exact +/- node pairs lets the integrand's odd part cancel
-    # bit-exactly instead of at eps times its (possibly huge) magnitude
-    total = np.zeros((p.size, p.size), dtype=complex) + at_zero
-    for pair in pairs:
-        total += pair
-    return h * total
+    return h, np.arange(1, int(half_width / h) + 1) * h
 
 
 def quadrature_oracle(p: WeightParams, integrand: Callable[[float], np.ndarray],
@@ -184,8 +182,11 @@ def quadrature_oracle(p: WeightParams, integrand: Callable[[float], np.ndarray],
     checks. A ``degree_hint`` that is not an integer raises TypeError."""
     if index(degree_hint) < 0:
         raise ValueError("degree_hint must be >= 0")
-    return _trapezoid(p, degree_hint, lambda ts: (
-        integrand(0.0), (integrand(t) + integrand(-t) for t in ts.tolist())))
+    h, ts = _trapezoid(p, degree_hint)
+    total = np.zeros((p.size, p.size), dtype=complex) + integrand(0.0)
+    for t in ts.tolist():
+        total += integrand(t) + integrand(-t)
+    return h * total
 
 
 def moment_oracle(p: WeightParams, m: int) -> np.ndarray:
@@ -199,11 +200,12 @@ def moment_oracle(p: WeightParams, m: int) -> np.ndarray:
     integer raises TypeError."""
     if index(m) < 0:
         raise ValueError("moment order must be >= 0")
-
-    def values(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        nodes = np.concatenate(([0.0], ts))
-        powers = np.array([x ** m for x in nodes.tolist()])
-        vals = powers[:, np.newaxis, np.newaxis] * weight_eval(p, nodes)[1]
-        even = np.add.outer(np.arange(p.size), np.arange(p.size) + m) % 2 == 0
-        return vals[0], vals[1:] + np.where(even, vals[1:], -vals[1:])
-    return _trapezoid(p, m + 2 * p.size + 10, values)
+    h, ts = _trapezoid(p, m + 2 * p.size + 10)
+    nodes = np.concatenate(([0.0], ts))
+    powers = np.array([x ** m for x in nodes.tolist()])
+    sums = powers[:, np.newaxis, np.newaxis] * weight_eval(p, nodes)[1]
+    even = np.add.outer(np.arange(p.size), np.arange(p.size) + m) % 2 == 0
+    sums[1:] += np.where(even, sums[1:], -sums[1:])  # the pair sums
+    sums[0] += 0.0  # the running sum starts from 0.0: f(0) = -0.0 counts as 0.0
+    # one running sum, in the order of quadrature_oracle's loop
+    return h * np.add.accumulate(sums, out=sums)[-1]

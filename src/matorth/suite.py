@@ -20,8 +20,8 @@ from typing import Callable
 import numpy as np
 
 from . import closed_forms as cf
-from .linalg import MatrixPolynomial, max_abs, peaks, worst
-from .operator import (BOUNDARY_DECAY_TOL, apply_operator, build_operator,
+from .linalg import MatrixPolynomial, _chunks, _padded, max_abs, peaks, worst
+from .operator import (BOUNDARY_DECAY_TOL, _apply_stack, build_operator,
                        check_chi_xi, check_symmetry_equations, eigenvalue_matrix)
 from .orthogonal import (_monic_table, moment_oracle, monic_sequence,
                          orthonormalize_sequence, recurrence_from_sequence)
@@ -204,22 +204,23 @@ def run_suite(config: RunConfig) -> VerificationSummary:
 
     def c_orthogonality():
         s = seq()
-
-        def defect(n, m):
-            scale = math.sqrt(max_abs(s.norms[n]) * max_abs(s.norms[m]))
-            return max_abs(s.pairing(n, m)) / max(1.0, scale)
-        return (worst(defect(n, m) for n in range(len(s.polys)) for m in range(n)),
-                s.truncation_reason or "")
+        count, norm_peaks = len(s.polys), peaks(np.array(s.norms))
+        defects = (peaks(s._family.pair_column(m, ns))
+                   / np.maximum(1.0, np.sqrt(norm_peaks[ns] * norm_peaks[m]))
+                   for m in range(count - 1)
+                   for ns in _chunks(range(m + 1, count), 4 * p.size ** 2))
+        return worst(d for ds in defects for d in ds), s.truncation_reason or ""
 
     def c_eigen():
-        s = seq()
-        op = build_operator(p)
+        s, op = seq(), build_operator(p)
 
-        def deviation(n):
-            rhs = s.polys[n].lmul(eigenvalue_matrix(p, n))
-            return ((apply_operator(op, s.polys[n]) - rhs).max_coeff()
-                    / max(1.0, rhs.max_coeff()))
-        return worst(deviation(n) for n in range(len(s.polys))), ""
+        def deviations(ns):
+            coeffs = _padded([s.polys[n] for n in ns], ns[-1] + 1)
+            rhs = np.array([eigenvalue_matrix(p, n) for n in ns])[:, None] @ coeffs
+            return (peaks(_apply_stack(op, coeffs) - rhs).max(axis=-1)
+                    / np.maximum(1.0, peaks(rhs).max(axis=-1)))
+        runs = _chunks(range(len(s.polys)), len(s.polys) * p.size ** 2)
+        return worst(d for ns in runs for d in deviations(ns)), ""
 
     def c_rodrigues_explicit():
         degrees = range(1, min(config.nmax, 12) + 1)

@@ -52,6 +52,7 @@ class WeightParams:
     b: float
 
     def __post_init__(self):
+        object.__setattr__(self, "size", index(self.size))  # TypeError unless an integer
         if self.size < 2:
             raise ValueError(f"size must be >= 2, got {self.size}")
         object.__setattr__(self, "a", tuple(complex(v) for v in self.a))

@@ -9,8 +9,8 @@ from conftest import moment_pairing, poly_rel_dev, rel_dev
 from matorth import closed_forms as cf
 from matorth.closed_forms import (asymptotic_report, branch_limit,
                                   closed_norms, explicit_polynomial,
-                                  gamma_ratio, gamma_value, hermite_coefficients,
-                                  normalization, normalized_recurrence_from_moments,
+                                  gamma_ratio, gamma_value, normalization,
+                                  normalized_recurrence_from_moments,
                                   orthonormal_recurrence, recurrence_closed_forms,
                                   rodrigues_pde_residual, rodrigues_polynomial)
 from matorth.gausserf import ERF, GAUSS, GaussErfMatrix
@@ -28,6 +28,12 @@ def hermite(n: int, x):
     return hermval(x, [0.0] * n + [1.0])
 
 
+def hermite_coeffs(n: int) -> np.ndarray:
+    """The monomial coefficients of H_n, from the recurrence table that
+    ``_explicit_table`` builds, started afresh from H_0 = 1."""
+    return cf._hermite([np.ones(1)], n)
+
+
 def rodrigues_kernel(p: WeightParams, n: int) -> GaussErfMatrix:
     """The degree-n Rodrigues kernel, the function matrix whose n-th
     derivative times the inverse weight is the degree-n polynomial."""
@@ -43,12 +49,12 @@ def pde_coefficients(p: WeightParams, n: int) -> tuple:
 
 class TestHermite:
     def test_seeds(self):
-        assert hermite_coefficients(0).tolist() == [1.0]
-        assert hermite_coefficients(1).tolist() == [0.0, 2.0]
-        assert hermite_coefficients(2).tolist() == [-2.0, 0.0, 4.0]
+        assert hermite_coeffs(0).tolist() == [1.0]
+        assert hermite_coeffs(1).tolist() == [0.0, 2.0]
+        assert hermite_coeffs(2).tolist() == [-2.0, 0.0, 4.0]
 
     def test_h2_at_one(self):
-        assert np.polyval(hermite_coefficients(2)[::-1], 1.0) == 2.0
+        assert np.polyval(hermite_coeffs(2)[::-1], 1.0) == 2.0
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_rodrigues_definition(self, n):
@@ -77,20 +83,20 @@ class TestHermiteOverflow:
     @pytest.mark.parametrize("n", [1000, 3000])
     def test_cold_high_degree_overflows(self, n):
         with pytest.raises(OverflowError, match="degree 263"):
-            hermite_coefficients(n)
+            hermite_coeffs(n)
 
     def test_first_degree_past_the_double_range_raises(self):
         with pytest.raises(OverflowError):
-            hermite_coefficients(263)
-        assert _digest(hermite_coefficients(262)) == "35dbfd3b839a4bbb"
-        assert _digest(hermite_coefficients(100)) == "72330d44a5622043"
+            hermite_coeffs(263)
+        assert _digest(hermite_coeffs(262)) == "35dbfd3b839a4bbb"
+        assert _digest(hermite_coeffs(100)) == "72330d44a5622043"
         with pytest.raises(OverflowError):
-            hermite_coefficients(263)
+            hermite_coeffs(263)
 
     def test_results_are_fresh_arrays(self):
-        h = hermite_coefficients(5)
+        h = hermite_coeffs(5)
         h[:] = 0.0
-        assert hermite_coefficients(5).tolist() == [0.0, 120.0, 0.0, -160.0, 0.0, 32.0]
+        assert hermite_coeffs(5).tolist() == [0.0, 120.0, 0.0, -160.0, 0.0, 32.0]
 
     def test_range_error_of_the_scale_comes_first(self):
         """At b = 1e-15, b**(-n/2) leaves the double range at degree 262,
@@ -114,11 +120,10 @@ class TestDegreeGuard:
     """Every closed form takes a degree: an integer >= 0 (>= 1 for the
     Rodrigues construction), or it raises before computing anything."""
 
-    FORMS = [lambda n: hermite_coefficients(n),
-             *(lambda n, f=f: f(WeightParams(2, (1.0,), 2.0), n)
-               for f in (explicit_polynomial, closed_norms, normalization,
-                         orthonormal_recurrence, recurrence_closed_forms,
-                         gamma_value, gamma_ratio))]
+    FORMS = [lambda n, f=f: f(WeightParams(2, (1.0,), 2.0), n)
+             for f in (explicit_polynomial, closed_norms, normalization,
+                       orthonormal_recurrence, recurrence_closed_forms,
+                       gamma_value, gamma_ratio)]
 
     @pytest.mark.parametrize("form", FORMS)
     @pytest.mark.parametrize("n", [-1, -3])
@@ -529,20 +534,20 @@ def _ref_explicit(p, n):
         return MatrixPolynomial.constant(np.diag([1.0, 2.0]))
     a, b = p.a[0], p.b
     aa = abs(a) ** 2
-    hn_b = hermite_coefficients(n) * b ** (np.arange(n + 1) / 2.0)
-    hnm1_b = hermite_coefficients(n - 1) * b ** (np.arange(n) / 2.0)
+    hn_b = hermite_coeffs(n) * b ** (np.arange(n + 1) / 2.0)
+    hnm1_b = hermite_coeffs(n - 1) * b ** (np.arange(n) / 2.0)
     coeffs = [np.zeros((2, 2), dtype=complex) for _ in range(n + 2)]
     pref = b ** (-n / 2.0)
     for k, v in enumerate(hn_b):
         coeffs[k][0, 0] += pref * v
         coeffs[k + 1][0, 1] += -a * pref * v
-    for k, v in enumerate(hermite_coefficients(n + 1)):
+    for k, v in enumerate(hermite_coeffs(n + 1)):
         coeffs[k][0, 1] += 0.5 * a * v
     pref = 2.0 * b ** (n / 2.0) * n
     for k, v in enumerate(hnm1_b):
         coeffs[k][1, 0] += -np.conj(a) * pref * v
         coeffs[k + 1][1, 1] += aa * pref * v
-    for k, v in enumerate(hermite_coefficients(n)):
+    for k, v in enumerate(hermite_coeffs(n)):
         coeffs[k][1, 1] += 2.0 * v
     coeffs[n + 1][0, 1] = 0.0
     return MatrixPolynomial(coeffs)

@@ -92,6 +92,45 @@ class TestApplyOperator:
         assert (out - seq.polys[1].lmul(lam)).max_coeff() < 1e-13
 
 
+def _ref_apply(op: DifferentialOperator, poly: MatrixPolynomial) -> MatrixPolynomial:
+    """``P'' f2 + P' f1 + P f0`` in ``MatrixPolynomial`` arithmetic, one
+    polynomial at a time: the reference for the stacked kernel."""
+    return poly.derivative(2) * op.f2 + poly.derivative() * op.f1 + poly * op.f0
+
+
+class TestStackedOperator:
+    MEMBERS = [WeightParams(2, (0.6 + 0.8j,), 2.0), WeightParams(2, (1.0,), 1.0),
+               WeightParams(3, (0.8 - 0.3j, -1.2), 0.25),
+               WeightParams(4, (0.7 + 0.2j, 1.3, -0.5j), 0.6),
+               WeightParams(5, (1.0, 0.5, 1.2j, -0.8 + 0.4j), 4.0),
+               WeightParams(6, (1.1, -0.4j, 0.9, 0.6 + 0.6j, 1.3), 3.0)]
+
+    @pytest.mark.parametrize("p", MEMBERS)
+    def test_every_degree_matches_the_polynomial_formula(self, p):
+        seq = monic_sequence(p, 14)
+        op, count = build_operator(p), len(seq.polys)
+        stack = np.zeros((count, count, p.size, p.size), dtype=complex)
+        for row, poly in zip(stack, seq.polys):
+            row[:len(poly.coeffs)] = poly.coeffs
+        table = operator._apply_stack(op, stack)
+        for n, poly in enumerate(seq.polys):
+            want = _ref_apply(op, poly).coeffs
+            assert apply_operator(op, poly).coeffs.tobytes() == want.tobytes(), n
+            assert table[n, :len(want)].tobytes() == want.tobytes(), n
+            assert not np.any(table[n, len(want):]), n
+
+    @pytest.mark.parametrize("p", MEMBERS[::2])
+    def test_any_polynomial_matches_the_polynomial_formula(self, p):
+        rng = np.random.default_rng(p.size)
+        op = build_operator(p)
+        for degree in (-1, 0, 1, 2, 5):
+            coeffs = (rng.normal(size=(degree + 1, p.size, p.size))
+                      + 1j * rng.normal(size=(degree + 1, p.size, p.size)))
+            poly = MatrixPolynomial(coeffs, dim=p.size)
+            want = _ref_apply(op, poly)
+            assert apply_operator(op, poly).coeffs.tobytes() == want.coeffs.tobytes(), degree
+
+
 class TestEigenvalueMatrix:
     def test_two_by_two_closed_form(self):
         p = WeightParams(2, (0.7 + 0.1j,), 1.7)

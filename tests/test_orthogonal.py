@@ -137,12 +137,35 @@ class TestMonicSequence:
         with pytest.raises(IndexError, match=r"outside 0\.\.3"):
             seq.pairing(i, j)
 
+    @pytest.mark.parametrize("i, j", [(1.0, 0), (0, 1.0), (np.float64(2.0), 1)])
+    def test_pairing_rejects_degrees_that_are_not_integers(self, i, j):
+        p = WeightParams(2, (0.25 + 0.9j,), 1.35)  # params unused elsewhere
+        seq = monic_sequence(p, 3)
+        built = len(_mp.family(p)._float_rows)
+        with pytest.raises(TypeError):
+            seq.pairing(i, j)
+        assert len(_mp.family(p)._float_rows) == built  # nothing was built
+        assert seq.pairing(np.int64(3), 0).shape == (2, 2)
+
     def test_truncated_pairing_rejects_degrees_past_the_top(self):
         seq = monic_sequence(WeightParams(2, (1.0,), 1e6), 15)
         assert seq.top_degree == 9
         with pytest.raises(IndexError, match=r"outside 0\.\.9"):
             seq.pairing(12, 1)
         assert seq.pairing(9, 1).shape == (2, 2)
+
+
+def _per_degree_residuals(seq, b, c) -> tuple[float, ...]:
+    """The recurrence identity residual of each row k, one degree at a time
+    in ``MatrixPolynomial`` arithmetic: the reference for the stacked rows."""
+    residuals = []
+    for k in range(len(seq.polys) - 1):
+        shifted = seq.polys[k].times_t()
+        resid = shifted - seq.polys[k + 1] - seq.polys[k].lmul(b[k])
+        if k >= 1:
+            resid = resid - seq.polys[k - 1].lmul(c[k])
+        residuals.append(resid.max_coeff() / max(1.0, shifted.max_coeff()))
+    return tuple(residuals)
 
 
 class TestMonicRecurrence:
@@ -158,6 +181,19 @@ class TestMonicRecurrence:
     def test_identity_residuals_tiny(self, flagship):
         table = recurrence_from_sequence(monic_sequence(flagship, 12))
         assert max(table.residuals) < 1e-13
+
+    @pytest.mark.parametrize("p, nmax", [
+        (WeightParams(2, (0.6 + 0.8j,), 2.0), 24), (WeightParams(2, (1.0,), 1e6), 14),
+        (WeightParams(2, (1.0,), 0.25), 1), (WeightParams(3, (0.8 - 0.3j, -1.2), 0.25), 16),
+        (WeightParams(4, (0.7 + 0.2j, 1.3, -0.5j), 0.6), 12),
+        (WeightParams(5, (1.0, 0.5, 1.2j, -0.8 + 0.4j), 4.0), 10),
+        (WeightParams(6, (1, 1, 1, 1, 1), 3.0), 31),
+    ])
+    def test_residuals_equal_the_per_degree_loop(self, p, nmax):
+        seq = monic_sequence(p, nmax)
+        table = recurrence_from_sequence(seq)
+        assert table.residuals == _per_degree_residuals(seq, table.B, table.C)
+        assert all(type(r) is float for r in table.residuals)
 
     def test_tiny_a_offdiagonal_vanishes(self):
         p = WeightParams(2, (1e-120,), 2.0)
@@ -283,6 +319,25 @@ class TestQuadratureOracle:
         val = quadrature_oracle(flagship, integrand)
         finer = quadrature_oracle(flagship, integrand, degree_hint=128)
         assert max_abs(val - finer) < 1e-12
+
+    @pytest.mark.parametrize("p, hint", [(WeightParams(2, (1.0,), 2.0), 64),
+                                         (WeightParams(3, (0.8 - 0.3j, -1.2), 0.25), 20),
+                                         (WeightParams(5, (1.0, 0.5, 1.2j, -0.8 + 0.4j), 4.0), 0)])
+    def test_equals_the_per_node_loop(self, p, hint):
+        calls = []
+
+        def integrand(t):
+            calls.append(t)
+            return t ** 3 * weight_eval(p, t)[1] + t * np.eye(p.size)
+        got = quadrature_oracle(p, integrand, degree_hint=hint)
+        nodes = calls[1::2]
+        assert calls[0] == 0.0 and calls[2::2] == [-t for t in nodes]
+        assert nodes == sorted(nodes) and len(set(nodes)) == len(nodes)
+        # the rule's step from its first node; one running sum in pair order
+        total = np.zeros((p.size, p.size), dtype=complex) + integrand(0.0)
+        for t in nodes:
+            total += integrand(t) + integrand(-t)
+        assert got.tobytes() == (calls[1] * total).tobytes()
 
     def test_moment_oracle_matches_pointwise(self, pointwise_moments):
         for p, m, expected in pointwise_moments:
@@ -501,6 +556,50 @@ def _per_term_pairings(fam: _mp._MpFamily, top: int) -> dict[tuple[int, int], np
                 out[j, i] = pair.conj().T + 0.0
                 out[i, j] = pair
     return out
+
+
+def _per_pair(fam: _mp._MpFamily, i: int, j: int) -> np.ndarray:
+    """``<P_i, P_j>``, i >= j, from the cached class rows, one pair at a
+    time: the reference for the stacked products of ``pair_column``."""
+    parts = np.zeros((2, fam.n, fam.n), dtype=object)
+    with decimal.localcontext(_mp._CONTEXT):
+        for c, ((_, v), (y, _)) in enumerate(zip(fam._float_rows[i], fam._float_rows[j])):
+            prod, ri, rj = v[:, :y.shape[1]] @ y.T, len(v) // 2, len(y) // 2
+            block = slice((i + c) % 2, None, 2), slice((j + c) % 2, None, 2)
+            parts[0][block] = prod[:ri, :rj] + prod[ri:, rj:]
+            parts[1][block] = prod[ri:, :rj] - prod[:ri, rj:]
+    out = np.empty((fam.n, fam.n), dtype=complex)
+    out.real, out.imag = _mp._to_float(parts)
+    return out
+
+
+class TestPairColumn:
+    @pytest.mark.parametrize("p, nmax", [
+        (WeightParams(2, (0.6 + 0.8j,), 2.0), 21), (WeightParams(2, (1.0,), 1e6), 14),
+        (WeightParams(2, (-0.7,), 0.25), 0), (WeightParams(3, (0.8 - 0.3j, -1.2), 0.25), 12),
+        (WeightParams(4, (0.7 + 0.2j, 1.3, -0.5j), 0.6), 10),
+        (WeightParams(5, (1.0, 0.5, 1.2j, -0.8 + 0.4j), 4.0), 8),
+        (WeightParams(6, (1.1, -0.4j, 0.9, 0.6 + 0.6j, 1.3), 3.0), 7),
+    ])
+    def test_every_entry_equals_its_own_pair_product(self, p, nmax):
+        seq = monic_sequence(p, nmax)
+        fam, top = seq._family, seq.top_degree
+        for j in range(top + 1):
+            column = fam.pair_column(j, range(j, top + 1))
+            assert column.shape == (top + 1 - j, p.size, p.size)
+            for i, got in zip(range(j, top + 1), column):
+                want = _per_pair(fam, i, j)
+                assert got.tobytes() == want.tobytes(), (i, j)
+                assert seq.pairing(i, j).tobytes() == want.tobytes(), (i, j)
+                if i > j:
+                    assert (seq.pairing(j, i).tobytes()
+                            == (want.conj().T + 0.0).tobytes()), (i, j)
+        # any run of degrees, in any order, gives the same entries
+        runs = [range(top, top + 1), range(top // 2, top + 1), (top, 0)]
+        for degrees in runs:
+            column = fam.pair_column(0, degrees)
+            for i, got in zip(degrees, column):
+                assert got.tobytes() == _per_pair(fam, i, 0).tobytes(), (degrees, i)
 
 
 class TestParityPairing:

@@ -15,7 +15,9 @@ import matorth.closed_forms as cf
 import matorth.suite as suite
 from conftest import invalid_params
 from matorth.cli import main
-from matorth.linalg import MatrixPolynomial
+from matorth.linalg import MatrixPolynomial, max_abs, worst
+from matorth.operator import build_operator, eigenvalue_matrix
+from matorth.orthogonal import monic_sequence
 from matorth.suite import RunConfig, export_tables, run_parameter_sweep, run_suite
 from matorth.weights import IdentityReport, WeightParams
 
@@ -164,6 +166,30 @@ class TestRunSuite:
         summary = run_suite(RunConfig(FLAGSHIP, nmax=6))
         assert calls == [7]
         assert summary.overall
+
+    @pytest.mark.parametrize("p, nmax", [
+        (WeightParams(2, (0.6 + 0.8j,), 4.0), 20), (WeightParams(2, (1.0,), 1e6), 12),
+        (WeightParams(2, (1.0,), 0.25), 0), (WeightParams(3, (0.8 - 0.3j, -1.2), 0.25), 12),
+        (WeightParams(6, (1, 1, 1, 1, 1), 3.0), 20),
+    ])
+    def test_gate_residuals_equal_the_per_pair_and_per_degree_loops(self, p, nmax):
+        checks = check_map(run_suite(RunConfig(p, nmax=nmax)))
+        seq = monic_sequence(p, nmax + 1)
+        op = build_operator(p)
+
+        def defect(n, m):
+            scale = math.sqrt(max_abs(seq.norms[n]) * max_abs(seq.norms[m]))
+            return max_abs(seq.pairing(n, m)) / max(1.0, scale)
+
+        def deviation(n):  # the operator in MatrixPolynomial arithmetic
+            poly = seq.polys[n]
+            rhs = poly.lmul(eigenvalue_matrix(p, n))
+            lhs = poly.derivative(2) * op.f2 + poly.derivative() * op.f1 + poly * op.f0
+            return (lhs - rhs).max_coeff() / max(1.0, rhs.max_coeff())
+        count = len(seq.polys)
+        assert checks["monic-orthogonality"].residual == worst(
+            defect(n, m) for n in range(count) for m in range(n))
+        assert checks["eigenvalue-equation"].residual == worst(map(deviation, range(count)))
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
@@ -591,6 +617,33 @@ class TestCli:
         assert "outside the supported range" in errors[0]
         assert "Traceback" not in captured.err
         assert captured.out == ""
+
+
+class TestGateLimits:
+    """The exact orthogonality gate at its two documented limits, pinned by
+    the bits of its residual, so that any reordering of the gate's sums shows.
+
+    - At size 2, a = 1, b = 0.25, nmax 40 the gate FAILs: the returned
+      monomial coefficients in double cannot hold the orthogonality of the
+      51-digit build (the double-format limit of ROADMAP item 3).
+    - At size 3, a = (1, 1), b = 49, nmax 25 the gate PASSes, although the
+      build has lost its digits seven degrees before a squared norm stops
+      being positive definite: the silently wrong member. ROADMAP item 3,
+      the cross-check against the operator's recurrence, is expected to
+      truncate this build and so to change this pin.
+    """
+
+    @pytest.mark.parametrize("argv, passed, residual", [
+        (["--b", "0.25", "--nmax", "40"], False, "0x1.c5f73811e9fd2p-27"),
+        (["--size", "3", "--a", "1,1", "--b", "49", "--nmax", "25"], True,
+         "0x1.5f9515cfd2c27p-36"),
+    ])
+    def test_monic_orthogonality_residual_bits(self, argv, passed, residual, tmp_path, capsys):
+        out = tmp_path / "v.json"
+        main(["verify", *argv, "--out", str(out)])
+        gate = next(c for c in json.loads(out.read_text())["checks"]
+                    if c["name"] == "monic-orthogonality")
+        assert (gate["pass"], gate["residual"].hex()) == (passed, residual)
 
 
 @pytest.mark.parametrize("module", ["matorth", *(f"matorth.{m.name}" for m in

@@ -2,6 +2,7 @@ import ast
 import decimal
 import importlib
 import inspect
+import json
 import math
 import pkgutil
 from pathlib import Path
@@ -16,7 +17,7 @@ from matorth import _mp, weights
 from matorth.gausserf import ERF, GAUSS, PLAIN, GaussErfMatrix, gauss_integral
 from matorth.linalg import MatrixPolynomial, max_abs, nilpotent_exp
 from matorth.sampling import draw_params
-from matorth.suite import RunConfig, run_parameter_sweep
+from matorth.suite import RunConfig, export_tables, run_parameter_sweep, run_suite
 from matorth.weights import (IdentityReport, WeightParams, abel_identity_check,
                              alpha_coeff, build_structure, column_outers,
                              verify_structure_identities,
@@ -61,6 +62,21 @@ class TestParams:
         size, a, b = data.draw(invalid_params())
         with pytest.raises(ValueError):
             WeightParams(size, a, b)
+
+    def test_size_is_stored_as_an_int(self, tmp_path):
+        p = WeightParams(np.int64(2), (1,), 2.0)
+        assert type(p.size) is int and p == WeightParams(2, (1,), 2.0)
+        # the reports and tables of such parameters serialize
+        json.dumps(run_suite(RunConfig(p, nmax=2)).to_dict())
+        manifest = export_tables(RunConfig(p, nmax=2, out=str(tmp_path)))
+        assert manifest["params"]["size"] == 2
+
+    @pytest.mark.parametrize("size, a", [(3.0, (1.0, 1.0)), (3.0, (1.0,)),
+                                         (np.float64(2.0), (0.0,))])
+    def test_rejects_a_size_that_is_not_an_integer(self, size, a):
+        # before any other check: a wrong count or a zero a_1 is not reported
+        with pytest.raises(TypeError, match="'.*float.*' object cannot be interpreted as an integer"):
+            WeightParams(size, a, 2.0)
 
     def test_degenerate_flag(self):
         assert WeightParams(2, (1.0,), 1.0).degenerate_b
