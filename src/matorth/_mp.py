@@ -117,8 +117,9 @@ def _inv_upper(u: np.ndarray) -> np.ndarray:
 
 def _mul(x: np.ndarray, qx: int, y: np.ndarray, qy: int) -> np.ndarray:
     """``x @ y`` for ``x`` of parity ``qx`` and ``y`` of parity ``qy``, either
-    one possibly a stack of one parity, on their nonzero blocks only."""
-    out = np.zeros(np.broadcast_shapes(x.shape, y.shape), dtype=object)
+    one possibly a stack of one parity, on their nonzero blocks only; two
+    stacks are of one shape."""
+    out = np.zeros((x if x.ndim >= y.ndim else y).shape, dtype=object)
     for a in (0, 1):
         j, b = (a + qx) % 2, (a + qx + qy) % 2
         out[..., a::2, b::2] = x[..., a::2, j::2] @ y[..., j::2, b::2]
@@ -206,6 +207,7 @@ class _MpFamily:
         self.polys: list[np.ndarray] = []   # polys[k][power] = matrix
         self.norms: list[np.ndarray] = []
         self._deltas: list[np.ndarray] = []       # inverse upper Cholesky factors
+        self._norm_inv: np.ndarray | None = None  # H_top^-1, for the next Chat
         self._bhat: list[np.ndarray] = []
         self._chat: list[np.ndarray] = []
         # per returned polynomial, per parity class: its coefficients times
@@ -269,9 +271,6 @@ class _MpFamily:
                 out[l, a::2, (s + l) % 2::2] = acc[:, cols]
         return out
 
-    def _norm_inv(self, k: int) -> np.ndarray:
-        return _mul(self._deltas[k].T, 0, self._deltas[k], 0)
-
     def _append(self, coeffs: np.ndarray):
         """Add the next monic polynomial P with its squared norm H, the
         Cholesky factor and normalizer of H, and the recurrence coefficients
@@ -281,14 +280,15 @@ class _MpFamily:
         row, coeffs_t = self._row(coeffs, k + 2), coeffs.transpose(0, 2, 1)
         norm = _fold(row[:-1], k, coeffs_t, k)
         chol = _chol_upper(norm)
-        self._chat.append(_mul(norm, 0, self._norm_inv(k - 1), 0) if k
+        self._chat.append(_mul(norm, 0, self._norm_inv, 0) if k
                           else np.zeros((self.n, self.n), dtype=object))
         self.polys.append(coeffs)
         self.norms.append(norm)
-        self._deltas.append(_inv_upper(chol))
-        bhat = _mul(_fold(row[1:], k + 1, coeffs_t, k), 1, self._norm_inv(k), 0)
+        delta = _inv_upper(chol)
+        self._deltas.append(delta)
+        self._norm_inv = _mul(delta.T, 0, delta, 0)  # H_k^-1 = Delta_k^T Delta_k
+        bhat = _mul(_fold(row[1:], k + 1, coeffs_t, k), 1, self._norm_inv, 0)
         self._bhat.append(bhat)
-        delta = self._deltas[k]
         # orthonormal A_k = Delta_{k-1} U_k (a zero pad at k = 0) and
         # B_k = Delta_k Bhat_k U_k, with U_k the upper Cholesky factor of H_k
         a = _mul(self._deltas[k - 1], 0, chol, 0) if k else np.zeros_like(chol)

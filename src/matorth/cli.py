@@ -231,12 +231,19 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     parser = argparse.ArgumentParser(
         prog="matorth",
         description="Matrix-valued orthogonal polynomials for a Gaussian-type "
                     "weight family: construction, verification, tables.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (fn, text, own) in _COMMANDS.items():
+    # only the named subcommand's parser is built; help, no name or an unknown
+    # one build them all. The metavar keeps the usage line, and the errors
+    # that name the argument "command" arise only when all are built
+    named = [argv[0]] if argv and argv[0] in _COMMANDS else None
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar="{" + ",".join(_COMMANDS) + "}" if named else None)
+    for name in named or _COMMANDS:
+        fn, text, own = _COMMANDS[name]
         sp = sub.add_parser(name, help=text)
         for flag in ("--size", "--a", "--b", *own, "--out"):
             sp.add_argument(flag, **_OPTIONS[flag])

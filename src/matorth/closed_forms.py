@@ -334,8 +334,10 @@ def _transport(gauges: np.ndarray, a: np.ndarray, b: np.ndarray, first: int) -> 
     gauge, stacked: ``G_{n-1} A_n G_n^-1``, ``G_n B_n G_n^-1`` and ``G_n A_n*
     G_{n-1}^-1``, with ``gauges`` those of degrees max(first - 1, 0).., the first
     and last zero pads at n = 0 (``+ 0.0``: conjugating a zero imaginary part
-    gives -0.0)."""
-    inv = np.linalg.inv(gauges)
+    gives -0.0). The gauges are diagonal: their reciprocals are their inverses,
+    to the bit of LAPACK's, with no LAPACK loaded."""
+    inv = np.zeros_like(gauges)
+    inv[:, [0, 1], [0, 1]] = 1.0 / np.diagonal(gauges, axis1=-2, axis2=-1)
     g, g_inv = gauges[len(gauges) - len(a):], inv[len(gauges) - len(a):]
     lo = 0 if first else 1  # the rows with a degree before them
     out = np.zeros((3,) + a.shape, dtype=complex)

@@ -167,12 +167,6 @@ class MatrixPolynomial:
         factors = [float(math.perm(k, order)) for k in range(order, len(self.coeffs))]
         return MatrixPolynomial._of(np.array(factors)[:, None, None] * self.coeffs[order:])
 
-    def times_t(self) -> "MatrixPolynomial":
-        """``t * P(t)``: every coefficient moves up one power."""
-        v = np.zeros((len(self.coeffs) + 1, self.dim, self.dim), dtype=complex)
-        v[1:] = self.coeffs
-        return MatrixPolynomial._of(v)
-
     def __add__(self, other: "MatrixPolynomial") -> "MatrixPolynomial":
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):

@@ -12,6 +12,11 @@ from matorth.gausserf import ERF, GAUSS, PLAIN, gauss_integral
 from matorth.linalg import MatrixPolynomial, max_abs, worst
 
 
+def _times_t(v):
+    """``t * v(t)``: every coefficient moves up one power."""
+    return MatrixPolynomial(np.concatenate([np.zeros((1, v.dim, v.dim)), v.coeffs]), v.dim)
+
+
 class PerKey:
     """``sum over keys of polys[key](t) f_key(t)`` from ``(key, polynomial)``
     pairs: equal keys summed in order, zero polynomials dropped."""
@@ -65,7 +70,7 @@ class PerKey:
             for (kind, s), v in out.polys.items():
                 d = v.derivative()
                 if kind == GAUSS:
-                    d = d + (-2.0 * s * v).times_t()
+                    d = d + _times_t(-2.0 * s * v)
                 elif kind == ERF:
                     items.append(((GAUSS, s), 2.0 * math.sqrt(s) / math.sqrt(math.pi) * v))
                 items.append(((kind, s), d))

@@ -666,6 +666,9 @@ def _ref_rows(f, degrees):
 
 TABLE_PARAMS = [WeightParams(2, (a,), b) for b in (1e-3, 0.25, 1.0, 2.0, 4.0, 50.0)
                 for a in (1.0, -0.7, 0.6 + 0.8j, 1e-3j)]
+# members and top degrees whose gauge entries reach inf
+OVERFLOW_GAUGES = [(WeightParams(2, (0.6 + 0.8j,), 0.1), 200),
+                   (WeightParams(2, (1.0,), 10.0), 200), (WeightParams(2, (-0.7,), 1000.0), 100)]
 
 
 class TestDegreeTables:
@@ -708,14 +711,22 @@ class TestDegreeTables:
         for k, n in enumerate(degrees):
             assert [m[k].tobytes() for m in norms] == [m.tobytes() for m in _ref_norms(p, n)], n
 
-    @pytest.mark.parametrize("p", TABLE_PARAMS, ids=lambda p: f"a={p.a[0]}-b={p.b}")
-    def test_gauge_transport(self, p):
-        orth = [_ref_orthonormal(p, n) for n in range(41)]
-        got = cf._transport(cf._normalization_table(p, range(41))[2],
-                            np.array([a for a, _ in orth]), np.array([b for _, b in orth]), 0)
-        for n, row in enumerate(orth):
-            want = _ref_to_rodrigues(p, n, *row)
-            assert [m[n].tobytes() for m in got] == [m.tobytes() for m in want], n
+    @pytest.mark.parametrize("p, top", [(p, 40) for p in TABLE_PARAMS] + OVERFLOW_GAUGES,
+                             ids=[f"a={p.a[0]}-b={p.b}" for p in TABLE_PARAMS]
+                             + [f"a={p.a[0]}-b={p.b}-to-{top}" for p, top in OVERFLOW_GAUGES])
+    def test_gauge_transport(self, p, top):
+        """The reciprocal gauge inverses give the bytes of ``np.linalg.inv``,
+        also from degree 195 at b = 0.1 and 10 and from 94 at b = 1000, where
+        gauge entries are inf."""
+        gauges = cf._normalization_table(p, range(top + 1))[2]
+        assert np.isinf(gauges).any() == (top > 40)
+        with np.errstate(all="ignore"):
+            orth = [_ref_orthonormal(p, n) for n in range(top + 1)]
+            got = cf._transport(gauges, np.array([a for a, _ in orth]),
+                                np.array([b for _, b in orth]), 0)
+            for n, row in enumerate(orth):
+                want = _ref_to_rodrigues(p, n, *row)
+                assert [m[n].tobytes() for m in got] == [m.tobytes() for m in want], n
         seq = monic_sequence(p, 12)
         tilde = normalized_recurrence_from_moments(p, seq)
         table, _ = orthonormalize_sequence(seq)

@@ -80,17 +80,13 @@ class TestMatrixPolynomial:
     def test_coeffs_is_one_read_only_tensor(self):
         rng = np.random.default_rng(3)
         p = MatrixPolynomial(rng.normal(size=(3, 2, 2)))
-        for q in (p, p * p, p + p, p - 2.0 * p, p.derivative(), p.times_t(),
-                  p.conj_t(), p.lmul(I2)):
+        for q in (p, p * p, p + p, p - 2.0 * p, p.derivative(), p.conj_t(),
+                  p.lmul(I2)):
             assert isinstance(q.coeffs, np.ndarray)
             assert q.coeffs.shape == (q.degree + 1, 2, 2)
             assert not q.coeffs.flags.writeable
         assert MatrixPolynomial.zero(3).coeffs.shape == (0, 3, 3)
         assert (p - p).degree == -1
-
-    def test_times_t_shifts_powers(self):
-        p = MatrixPolynomial([I2, 2.0 * I2])
-        assert p.times_t() == MatrixPolynomial([0.0 * I2, I2, 2.0 * I2])
 
     def test_dim_mismatch_rejected(self):
         with pytest.raises(ValueError):

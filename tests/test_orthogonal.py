@@ -18,7 +18,7 @@ from matorth import _mp, orthogonal
 from matorth.closed_forms import (explicit_polynomial, gamma_value,
                                   normalization, orthonormal_recurrence,
                                   recurrence_closed_forms)
-from matorth.linalg import max_abs
+from matorth.linalg import MatrixPolynomial, max_abs
 from matorth.orthogonal import (moment_oracle, monic_sequence, orthonormalize_sequence,
                                 quadrature_oracle, recurrence_from_sequence)
 from matorth.suite import RunConfig, run_suite
@@ -160,8 +160,9 @@ def _per_degree_residuals(seq, b, c) -> tuple[float, ...]:
     in ``MatrixPolynomial`` arithmetic: the reference for the stacked rows."""
     residuals = []
     for k in range(len(seq.polys) - 1):
-        shifted = seq.polys[k].times_t()
-        resid = shifted - seq.polys[k + 1] - seq.polys[k].lmul(b[k])
+        p = seq.polys[k]
+        shifted = MatrixPolynomial(np.concatenate([np.zeros((1, p.dim, p.dim)), p.coeffs]))
+        resid = shifted - seq.polys[k + 1] - p.lmul(b[k])
         if k >= 1:
             resid = resid - seq.polys[k - 1].lmul(c[k])
         residuals.append(resid.max_coeff() / max(1.0, shifted.max_coeff()))

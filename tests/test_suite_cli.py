@@ -1,10 +1,14 @@
+import argparse
+import ast
 import csv
 import importlib
 import json
 import math
 import pkgutil
 import re
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +18,7 @@ import matorth
 import matorth.closed_forms as cf
 import matorth.suite as suite
 from conftest import invalid_params
+from matorth import cli
 from matorth.cli import main
 from matorth.linalg import MatrixPolynomial, max_abs, worst
 from matorth.operator import build_operator, eigenvalue_matrix
@@ -39,6 +44,15 @@ FLAG_VALUES = {"--nmax": "3", "--grid": "-1:1:3", "--tol-abs": "1e-10",
                "--tol-rel": "1e-8", "--seed": "1", "--format": "json"}
 REMOVED = [(command, flag) for command, own in OWN_FLAGS.items()
            for flag in FLAG_VALUES if flag not in own]
+# help, no or an unknown name, an option before the name, extra or unrecognized
+# arguments, bad values and abbreviated flags, then every subcommand's help
+PARSER_CASES = [[], ["-h"], ["--help"], ["-h", "verify"], ["bogus"], ["ver"],
+                ["--size", "2"], ["--size", "2", "verify"], ["verify", "extra"],
+                ["verify", "structure"], ["verify", "--bogus"], ["verify", "-h", "extra"],
+                ["verify", "--nmax", "x"], ["verify", "--size", "2.5"],
+                ["export", "--format", "xml"], ["verify", "--s", "3"], ["verify", "--nm", "x"],
+                ["verify", "--nm", "-1"], ["structure", "--si", "3"],
+                *([command, "-h"] for command in OWN_FLAGS)]
 
 
 def _cli_number(x: float) -> str:
@@ -617,6 +631,105 @@ class TestCli:
         assert "outside the supported range" in errors[0]
         assert "Traceback" not in captured.err
         assert captured.out == ""
+
+
+def _every_parser_main(argv) -> int:
+    """``main`` as it was when it built every subcommand's parser for every
+    argv: the reference for the one that builds only the named one."""
+    parser = argparse.ArgumentParser(
+        prog="matorth",
+        description="Matrix-valued orthogonal polynomials for a Gaussian-type "
+                    "weight family: construction, verification, tables.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (fn, text, own) in cli._COMMANDS.items():
+        sp = sub.add_parser(name, help=text)
+        for flag in ("--size", "--a", "--b", *own, "--out"):
+            sp.add_argument(flag, **cli._OPTIONS[flag])
+        sp.set_defaults(fn=fn)
+    args = parser.parse_args(argv)
+    try:
+        return args.fn(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _outcome(run, argv, capsys) -> tuple:
+    """stdout, stderr and the exit code of ``run(argv)``."""
+    try:
+        code = run(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return (*capsys.readouterr(), code)
+
+
+class TestOneParser:
+    """``main`` builds only the named subcommand's parser, and prints and
+    exits as it did when it built every one."""
+
+    @pytest.mark.parametrize("columns", ["60", "80", "200"])
+    @pytest.mark.parametrize("argv", PARSER_CASES,
+                             ids=[" ".join(argv) or "none" for argv in PARSER_CASES])
+    def test_output_and_exit_code_as_with_every_parser(self, argv, columns, monkeypatch,
+                                                       capsys):
+        monkeypatch.setenv("COLUMNS", columns)
+        want = _outcome(_every_parser_main, argv, capsys)
+        assert want[1] or "usage:" in want[0] or "shift =" in want[0]
+        assert _outcome(main, argv, capsys) == want
+
+    def test_a_named_subcommand_builds_two_parsers(self, monkeypatch, capsys):
+        built, init = [], argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        assert main(["verify", "--nmax", "2", "--grid=-1:1:3"]) == 0
+        assert built == ["matorth", "matorth verify"]
+        monkeypatch.setattr(sys, "argv", ["matorth", "structure"])
+        assert main() == 0
+        assert built[2:] == ["matorth", "matorth structure"]
+        with pytest.raises(SystemExit):
+            main(["-h"])
+        assert len(built) == 4 + 1 + len(cli._COMMANDS)
+
+
+class TestNoLapack:
+    """The size-2 gauges are diagonal and inverted by reciprocals: nothing
+    in the library calls LAPACK."""
+
+    def test_size2_suite_and_export_run_with_linalg_inv_raising(self, tmp_path,
+                                                                 monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy.linalg.inv called")
+
+        calls, transport = [], cf._transport
+        monkeypatch.setattr(np.linalg, "inv", refuse)
+        monkeypatch.setattr(cf, "_transport", lambda *args: calls.append(0) or transport(*args))
+        # a member no other test builds, so that no cache holds its tables
+        p = WeightParams(2, (0.3 + 0.4j,), 1.75)
+        assert run_suite(RunConfig(p, 8, FLAGSHIP_GRID)).overall
+        suite_calls = len(calls)
+        manifest = export_tables(RunConfig(p, 8, out=str(tmp_path / "e")))
+        assert "normalized_Atilde" in manifest["tables"]
+        assert suite_calls and len(calls) > suite_calls
+
+    def test_no_module_calls_numpy_linalg(self):
+        def names(node):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                return [f"{node.value.id}.{node.attr}"]
+            if isinstance(node, ast.Import):
+                return [a.name for a in node.names]
+            if isinstance(node, ast.ImportFrom) and not node.level:
+                return [f"{node.module}.{a.name}" for a in node.names]
+            return []
+
+        found = [f"{path.name}:{node.lineno}"
+                 for path in sorted(Path(matorth.__file__).parent.glob("*.py"))
+                 for node in ast.walk(ast.parse(path.read_text()))
+                 if any(re.match(r"(np|numpy)\.linalg\b", name) for name in names(node))]
+        assert found == []
 
 
 class TestGateLimits:
