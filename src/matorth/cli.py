@@ -14,9 +14,8 @@ import numpy as np
 from . import closed_forms as cf
 from .linalg import worst
 from .orthogonal import monic_sequence, orthonormalize_sequence, recurrence_from_sequence
-from .suite import (BASE_ABS, BASE_REL, RunConfig, _matrix_to_json,
-                    export_tables, params_to_dict, run_parameter_sweep,
-                    run_suite)
+from .suite import (RunConfig, _matrix_to_json, export_tables, params_to_dict,
+                    run_parameter_sweep, run_suite)
 from .weights import WeightParams, build_structure
 
 __all__ = ["main"]
@@ -38,15 +37,6 @@ def _parse_a(text: str) -> tuple[complex, ...]:
         raise ValueError(f"cannot parse --a {text!r}: {exc}") from None
 
 
-def _parse_grid(text: str) -> tuple[float, ...]:
-    try:
-        lo, hi, count = text.split(":")
-        with np.errstate(invalid="ignore"):  # RunConfig rejects non-finite points
-            return tuple(np.linspace(float(lo), float(hi), int(count)))
-    except Exception:
-        raise ValueError(f"--grid expects lo:hi:count, got {text!r}") from None
-
-
 # every subcommand reads --size, --a, --b and --out; _COMMANDS lists the
 # other flags each one reads, and main gives it no more
 _OPTIONS = {
@@ -54,11 +44,6 @@ _OPTIONS = {
     "--a": dict(default="1", help="comma-separated complex parameters, e.g. '1,0.5+0.5i'"),
     "--b": dict(type=float, default=2.0, help="decay parameter (default 2)"),
     "--nmax": dict(type=int, default=10, help="top polynomial degree"),
-    "--grid": dict(default="-3:3:11", help="evaluation grid lo:hi:count"),
-    "--tol-abs": dict(type=float, default=BASE_ABS,
-                      help="absolute tolerance anchor; scales all absolute checks"),
-    "--tol-rel": dict(type=float, default=BASE_REL,
-                      help="relative tolerance anchor; scales all relative checks"),
     "--format": dict(dest="fmt", choices=("json", "csv"), default="json"),
     "--out": dict(default=None, help="output file (or directory for export)"),
     "--seed": dict(type=int, default=0, help="seed for randomized verification sweeps"),
@@ -110,8 +95,7 @@ def _cmd_structure(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    config = RunConfig(_params(args), args.nmax, _parse_grid(args.grid), args.tol_abs,
-                       args.tol_rel, out=args.out, seed=args.seed)
+    config = RunConfig(_params(args), args.nmax, out=args.out, seed=args.seed)
     if args.sweeps < 0:
         raise ValueError(f"--sweeps must be >= 0, got {args.sweeps}")
     summary = run_suite(config)
@@ -219,7 +203,7 @@ def _cmd_export(args) -> int:
 _COMMANDS = {
     "structure": (_cmd_structure, "print or export the structure matrices", ()),
     "verify": (_cmd_verify, "run the verification suite",
-               ("--nmax", "--grid", "--tol-abs", "--tol-rel", "--seed", "--sweeps")),
+               ("--nmax", "--seed", "--sweeps")),
     "orthopoly": (_cmd_orthopoly, "monic orthogonal polynomials and norms",
                   ("--nmax", "--coeffs")),
     "recurrence": (_cmd_recurrence, "recurrence coefficient tables", ("--nmax",)),

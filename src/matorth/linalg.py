@@ -127,17 +127,8 @@ class MatrixPolynomial:
         return cls.__new__(cls)._own(v)
 
     @classmethod
-    def zero(cls, dim: int) -> "MatrixPolynomial":
-        return cls((), dim=dim)
-
-    @classmethod
     def constant(cls, m: np.ndarray) -> "MatrixPolynomial":
         return cls([m])
-
-    @classmethod
-    def monomial(cls, m: np.ndarray, power: int) -> "MatrixPolynomial":
-        m = as_square(m)
-        return cls([np.zeros_like(m)] * power + [m])
 
     @property
     def degree(self) -> int:

@@ -3,6 +3,8 @@
 ``run_suite`` executes every check the construction supports at the given
 size (the 2x2 closed-form comparisons join in automatically), never letting
 one failed check abort the rest, and returns a machine-readable summary.
+Each check passes when its residual is below its entry in ``TOLERANCES``;
+the pointwise checks evaluate on ``GRID``. Both are fixed.
 ``export_tables`` writes the recurrence/norm/normalizer tables in JSON or
 CSV with deterministic bytes for a fixed configuration.
 """
@@ -32,23 +34,36 @@ from .weights import (WeightParams, abel_identity_check, build_structure,
 __all__ = ["CheckResult", "RunConfig", "VerificationSummary", "run_suite",
            "export_tables", "params_to_dict"]
 
-# tolerance anchors; RunConfig scales them through tol_abs / tol_rel
-BASE_ABS = 1e-10
-BASE_REL = 1e-8
-# the checks run_suite and run_parameter_sweep share, at the default anchors;
-# both scale them by tol_abs / BASE_ABS
-IDENTITIES_TOL, SYMMETRY_TOL, CHI_XI_TOL = BASE_ABS, 1e-9, 1e-9
+# the gate policy: a check passes when its residual is below its entry here;
+# run_parameter_sweep's checks take their run_suite counterparts' entries
+TOLERANCES = {
+    "structure-build": 1.0,
+    "structure-identities": 1e-10,
+    "abel-identity": 1e-12,
+    "symmetry-equations": 1e-9,
+    "boundary-decay": BOUNDARY_DECAY_TOL,
+    "chi-xi": 1e-9,
+    "moment-oracle": 1e-9,
+    "monic-orthogonality": 1e-8,
+    "eigenvalue-equation": 1e-8,
+    "recurrence-identity": 1e-9,
+    "rodrigues-explicit": 1e-9,
+    "recurrence-closed-forms": 1e-8,
+    "norm-closed-forms": 1e-8,
+    "rodrigues-equation": 1e-10,
+    "recurrence-asymptotics": 0.02,
+}
+# the points of the pointwise checks
+GRID = tuple(np.linspace(-3.0, 3.0, 11))
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything one suite run needs: parameters, depth, grid, tolerances."""
+    """Everything one suite run or export needs besides the fixed gate
+    policy: parameters, depth, export format and directory, seed."""
 
     params: WeightParams
     nmax: int = 10
-    t_grid: tuple[float, ...] = tuple(np.linspace(-3.0, 3.0, 11))
-    tol_abs: float = BASE_ABS
-    tol_rel: float = BASE_REL
     fmt: str = "json"
     out: str | None = None
     seed: int = 0
@@ -56,21 +71,12 @@ class RunConfig:
     def __post_init__(self):
         object.__setattr__(self, "nmax", index(self.nmax))  # TypeError unless an integer
         object.__setattr__(self, "seed", index(self.seed))
-        object.__setattr__(self, "t_grid", tuple(self.t_grid))  # also from an array
         if self.nmax < 0:
             raise ValueError("nmax must be >= 0")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if not self.t_grid:
-            raise ValueError("the evaluation grid must not be empty")
         if self.fmt not in ("json", "csv"):
             raise ValueError(f"unknown format {self.fmt!r}")
-        for name in ("tol_abs", "tol_rel"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and positive, got {value}")
-        if not all(math.isfinite(t) for t in self.t_grid):
-            raise ValueError("every grid point must be finite")
 
 
 @dataclass
@@ -134,17 +140,14 @@ def _poly_rel_dev(x: MatrixPolynomial, y: MatrixPolynomial) -> float:
 def run_suite(config: RunConfig) -> VerificationSummary:
     """Execute every applicable check; per-check failures never abort the rest."""
     p = config.params
-    grid = config.t_grid
-    s_abs = config.tol_abs / BASE_ABS
-    s_rel = config.tol_rel / BASE_REL
     summary = VerificationSummary(p)
     state: dict = {}
 
     def seq():  # a slice of the cached 51-digit family, not a copy
         return monic_sequence(p, config.nmax + 1)
 
-    def run(name: str, tolerance: float, fn: Callable[[], tuple[float, str]],
-            skip_reason: str | None = None):
+    def run(name: str, fn: Callable[[], tuple[float, str]], skip_reason: str | None = None):
+        tolerance = TOLERANCES[name]
         start = time.perf_counter()
         if skip_reason is not None:
             summary.checks.append(CheckResult(name, 0.0, tolerance, True,
@@ -171,7 +174,7 @@ def run_suite(config: RunConfig) -> VerificationSummary:
         return 0.0, f"size {p.size}, series terms {len(s.odd_coeffs)}"
 
     def c_identities():
-        reports = [verify_structure_identities(p, t) for t in grid]
+        reports = [verify_structure_identities(p, t) for t in GRID]
         skipped = reports[-1].skipped
         note = f"skipped: {', '.join(skipped)}" if skipped else ""
         return worst(rep.max_residual for rep in reports), note
@@ -183,7 +186,7 @@ def run_suite(config: RunConfig) -> VerificationSummary:
 
     def symmetry_report():
         if "sym" not in state:
-            state["sym"] = check_symmetry_equations(p, grid)
+            state["sym"] = check_symmetry_equations(p, GRID)
         return state["sym"]
 
     def c_symmetry():
@@ -193,7 +196,7 @@ def run_suite(config: RunConfig) -> VerificationSummary:
         return symmetry_report().boundary_value, "power-10 decay sample"
 
     def c_chi_xi():
-        rep = check_chi_xi(p, grid)
+        rep = check_chi_xi(p, GRID)
         return rep.max_residual, f"literal chi residual {rep.chi_literal_residual:.2e}"
 
     def c_oracle():
@@ -254,7 +257,7 @@ def run_suite(config: RunConfig) -> VerificationSummary:
                 f"degrees 0..{degrees[-1]}")
 
     def c_rodrigues_equation():
-        return worst(cf._pde_residual_table(p, range(1, min(config.nmax, 10) + 1), grid)), ""
+        return worst(cf._pde_residual_table(p, range(1, min(config.nmax, 10) + 1), GRID)), ""
 
     def c_asymptotics():
         rep = cf.asymptotic_report(p, horizon=200)
@@ -264,36 +267,36 @@ def run_suite(config: RunConfig) -> VerificationSummary:
         note = "monotone from n=20" if monotone else "tail not monotone"
         return err if monotone else math.inf, note
 
-    run("structure-build", 1.0, c_structure)
-    run("structure-identities", IDENTITIES_TOL * s_abs, c_identities)
-    run("abel-identity", 1e-12 * s_rel, c_abel)
-    run("symmetry-equations", SYMMETRY_TOL * s_abs, c_symmetry)
-    run("boundary-decay", BOUNDARY_DECAY_TOL, c_boundary)
-    run("chi-xi", CHI_XI_TOL * s_abs, c_chi_xi)
-    run("moment-oracle", 1e-9 * s_rel, c_oracle)
-    run("monic-orthogonality", BASE_REL * s_rel, c_orthogonality)
-    run("eigenvalue-equation", BASE_REL * s_rel, c_eigen)
+    run("structure-build", c_structure)
+    run("structure-identities", c_identities)
+    run("abel-identity", c_abel)
+    run("symmetry-equations", c_symmetry)
+    run("boundary-decay", c_boundary)
+    run("chi-xi", c_chi_xi)
+    run("moment-oracle", c_oracle)
+    run("monic-orthogonality", c_orthogonality)
+    run("eigenvalue-equation", c_eigen)
     two = None if p.size == 2 else "closed forms exist only for size 2"
     some = two or (None if config.nmax else "no degree >= 1 to compare at nmax 0")
-    run("recurrence-identity", 1e-9 * s_rel, c_recurrence_identity)
-    run("rodrigues-explicit", 1e-9 * s_rel, c_rodrigues_explicit, some)
-    run("recurrence-closed-forms", BASE_REL * s_rel, c_recurrence_closed, some)
-    run("norm-closed-forms", BASE_REL * s_rel, c_norms, two)
-    run("rodrigues-equation", BASE_ABS * s_abs, c_rodrigues_equation, some)
+    run("recurrence-identity", c_recurrence_identity)
+    run("rodrigues-explicit", c_rodrigues_explicit, some)
+    run("recurrence-closed-forms", c_recurrence_closed, some)
+    run("norm-closed-forms", c_norms, two)
+    run("rodrigues-equation", c_rodrigues_equation, some)
     asym_skip = two
     if asym_skip is None and p.degenerate_b:
         asym_skip = "no branch limit at b = 1"
-    run("recurrence-asymptotics", 0.02, c_asymptotics, asym_skip)
+    run("recurrence-asymptotics", c_asymptotics, asym_skip)
     return summary
 
 
 def run_parameter_sweep(count: int, config: RunConfig) -> VerificationSummary:
     """Randomized-parameter verification: max residuals over ``count`` draws,
-    each of the three checks timed on its own. ``config`` gives the seed,
-    the grid and the tolerance anchors; the draws replace its parameters."""
+    each of the three checks timed on its own and judged by the ``TOLERANCES``
+    entry of its ``run_suite`` counterpart; symmetry and chi-xi evaluate on
+    ``GRID``. ``config`` gives the seed; the draws replace its parameters."""
     if count < 1:
         raise ValueError(f"a parameter sweep needs at least one draw, got {count}")
-    grid, s_abs = config.t_grid, config.tol_abs / BASE_ABS
     rng = np.random.default_rng(config.seed)
     draws = [draw_params(rng) for _ in range(count)]
 
@@ -302,26 +305,26 @@ def run_parameter_sweep(count: int, config: RunConfig) -> VerificationSummary:
                      for t in (-2.0, 0.3, 1.9))
 
     def symmetry(p):
-        return check_symmetry_equations(p, grid).max_residual
+        return check_symmetry_equations(p, GRID).max_residual
 
     def chi_xi(p):
-        return check_chi_xi(p, grid).max_residual
+        return check_chi_xi(p, GRID).max_residual
 
-    checks = (("sweep-structure-identities", IDENTITIES_TOL * s_abs, identities),
-              ("sweep-symmetry-equations", SYMMETRY_TOL * s_abs, symmetry),
-              ("sweep-chi-xi", CHI_XI_TOL * s_abs, chi_xi))
-    residuals = {name: [] for name, _, _ in checks}
+    checks = (("structure-identities", identities), ("symmetry-equations", symmetry),
+              ("chi-xi", chi_xi))
+    residuals = {name: [] for name, _ in checks}
     seconds = dict.fromkeys(residuals, 0.0)
     for p in draws:
-        for name, _, fn in checks:
+        for name, fn in checks:
             start = time.perf_counter()
             residuals[name].append(fn(p))
             seconds[name] += time.perf_counter() - start
     summary = VerificationSummary(draws[0])
     note = f"{count} draws, seed {config.seed}"
-    for name, tolerance, _ in checks:
-        residual = worst(residuals[name])
-        summary.checks.append(CheckResult(name, residual, tolerance, residual < tolerance,
+    for name in residuals:
+        residual, tolerance = worst(residuals[name]), TOLERANCES[name]
+        summary.checks.append(CheckResult(f"sweep-{name}", residual, tolerance,
+                                          residual < tolerance,
                                           note=note, seconds=seconds[name]))
     return summary
 

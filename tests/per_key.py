@@ -103,6 +103,6 @@ class PerKey:
         if not residue <= 1e-9 * scale:
             raise ArithmeticError(f"transcendental atoms did not cancel (residual {residue:.3e} "
                                   f"vs scale {scale:.3e})")
-        coeffs = self.polys.get((PLAIN, 0.0), MatrixPolynomial.zero(self.dim)).coeffs
+        coeffs = self.polys.get((PLAIN, 0.0), MatrixPolynomial((), dim=self.dim)).coeffs
         top = max((k + 1 for k, c in enumerate(coeffs) if max_abs(c) > 1e-9 * scale), default=0)
         return MatrixPolynomial(coeffs[:top], dim=self.dim)

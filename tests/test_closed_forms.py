@@ -286,7 +286,7 @@ class TestOrthonormalRecurrence:
             if n >= 1:
                 a_n, _ = orthonormal_recurrence(p, n)
                 rhs = rhs + ortho[n - 1].lmul(a_n.conj().T)
-            lhs = MatrixPolynomial.monomial(eye, 1) * ortho[n]
+            lhs = MatrixPolynomial([0 * eye, eye]) * ortho[n]
             assert poly_rel_dev(lhs, rhs) < 1e-9
 
 
@@ -320,7 +320,7 @@ class TestNormalizedRecurrence:
                 + polys[n].lmul(rec.rodrigues_b)
             if n >= 1:
                 rhs = rhs + polys[n - 1].lmul(rec.rodrigues_c)
-            lhs = MatrixPolynomial.monomial(eye, 1) * polys[n]
+            lhs = MatrixPolynomial([0 * eye, eye]) * polys[n]
             assert poly_rel_dev(lhs, rhs) < 1e-9
 
     def test_moment_route_matches(self, flagship):

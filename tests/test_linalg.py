@@ -26,8 +26,8 @@ class TestMatrixPolynomial:
         assert max_abs(e(1.0) - expected) == 0.0
 
     def test_zero_polynomial_degree(self):
-        assert MatrixPolynomial.zero(3).degree == -1
-        assert MatrixPolynomial.zero(3)(1.7).shape == (3, 3)
+        assert MatrixPolynomial((), dim=3).degree == -1
+        assert MatrixPolynomial((), dim=3)(1.7).shape == (3, 3)
 
     def test_derivative_of_constant_is_zero(self):
         p = MatrixPolynomial.constant(I2)
@@ -65,7 +65,7 @@ class TestMatrixPolynomial:
         assert max_abs(p.conj_t()(t) - p(t).conj().T) < 1e-12
 
     def test_monomial(self):
-        p = MatrixPolynomial.monomial(I2, 3)
+        p = MatrixPolynomial([0 * I2] * 3 + [I2])
         assert p.degree == 3
         assert max_abs(p(2.0) - 8.0 * I2) == 0.0
 
@@ -85,7 +85,7 @@ class TestMatrixPolynomial:
             assert isinstance(q.coeffs, np.ndarray)
             assert q.coeffs.shape == (q.degree + 1, 2, 2)
             assert not q.coeffs.flags.writeable
-        assert MatrixPolynomial.zero(3).coeffs.shape == (0, 3, 3)
+        assert MatrixPolynomial((), dim=3).coeffs.shape == (0, 3, 3)
         assert (p - p).degree == -1
 
     def test_dim_mismatch_rejected(self):

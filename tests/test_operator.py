@@ -80,8 +80,8 @@ class TestApplyOperator:
 
     def test_linear_polynomial(self, flagship):
         op = build_operator(flagship)
-        p = MatrixPolynomial.monomial(np.eye(2), 1)
-        expected = op.f1 + MatrixPolynomial.monomial(np.eye(2), 1) * op.f0
+        p = MatrixPolynomial([np.zeros((2, 2)), np.eye(2)])
+        expected = op.f1 + MatrixPolynomial([np.zeros((2, 2)), np.eye(2)]) * op.f0
         assert (apply_operator(op, p) - expected).max_coeff() == 0.0
 
     def test_degree_one_monic_eigenpolynomial(self, flagship):
@@ -306,7 +306,7 @@ class TestBilinearSymmetry:
 
     def test_constant_against_linear(self, flagship):
         eye = MatrixPolynomial.constant(np.eye(2))
-        lin = MatrixPolynomial.monomial(np.eye(2), 1)
+        lin = MatrixPolynomial([np.zeros((2, 2)), np.eye(2)])
         assert symmetry_bilinear_check(flagship, eye, lin) < 1e-10
 
     def test_random_cubics_size_three(self):

@@ -1,11 +1,13 @@
 import argparse
 import ast
 import csv
+import dataclasses
 import importlib
 import json
 import math
 import pkgutil
 import re
+import shlex
 import sys
 import warnings
 from pathlib import Path
@@ -27,19 +29,19 @@ from matorth.suite import RunConfig, export_tables, run_parameter_sweep, run_sui
 from matorth.weights import IdentityReport, WeightParams
 
 FLAGSHIP = WeightParams(2, (1.0,), 2.0)
-FLAGSHIP_GRID = (-1.0, 0.0, 1.0)
 
 # the flags of each subcommand besides --size, --a, --b and --out
 OWN_FLAGS = {
     "structure": set(),
-    "verify": {"--nmax", "--grid", "--tol-abs", "--tol-rel", "--seed", "--sweeps"},
+    "verify": {"--nmax", "--seed", "--sweeps"},
     "orthopoly": {"--nmax", "--coeffs"},
     "recurrence": {"--nmax"},
     "norms": {"--nmax"},
     "asymptotics": {"--horizon"},
     "export": {"--nmax", "--format"},
 }
-# a valid value for each flag that some subcommand does not take
+# a valid value for each flag that some subcommand does not take, and for
+# the three that no subcommand takes since the gate policy is fixed
 FLAG_VALUES = {"--nmax": "3", "--grid": "-1:1:3", "--tol-abs": "1e-10",
                "--tol-rel": "1e-8", "--seed": "1", "--format": "json"}
 REMOVED = [(command, flag) for command, own in OWN_FLAGS.items()
@@ -118,29 +120,38 @@ class TestRunSuite:
         assert checks["rodrigues-explicit"].skipped
         assert summary.overall
 
-    def test_unattainable_tolerance_fails_without_aborting(self):
-        config = RunConfig(FLAGSHIP, nmax=4, tol_abs=1e-30, tol_rel=1e-26)
-        summary = run_suite(config)
-        assert not summary.overall
-        assert len(summary.checks) == 15  # every check still ran
+    def test_every_guard_can_fire(self, monkeypatch):
+        # at zero tolerance every check that runs FAILs, and none aborts the rest
+        monkeypatch.setattr(suite, "TOLERANCES", dict.fromkeys(suite.TOLERANCES, 0.0))
+        config = RunConfig(FLAGSHIP, nmax=4)
+        checks = [*run_suite(config).checks, *run_parameter_sweep(2, config).checks]
+        assert [c.name for c in checks] == [*suite.TOLERANCES, "sweep-structure-identities",
+                                            "sweep-symmetry-equations", "sweep-chi-xi"]
+        assert [c.name for c in checks if c.passed or c.skipped] == []
+        assert all(c.tolerance == 0.0 and "error" not in c.note for c in checks)
+
+    def test_the_run_config_holds_no_gate_policy(self):
+        assert [f.name for f in dataclasses.fields(RunConfig)] == [
+            "params", "nmax", "fmt", "out", "seed"]
 
     def test_nan_residual_fails_the_check(self, monkeypatch):
         real = suite.verify_structure_identities
 
-        def nan_at_second_point(p, t):
+        def nan_at_zero(p, t):
             rep = real(p, t)
-            if t == FLAGSHIP_GRID[1]:
+            if t == 0.0:
                 rep = IdentityReport({**rep.residuals, "bracket_series": math.nan},
                                      rep.skipped)
             return rep
-        monkeypatch.setattr(suite, "verify_structure_identities", nan_at_second_point)
-        summary = run_suite(RunConfig(FLAGSHIP, nmax=1, t_grid=FLAGSHIP_GRID))
+        monkeypatch.setattr(suite, "verify_structure_identities", nan_at_zero)
+        assert 0.0 in suite.GRID
+        summary = run_suite(RunConfig(FLAGSHIP, nmax=1))
         check = check_map(summary)["structure-identities"]
         assert math.isnan(check.residual) and not check.passed
         assert not summary.overall
 
     def test_sweep_times_each_check(self):
-        summary = run_parameter_sweep(2, RunConfig(FLAGSHIP, t_grid=FLAGSHIP_GRID))
+        summary = run_parameter_sweep(2, RunConfig(FLAGSHIP))
         assert [c.name for c in summary.checks] == [
             "sweep-structure-identities", "sweep-symmetry-equations", "sweep-chi-xi"]
         assert all(c.seconds > 0.0 for c in summary.checks)
@@ -149,7 +160,7 @@ class TestRunSuite:
     @pytest.mark.parametrize("count", [0, -2])
     def test_sweep_needs_a_draw(self, count):
         with pytest.raises(ValueError, match="at least one draw"):
-            run_parameter_sweep(count, RunConfig(FLAGSHIP, t_grid=FLAGSHIP_GRID))
+            run_parameter_sweep(count, RunConfig(FLAGSHIP))
 
     def test_closed_form_checks_cover_the_built_range(self):
         checks = check_map(run_suite(RunConfig(FLAGSHIP, nmax=20)))
@@ -209,8 +220,6 @@ class TestRunSuite:
         with pytest.raises(ValueError):
             RunConfig(FLAGSHIP, nmax=-1)
         with pytest.raises(ValueError):
-            RunConfig(FLAGSHIP, t_grid=())
-        with pytest.raises(ValueError):
             RunConfig(FLAGSHIP, fmt="xml")
 
     def test_nmax_must_be_an_integer(self, tmp_path):
@@ -230,16 +239,6 @@ class TestRunSuite:
             with pytest.raises(TypeError):
                 RunConfig(FLAGSHIP, seed=seed)
         assert type(RunConfig(FLAGSHIP, seed=np.int64(3)).seed) is int
-
-    def test_an_array_grid_gives_the_report_of_its_tuple(self):
-        grid = np.linspace(-3.0, 3.0, 11)
-        docs = [run_suite(RunConfig(FLAGSHIP, nmax=4, t_grid=g)).to_dict()
-                for g in (grid, tuple(grid))]
-        for doc in docs:
-            del doc["total_seconds"]
-            for check in doc["checks"]:
-                del check["seconds"]
-        assert docs[0] == docs[1]
 
 
 def _reference_json_table(path, p, name, layout):
@@ -335,7 +334,7 @@ class TestExport:
         chat = [to_matrix(m) for m in load("monic_Chat")["data"]]
         eye = np.eye(2, dtype=complex)
         for n in range(len(bhat)):
-            lhs = MatrixPolynomial.monomial(eye, 1) * polys[n]
+            lhs = MatrixPolynomial([0 * eye, eye]) * polys[n]
             rhs = polys[n + 1] + polys[n].lmul(bhat[n])
             if n >= 1:
                 rhs = rhs + polys[n - 1].lmul(chat[n - 1])
@@ -423,8 +422,10 @@ class TestCli:
         assert "PASS  symmetry-equations" in out
 
     def test_verify_failure_exit_code(self, capsys):
-        assert main(["verify", "--nmax", "4", "--tol-abs", "1e-30",
-                     "--tol-rel", "1e-26"]) == 1
+        # the double-format limit of the orthogonality gate (TestGateLimits)
+        assert main(["verify", "--b", "0.25", "--nmax", "40"]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL  monic-orthogonality" in out and "overall: FAIL" in out
 
     def test_config_error_exit_code(self, capsys):
         assert main(["verify", "--a", "0,1", "--size", "3"]) == 2
@@ -432,13 +433,6 @@ class TestCli:
         for bad in ("inf", "nan"):
             assert main(["structure", "--a", bad]) == 2
             assert "finite" in capsys.readouterr().err
-        # invalid tolerances and grid points are configuration errors too,
-        # found before any check runs
-        for option in ("--tol-abs=-1", "--tol-abs=0", "--tol-rel=nan",
-                       "--tol-rel=inf", "--grid=0:nan:5", "--grid=-inf:0:3"):
-            assert main(["verify", "--nmax", "2", option]) == 2
-            captured = capsys.readouterr()
-            assert "finite" in captured.err and "PASS" not in captured.out
 
     @settings(max_examples=40, deadline=None, database=None, derandomize=True)
     @given(st.data())
@@ -452,9 +446,6 @@ class TestCli:
                 f"--b={_cli_number(b)}"]
         assert main(argv) == 2
 
-    def test_bad_grid_exit_code(self, capsys):
-        assert main(["verify", "--grid", "nope"]) == 2
-
     def test_verify_writes_summary(self, tmp_path, capsys):
         out = tmp_path / "summary.json"
         assert main(["verify", "--nmax", "4", "--out", str(out)]) == 0
@@ -463,22 +454,21 @@ class TestCli:
         assert {c["name"] for c in doc["checks"]} >= {"symmetry-equations", "chi-xi"}
         assert doc["params"] == {"size": 2, "a": [[1.0, 0.0]], "b": 2.0}
 
+    @pytest.mark.parametrize("argv", [["--nmax", "4", "--sweeps", "2"],
+                                      ["--size", "3", "--a", "1,1", "--nmax", "0"]])
+    def test_each_reported_tolerance_is_its_table_entry(self, argv, tmp_path, capsys):
+        out = tmp_path / "summary.json"
+        assert main(["verify", *argv, "--out", str(out)]) == 0
+        checks = json.loads(out.read_text())["checks"]
+        assert [c["name"] for c in checks][:15] == list(suite.TOLERANCES)
+        assert all(c["tolerance"] == suite.TOLERANCES[c["name"].removeprefix("sweep-")]
+                   for c in checks)
+
     def test_verify_sweeps(self, capsys):
         assert main(["verify", "--nmax", "3", "--sweeps", "3",
                      "--seed", "7"]) == 0
         out = capsys.readouterr().out
         assert "sweep-symmetry-equations" in out
-
-    def test_sweep_follows_the_tolerance_anchors(self, capsys):
-        assert main(["verify", "--sweeps", "2", "--tol-abs", "1e-30",
-                     "--tol-rel", "1e-30", "--nmax", "4"]) == 1
-        sweep = {line.split()[1]: line for line in capsys.readouterr().out.splitlines()
-                 if "sweep-" in line}
-        assert len(sweep) == 3
-        assert all(line.startswith("FAIL") for line in sweep.values())
-        assert "tol=1.0e-30" in sweep["sweep-structure-identities"]
-        assert "tol=1.0e-29" in sweep["sweep-symmetry-equations"]
-        assert "tol=1.0e-29" in sweep["sweep-chi-xi"]
 
     def test_negative_sweeps_is_config_error(self, capsys):
         assert main(["verify", "--nmax", "3", "--sweeps", "-2"]) == 2
@@ -633,6 +623,21 @@ class TestCli:
         assert captured.out == ""
 
 
+def _readme_cli_commands() -> list[list[str]]:
+    """The commands of the README's CLI code block, as argument lists."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True) for line in block.splitlines() if line.strip()]
+
+
+class TestReadme:
+    @pytest.mark.parametrize("command", _readme_cli_commands(), ids=" ".join)
+    def test_cli_example_exits_zero(self, command, tmp_path, monkeypatch, capsys):
+        assert command[0] == "matorth"
+        monkeypatch.chdir(tmp_path)
+        assert main(command[1:]) == 0
+
+
 def _every_parser_main(argv) -> int:
     """``main`` as it was when it built every subcommand's parser for every
     argv: the reference for the one that builds only the named one."""
@@ -685,7 +690,7 @@ class TestOneParser:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
-        assert main(["verify", "--nmax", "2", "--grid=-1:1:3"]) == 0
+        assert main(["verify", "--nmax", "2"]) == 0
         assert built == ["matorth", "matorth verify"]
         monkeypatch.setattr(sys, "argv", ["matorth", "structure"])
         assert main() == 0
@@ -709,7 +714,7 @@ class TestNoLapack:
         monkeypatch.setattr(cf, "_transport", lambda *args: calls.append(0) or transport(*args))
         # a member no other test builds, so that no cache holds its tables
         p = WeightParams(2, (0.3 + 0.4j,), 1.75)
-        assert run_suite(RunConfig(p, 8, FLAGSHIP_GRID)).overall
+        assert run_suite(RunConfig(p, 8)).overall
         suite_calls = len(calls)
         manifest = export_tables(RunConfig(p, 8, out=str(tmp_path / "e")))
         assert "normalized_Atilde" in manifest["tables"]

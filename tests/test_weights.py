@@ -160,7 +160,7 @@ class TestCachePolicy:
 
     def test_a_sweep_fills_no_cache_past_cache_size(self):
         p = WeightParams(2, (1.0,), 2.0)
-        run_parameter_sweep(20, RunConfig(p, t_grid=(-1.0, 0.0, 1.0), seed=3))
+        run_parameter_sweep(20, RunConfig(p, seed=3))
         sizes = {name: fn.cache_info().currsize for name, fn in _parameter_caches().items()}
         assert sizes["weights.build_structure"] == weights.CACHE_SIZE
         assert max(sizes.values()) <= weights.CACHE_SIZE
