@@ -6,7 +6,9 @@ for this family; the acceptance tolerances (1e-8 relative at degrees 15-20)
 are unreachable that way. The moments, however, are exact closed forms, so
 this module computes them, runs the monic three-term recurrence on them (the
 Stieltjes procedure) and factors the squared norms at ``DIGITS`` significant
-digits, and rounds to complex128 only at the boundary.
+digits, and rounds to complex128 only at the boundary. As degree n + 1 needs
+only degrees n and n - 1, a family keeps the decimal state of those two and,
+for every degree built, only its complex128 tables.
 
 Phase gauge: with ``U = diag(u)``, ``u_0 = 1`` and
 ``u_{k+1} = u_k conj(a_k / |a_k|)``, the weight for ``a`` is ``U W U*``
@@ -153,14 +155,14 @@ _Views = namedtuple("_Views", "poly norm bhat chat delta a b")
 
 
 class _MpFamily:
-    """Per-parameter high-precision state for ``|a|``: moments, the monic
-    sequence, its recurrence coefficients and its normalizers, plus the
-    phase ``u`` that carries them to ``a``.
+    """Per-parameter high-precision state for ``|a|``: the moments, what the
+    recurrence needs for the next degree and the phase ``u`` that carries it
+    to ``a``. Each degree built is kept as its complex128 tables, ``_views``.
 
     ``extend`` (with the moments and the class strips of ``_row``) and the
     float rows of ``pair_column`` grow under the family's lock, so one family
-    may be shared between threads; what has been built is never changed, nor
-    is ``stop`` once set.
+    may be shared between threads; the recurrence state moves forward under
+    it, while what has been returned is never changed, nor is ``stop`` once set.
     """
 
     def __init__(self, p: WeightParams):
@@ -191,12 +193,12 @@ class _MpFamily:
                 exp_coeffs.append(exp_coeffs[-1] @ nil / k)
             # W(t) = sum_c sum_d outers[c][d] t**d exp(-s_c t**2)
             self._scales = [-2 * g for g in scale_diagonals(n, b)[1]]
-            self._outers = column_outers(exp_coeffs)
+            outers = column_outers(exp_coeffs)
         # per parity p of the order: the terms (c, d) of every moment of that
         # parity, d + p even, and per row class a their stacked class blocks
-        self._terms = [[(c, d) for c, outer in enumerate(self._outers)
+        self._terms = [[(c, d) for c, outer in enumerate(outers)
                         for d in range(len(outer)) if (d + p) % 2 == 0] for p in (0, 1)]
-        self._outer_blocks = [[np.array([self._outers[c][d][a::2, (a + p) % 2::2]
+        self._outer_blocks = [[np.array([outers[c][d][a::2, (a + p) % 2::2]
                                          for c, d in self._terms[p]]) for a in (0, 1)]
                               for p in (0, 1)]
         self._gauss: dict[tuple[int, int], Decimal] = {}
@@ -204,12 +206,10 @@ class _MpFamily:
         # per row class r, the moments' strip and how many moments it holds
         self._strips = [(np.empty((len(range(r, n, 2)), 0), dtype=object), 0)
                         for r in (0, 1)]
-        self.polys: list[np.ndarray] = []   # polys[k][power] = matrix
-        self.norms: list[np.ndarray] = []
-        self._deltas: list[np.ndarray] = []       # inverse upper Cholesky factors
-        self._norm_inv: np.ndarray | None = None  # H_top^-1, for the next Chat
-        self._bhat: list[np.ndarray] = []
-        self._chat: list[np.ndarray] = []
+        # the coefficients of P_{top-1} and P_top (_polys[-1][power] = matrix),
+        # Bhat_top and Chat_top, Delta_top for the next A, H_top^-1 for the next Chat
+        self._polys: list[np.ndarray] = []
+        self._bhat = self._chat = self._delta = self._norm_inv = None
         # per returned polynomial, per parity class: its coefficients times
         # U and their rows against the moments (see pair_column)
         self._float_rows: list[list[tuple[np.ndarray, np.ndarray]]] = []
@@ -219,7 +219,7 @@ class _MpFamily:
 
     @property
     def top(self) -> int:
-        return len(self.polys) - 1
+        return len(self._views) - 1
 
     def _gauss_moment(self, power: int, c: int) -> Decimal:
         """``integral t**power exp(-s_c t**2) dt = Gamma(m + 1/2) / s_c**(m + 1/2)``
@@ -275,27 +275,25 @@ class _MpFamily:
         """Add the next monic polynomial P with its squared norm H, the
         Cholesky factor and normalizer of H, and the recurrence coefficients
         ``B = <t P, P> H^-1`` and ``C = H H_prev^-1``. Raises ArithmeticError,
-        adding nothing, when H is not positive definite."""
+        changing nothing, when H is not positive definite."""
         k = len(coeffs) - 1
         row, coeffs_t = self._row(coeffs, k + 2), coeffs.transpose(0, 2, 1)
         norm = _fold(row[:-1], k, coeffs_t, k)
         chol = _chol_upper(norm)
-        self._chat.append(_mul(norm, 0, self._norm_inv, 0) if k
-                          else np.zeros((self.n, self.n), dtype=object))
-        self.polys.append(coeffs)
-        self.norms.append(norm)
+        chat = (_mul(norm, 0, self._norm_inv, 0) if k
+                else np.zeros((self.n, self.n), dtype=object))
         delta = _inv_upper(chol)
-        self._deltas.append(delta)
-        self._norm_inv = _mul(delta.T, 0, delta, 0)  # H_k^-1 = Delta_k^T Delta_k
-        bhat = _mul(_fold(row[1:], k + 1, coeffs_t, k), 1, self._norm_inv, 0)
-        self._bhat.append(bhat)
+        norm_inv = _mul(delta.T, 0, delta, 0)  # H_k^-1 = Delta_k^T Delta_k
+        bhat = _mul(_fold(row[1:], k + 1, coeffs_t, k), 1, norm_inv, 0)
         # orthonormal A_k = Delta_{k-1} U_k (a zero pad at k = 0) and
         # B_k = Delta_k Bhat_k U_k, with U_k the upper Cholesky factor of H_k
-        a = _mul(self._deltas[k - 1], 0, chol, 0) if k else np.zeros_like(chol)
-        tables = np.stack((norm, bhat, self._chat[k], delta, a,
+        a = _mul(self._delta, 0, chol, 0) if k else np.zeros_like(chol)
+        tables = np.stack((norm, bhat, chat, delta, a,
                            _mul(_mul(delta, 0, bhat, 1), 1, chol, 0)))
         self._views.append(_Views(MatrixPolynomial._of(self._complex(coeffs)),
                                   *self._complex(tables)))
+        self._polys = self._polys[-1:] + [coeffs]
+        self._bhat, self._chat, self._delta, self._norm_inv = bhat, chat, delta, norm_inv
 
     def extend(self, nmax: int):
         """Grow the monic sequence from ``P_0 = I`` to degree ``nmax`` by the recurrence
@@ -304,15 +302,15 @@ class _MpFamily:
             while self.stop is None and self.top < nmax:
                 k = self.top
                 nxt = np.identity(self.n, dtype=object)[None]
-                if self.polys:
+                if self._polys:
                     # coefficient j of P_k has parity k + j, Bhat_k 1, Chat_k 0
+                    cur, prev = self._polys[-1], self._polys[0]
                     nxt = np.zeros((k + 2, self.n, self.n), dtype=object)
-                    nxt[1:] = self.polys[k]
+                    nxt[1:] = cur
                     for g in (0, 1):
-                        nxt[g:k + 1:2] -= _mul(self._bhat[k], 1, self.polys[k][g::2], k + g)
+                        nxt[g:k + 1:2] -= _mul(self._bhat, 1, cur[g::2], k + g)
                         if k > 0:
-                            nxt[g:k:2] -= _mul(self._chat[k], 0, self.polys[k - 1][g::2],
-                                               k - 1 + g)
+                            nxt[g:k:2] -= _mul(self._chat, 0, prev[g::2], k - 1 + g)
                 try:
                     self._append(nxt)
                 except ArithmeticError as exc:

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 from fractions import Fraction as F
 
 import numpy as np
@@ -52,6 +53,29 @@ def abel_misses() -> list[tuple[int, F, F]]:
             if lhs != rhs:
                 misses.append((k, z, w))
     return misses
+
+
+def reachable_decimals(obj) -> int:
+    """How many distinct ``Decimal`` objects ``obj`` reaches through its
+    attributes, its containers' items and its object arrays' entries."""
+    seen, count, todo = set(), 0, [obj]
+    while todo:
+        x = todo.pop()
+        if id(x) in seen:
+            continue
+        seen.add(id(x))
+        if isinstance(x, Decimal):
+            count += 1
+        elif isinstance(x, np.ndarray):
+            if x.dtype == object:
+                todo.extend(x.flat)
+        elif isinstance(x, dict):
+            todo.extend(x.items())
+        elif isinstance(x, (list, tuple)):
+            todo.extend(x)
+        elif hasattr(x, "__dict__"):
+            todo.extend(vars(x).values())
+    return count
 
 
 @pytest.fixture

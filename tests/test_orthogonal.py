@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import rel_dev
+from conftest import reachable_decimals, rel_dev
 import matorth
 from matorth import _mp, orthogonal
 from matorth.closed_forms import (explicit_polynomial, gamma_value,
@@ -22,7 +22,8 @@ from matorth.linalg import MatrixPolynomial, max_abs
 from matorth.orthogonal import (moment_oracle, monic_sequence, orthonormalize_sequence,
                                 quadrature_oracle, recurrence_from_sequence)
 from matorth.suite import RunConfig, run_suite
-from matorth.weights import WeightParams, weight_eval, weight_moment
+from matorth.weights import (WeightParams, alpha_coeff, column_outers, odd_series,
+                             weight_eval, weight_moment)
 
 SQPI = math.sqrt(math.pi)
 
@@ -462,14 +463,17 @@ class TestFamilyViews:
         monic = recurrence_from_sequence(seq)
         orth, deltas = orthonormalize_sequence(seq)
         fam = _mp.family(self.P)
+        # the family keeps two degrees; the reference keeps every degree's
+        # decimal state, equal to the family's to the last digit
+        ref = _full_product_build(self.P, self.NMAX)
         with decimal.localcontext(_mp._CONTEXT):
-            chols = [_mp._chol_upper(h) for h in fam.norms]
+            chols = [_mp._chol_upper(h) for h in ref["norms"]]
             orth_a = [np.zeros((3, 3), dtype=object)] + [
-                fam._deltas[k - 1] @ chols[k] for k in range(1, self.NMAX + 1)]
-            orth_b = [fam._deltas[k] @ fam._bhat[k] @ chols[k] for k in range(self.NMAX)]
-        pairs = [(seq.norms, fam.norms), (monic.B, fam._bhat), (monic.C, fam._chat),
-                 (orth.A, orth_a), (orth.B, orth_b), (deltas, fam._deltas)]
-        pairs += [(poly.coeffs, fam.polys[n]) for n, poly in enumerate(seq.polys)]
+                ref["deltas"][k - 1] @ chols[k] for k in range(1, self.NMAX + 1)]
+            orth_b = [ref["deltas"][k] @ ref["bhat"][k] @ chols[k] for k in range(self.NMAX)]
+        pairs = [(seq.norms, ref["norms"]), (monic.B, ref["bhat"]), (monic.C, ref["chat"]),
+                 (orth.A, orth_a), (orth.B, orth_b), (deltas, ref["deltas"])]
+        pairs += [(poly.coeffs, np.array(ref["polys"][n])) for n, poly in enumerate(seq.polys)]
         for returned, state in pairs:
             assert 0 < len(returned) <= len(state)
             for got, x in zip(returned, state):
@@ -697,22 +701,36 @@ def _full_inv_upper(u: np.ndarray) -> np.ndarray:
     return out
 
 
-def _full_product_build(fam: _mp._MpFamily, top: int) -> dict:
+def _decimal_outers(p: WeightParams) -> list[np.ndarray]:
+    """``column_outers`` of the factor ``exp(A t)`` for ``|a|`` at 51 digits,
+    its series summed as the family's own."""
+    with decimal.localcontext(_mp._CONTEXT):
+        n, b = p.size, decimal.Decimal(p.b)
+        shift = np.diag(np.array([_mp._polar(v)[0] for v in p.a], dtype=object), 1)
+        nil = odd_series(shift, [alpha_coeff(n, b, j) for j in range(n // 2)])
+        exp_coeffs = [np.identity(n, dtype=object)]
+        for k in range(1, n):
+            exp_coeffs.append(exp_coeffs[-1] @ nil / k)
+        return column_outers(exp_coeffs)
+
+
+def _full_product_build(p: WeightParams, top: int) -> dict:
     """The 51-digit build up to degree ``top`` as it was before the parity
     split, every product on full matrices: moments summed term by term, rows
     ``V_l = sum_k C_k S_{k+l}`` of full block products, the full Cholesky
     factor and triangular inverse, and the full recurrence update. The
-    reference for the parity-blocked build; ``premise`` lists each operand
-    of a product with its parity."""
-    n, zero = fam.n, np.zeros((fam.n, fam.n), dtype=object)
-    out = {key: [] for key in ("moments", "polys", "norms", "deltas", "bhat", "chat", "views",
-                               "premise")}
-    out["stop"], premise = None, out["premise"]
+    reference for the parity-blocked build, keeping every degree's decimal
+    state; ``premise`` lists each operand of a product with its parity."""
+    fam = _mp._MpFamily(p)  # for its Gaussian integrals and conversions only
+    n, zero = p.size, np.zeros((p.size, p.size), dtype=object)
+    out = {key: [] for key in ("moments", "polys", "norms", "deltas", "inverses", "bhat",
+                               "chat", "views", "premise")}
+    out["stop"], premise, outers = None, out["premise"], _decimal_outers(p)
 
     def moment(m):
         while len(out["moments"]) <= m:
             k, acc = len(out["moments"]), zero
-            for c, outer in enumerate(fam._outers):
+            for c, outer in enumerate(outers):
                 for d, o in enumerate(outer):
                     if (d + k) % 2 == 0:
                         acc = acc + o * fam._gauss_moment(d + k, c)
@@ -744,7 +762,7 @@ def _full_product_build(fam: _mp._MpFamily, top: int) -> dict:
             bhat = shifted @ inv
             a = out["deltas"][k - 1] @ chol if k else zero
             for key, x in [("polys", nxt), ("norms", norm), ("deltas", delta),
-                           ("bhat", bhat), ("chat", chat)]:
+                           ("inverses", inv), ("bhat", bhat), ("chat", chat)]:
                 out[key].append(x)
             out["views"].append([fam._complex(c).tobytes() for c in nxt] + [
                 fam._complex(x).tobytes()
@@ -773,10 +791,21 @@ class TestParityBlockedBuild:
         (WeightParams(6, (1.0,) * 5, 3.0), 6),
         (WeightParams(6, (0.9 - 0.2j, 1.1, -0.4j, 0.7, 1.3 + 0.1j), 1.5), 6),
     ])
-    def test_matches_the_full_product_build(self, p, top):
+    def test_matches_the_full_product_build(self, p, top, monkeypatch):
+        # the family keeps one degree's decimal state at a time: record it
+        # as each degree is added
+        states = []
+        append = _mp._MpFamily._append
+
+        def recorded(fam, coeffs):
+            append(fam, coeffs)
+            states.append({"polys": fam._polys[-1], "bhat": fam._bhat, "chat": fam._chat,
+                           "deltas": fam._delta, "inverses": fam._norm_inv})
+
+        monkeypatch.setattr(_mp._MpFamily, "_append", recorded)
         fam = _mp._MpFamily(p)
         fam.extend(top)
-        ref = _full_product_build(_mp._MpFamily(p), top)
+        ref = _full_product_build(p, top)
         idx = np.arange(p.size)
         for q, x in ref["premise"]:
             # each entry the blocked build skips is an exact zero here
@@ -785,19 +814,94 @@ class TestParityBlockedBuild:
         assert (fam.stop is None) == (p.b < 1e6)
         for m, want in enumerate(ref["moments"]):
             assert np.all(fam.moment(m) == want), m
-        state = {"polys": fam.polys, "norms": fam.norms, "deltas": fam._deltas,
-                 "bhat": fam._bhat, "chat": fam._chat}
-        for key, got in state.items():
-            assert len(got) == len(ref[key])
-            for k, want in enumerate(ref[key]):
-                assert np.all(np.asarray(got[k]) == np.asarray(want)), (key, k)
-        for k, want in enumerate(ref["views"]):
-            got = fam._views[k]
-            assert [c.tobytes() for c in got.poly.coeffs] + [
-                x.tobytes() for x in got[1:]] == want, k
+        assert len(states) == len(ref["polys"])
+        for k, state in enumerate(states):
+            for key, got in state.items():
+                assert np.all(got == np.array(ref[key][k])), (key, k)
+        # what stays: the two last polynomials and the last degree's state
+        assert [id(c) for c in fam._polys] == [id(s["polys"]) for s in states[-2:]]
+        assert all(getattr(fam, name) is states[-1][key] for name, key in [
+            ("_bhat", "bhat"), ("_chat", "chat"), ("_delta", "deltas"), ("_norm_inv", "inverses")])
+        assert _view_bytes(fam._views) == ref["views"]
+
+
+def _view_bytes(views) -> list[list[bytes]]:
+    """The bytes of every complex128 table of each degree's ``_Views``."""
+    return [[c.tobytes() for c in v.poly.coeffs] + [x.tobytes() for x in v[1:]] for v in views]
+
+
+class TestResumedBuild:
+    """A family keeps only the recurrence state of its next degree; a build
+    resumed from it must equal a build in one go."""
+
+    @pytest.mark.parametrize("p, top", [
+        (WeightParams(2, (0.6 + 0.8j,), 2.0), 16),
+        (WeightParams(2, (1.0,), 1e6), 12),  # truncated: degree 10 fails
+        (WeightParams(3, (0.8 - 0.3j, -1.2), 0.25), 12),
+        (WeightParams(4, (0.7 + 0.2j, 1.3, -0.5j), 0.6), 10),
+        (WeightParams(5, (1.0, 0.5, 1.2j, -0.8 + 0.4j), 4.0), 9),
+        (WeightParams(6, (0.9 - 0.2j, 1.1, -0.4j, 0.7, 1.3 + 0.1j), 1.5), 9),
+    ])
+    def test_resumed_build_equals_one_shot(self, p, top, tried_degrees):
+        resumed = _mp._MpFamily(p)
+        for nmax in (3, 8, top, top):
+            resumed.extend(nmax)
+        # each degree tried once, the failing one too
+        assert tried_degrees == list(range(resumed.top + 1 + (resumed.stop is not None)))
+        one_shot = _mp._MpFamily(p)
+        one_shot.extend(top)
+        assert (resumed.top, resumed.stop) == (one_shot.top, one_shot.stop)
+        assert resumed.top == (9 if p.b == 1e6 else top)
+        assert _view_bytes(resumed._views) == _view_bytes(one_shot._views)
+
+    @pytest.mark.parametrize("p, top", [
+        (WeightParams(2, (0.6 + 0.8j,), 2.0), 20),
+        (WeightParams(4, (0.7 + 0.2j, 1.3, -0.5j), 0.6), 10),
+    ])
+    def test_decimal_state_at_most_doubles_with_the_degree(self, p, top):
+        # moments and their strips grow with the degree; the recurrence
+        # state does not, so twice the degree keeps at most twice the numbers
+        counts = []
+        for nmax in (top, 2 * top):
+            fam = _mp._MpFamily(p)
+            fam.extend(nmax)
+            counts.append(reachable_decimals(fam))
+        assert counts[1] <= 2 * counts[0], counts
 
 
 class TestThreads:
+    def test_threads_extending_one_cold_family_match_serial(self):
+        p = WeightParams(4, (0.65 - 0.45j, 1.25, 0.35j), 2.45)  # cold: params unused elsewhere
+        fam, top = _mp._MpFamily(p), 12
+        orders = [(3, 8, top), (top, 3, 8), (8, top), (5, top, 10)]
+        seen: dict[int, list] = {}
+        start = threading.Barrier(4)
+
+        def worker(k: int):
+            start.wait(timeout=30)
+            seen[k] = []
+            for nmax in orders[k]:
+                fam.extend(nmax)
+                seen[k].append(_view_bytes(fam._views[:nmax + 1]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        serial = _mp._MpFamily(p)
+        serial.extend(top)
+        want = _view_bytes(serial._views)
+        assert fam.top == top and _view_bytes(fam._views) == want
+        for k, nmaxes in enumerate(orders):
+            assert seen[k] == [want[:nmax + 1] for nmax in nmaxes], k
+
     def test_shared_cold_build_matches_serial(self):
         p = WeightParams(3, (0.45 + 0.65j, -1.15 + 0.2j), 1.85)  # cold: params unused elsewhere
         nmax = 10

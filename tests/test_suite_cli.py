@@ -811,3 +811,61 @@ def test_every_exported_name_resolves(module):
     # a name left in __all__ after its definition went makes `import *` raise
     mod = importlib.import_module(module)
     assert [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)] == []
+
+
+class TestAsymptoticsWindow:
+    """``recurrence-asymptotics`` judges e_n on degrees 20-200, and again
+    past ``_settled_degree`` when b > 1 and gamma_n turns to its growing term
+    too late for that window; past the cap it SKIPs."""
+
+    @staticmethod
+    def asymptotics(p: WeightParams):
+        return check_map(run_suite(RunConfig(p, nmax=1)))["recurrence-asymptotics"]
+
+    def test_small_a_at_b_two_passes(self, capsys):
+        p = WeightParams(2, (0.001,), 2.0)
+        # the limit sets in after degree 20: e_n still rises at degree 25
+        assert suite._asymptotic_tail(p, 20, 200) == (math.inf, "tail not monotone")
+        assert main(["verify", "--a", "0.001", "--b", "2", "--nmax", "3"]) == 0
+        assert "PASS  recurrence-asymptotics" in capsys.readouterr().out
+        check = self.asymptotics(p)
+        errors = cf.asymptotic_report(p, horizon=230).errors
+        assert check.passed and not check.skipped and check.note == "monotone from n=30"
+        assert check.residual == errors[-1] < 0.02
+
+    def test_member_past_the_fixed_horizon_passes(self):
+        p = WeightParams(2, (1e-50,), 2.0)
+        assert 0.2 < cf.asymptotic_report(p, horizon=200).error_at(200) < 0.21
+        check = self.asymptotics(p)
+        assert check.passed and check.note == "monotone from n=345"
+        assert check.residual == cf.asymptotic_report(p, horizon=545).error_at(545) < 1e-3
+
+    def test_member_past_the_cap_skips(self):
+        p = WeightParams(2, (1e-300,), 1.1)
+        residual, _ = suite._asymptotic_tail(p, 20, 200)
+        assert 0.02 < residual < math.inf
+        assert suite._settled_degree(p) > suite._ASYMPTOTICS_CAP - 200
+        check = self.asymptotics(p)
+        assert check.skipped and check.passed and check.residual == 0.0
+        assert check.note == ("gamma_n settles past degree 9800, and the check stops "
+                              "at degree 10000")
+
+    @pytest.mark.parametrize("p", [
+        WeightParams(2, (1.0,), 0.25), WeightParams(2, (0.6 + 0.8j,), 2.0),
+        WeightParams(2, (1.0,), 4.0), WeightParams(2, (1e-3,), 0.5),
+        WeightParams(2, (1e-200,), 1.05),  # the limit sets in past degree 200
+    ])
+    def test_members_that_pass_on_degrees_20_to_200_keep_them(self, p):
+        check = self.asymptotics(p)
+        assert check.passed and (check.residual, check.note) == suite._asymptotic_tail(p, 20, 200)
+        assert check.note == "monotone from n=20"
+
+    @pytest.mark.parametrize("b, a", [(1.003, 0.1), (1.01, 0.1), (1.05, 0.1), (1.2, 1e-3),
+                                      (2.0, 1e-3), (2.0, 1e-50), (8.0, 1e-12)])
+    def test_e_n_no_longer_rises_past_the_settled_degree(self, b, a):
+        p = WeightParams(2, (a,), b)
+        start = suite._settled_degree(p)
+        errors = cf.asymptotic_report(p, horizon=start + 400).errors
+        rises = np.nonzero(np.diff(errors) > 1e-15)[0]
+        # e_n rises from degree n to n + 1 only before start
+        assert 5 < rises[-1] + 2 < start
