@@ -8,7 +8,8 @@ this module computes them, runs the monic three-term recurrence on them (the
 Stieltjes procedure) and factors the squared norms at ``DIGITS`` significant
 digits, and rounds to complex128 only at the boundary. As degree n + 1 needs
 only degrees n and n - 1, a family keeps the decimal state of those two and,
-for every degree built, only its complex128 tables.
+for every degree built, only its complex128 tables. A pairing rebuilds its
+decimal rows from those per call and keeps none.
 
 Phase gauge: with ``U = diag(u)``, ``u_0 = 1`` and
 ``u_{k+1} = u_k conj(a_k / |a_k|)``, the weight for ``a`` is ``U W U*``
@@ -43,7 +44,7 @@ import threading
 from collections import namedtuple
 from decimal import Context, Decimal, localcontext
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -159,10 +160,10 @@ class _MpFamily:
     recurrence needs for the next degree and the phase ``u`` that carries it
     to ``a``. Each degree built is kept as its complex128 tables, ``_views``.
 
-    ``extend`` (with the moments and the class strips of ``_row``) and the
-    float rows of ``pair_column`` grow under the family's lock, so one family
-    may be shared between threads; the recurrence state moves forward under
-    it, while what has been returned is never changed, nor is ``stop`` once set.
+    ``extend`` (with the moments and the class strips of ``_row``) grows under
+    the family's lock, and so do the moments a pairing reads, before it pairs
+    without it: one family may be shared between threads. What has been
+    returned is never changed, nor is ``stop`` once set.
     """
 
     def __init__(self, p: WeightParams):
@@ -210,9 +211,6 @@ class _MpFamily:
         # Bhat_top and Chat_top, Delta_top for the next A, H_top^-1 for the next Chat
         self._polys: list[np.ndarray] = []
         self._bhat = self._chat = self._delta = self._norm_inv = None
-        # per returned polynomial, per parity class: its coefficients times
-        # U and their rows against the moments (see pair_column)
-        self._float_rows: list[list[tuple[np.ndarray, np.ndarray]]] = []
         # per degree, the complex128 values the tables return, read-only
         self._views: list[_Views] = []
         self.stop: str | None = None  # why degree top + 1 failed; never retried
@@ -328,53 +326,57 @@ class _MpFamily:
         out.setflags(write=False)
         return out
 
-    def _class_rows(self, k: int) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per class ``c`` of ``pair_column``: the rows of ``Y_k`` in class
-        ``c``, real over imaginary parts, on its columns, and those times ``H``."""
-        n = self.n
-        coeffs = self._views[k].poly.coeffs.transpose(1, 0, 2).reshape(n, -1)
-        power, col = np.divmod(np.arange((k + 1) * n), n)  # column l * n + r
-        moments = np.array([self.moment(m) for m in range(2 * k + 1)])
+    def _class_rows(self, k: int) -> list[np.ndarray]:
+        """Per class ``c`` of ``_pairs``: the rows of ``Y_k`` in class ``c``,
+        real over imaginary parts, on its columns."""
         out = []
-        for c in (0, 1):
-            keep = (power + col) % 2 == c
-            l, r = power[keep], col[keep]
-            part = coeffs[(k + c) % 2::2, keep]
-            c_re, c_im = _from_float(part.real), _from_float(part.imag)
-            u_re, u_im = self._u_re[r], self._u_im[r]
-            y = np.concatenate([c_re * u_re - c_im * u_im, c_re * u_im + c_im * u_re])
-            out.append((y, y @ moments[l[:, None] + l, r[:, None], r]))
+        with localcontext(_CONTEXT):
+            for c in (0, 1):
+                l, r = np.nonzero(np.add.outer(np.arange(k + 1), np.arange(self.n)) % 2 == c)
+                part = self._views[k].poly.coeffs[l, (k + c) % 2::2, r].T
+                c_re, c_im = _from_float(part.real), _from_float(part.imag)
+                u_re, u_im = self._u_re[r], self._u_im[r]
+                out.append(np.concatenate([c_re * u_re - c_im * u_im,
+                                           c_re * u_im + c_im * u_re]))
         return out
 
-    def pair_column(self, j: int, degrees: Sequence[int]) -> np.ndarray:
-        """``<P_i, P_j>`` for each i >= j of ``degrees``, stacked, of the
-        complex128 polynomials of ``_views``: with ``Y_k = C_k U`` for their
-        coefficients ``C_k``, ``Y^i H (Y^j)*`` for the real block Hankel
-        ``H[(k, r), (l, s)] = S_{k+l}[r, s]``, block diagonal in the class
-        ``(l + r) % 2``; row ``a`` of ``Y^k`` is in class ``(k + a) % 2``. One
-        product per class of the rows ``Y^i H``, stacked and cut to the width of
-        ``Y^j``, sums each entry as its own pair would; odd ``i + j + a + b`` is 0."""
-        with self._lock, localcontext(_CONTEXT):
-            while len(self._float_rows) <= max(j, *degrees):
-                self._float_rows.append(self._class_rows(len(self._float_rows)))
-        parts = np.zeros((2, len(degrees), self.n, self.n), dtype=object)  # real, imaginary
+    def _pairs(self, ys: list[np.ndarray], i: int, rows: Sequence[tuple[int, list]]) -> np.ndarray:
+        """``<P_i, P_j>`` for each ``(j, Y_j)`` of ``rows``, stacked: ``Y_i H Y_j*`` with
+        ``Y_k = C_k U`` for the coefficients ``C_k`` of ``_views`` and the real block Hankel
+        ``H[(k, r), (l, s)] = S_{k+l}[r, s]``, block diagonal in the class ``(l + r) % 2``;
+        row ``a`` of ``Y_k`` is in class ``(k + a) % 2``. Per class, ``Z_i = Y_i H`` is
+        cut to each ``Y_j``'s width: its column l is one sum whatever the width, so each
+        entry is its own pair's product. Odd ``i + j + a + b`` is 0."""
+        moments = np.array(self._moments[:2 * i + 1])
+        parts = np.zeros((2, len(rows), self.n, self.n), dtype=object)  # real, imaginary
         with localcontext(_CONTEXT):
-            for c, (y, _) in enumerate(self._float_rows[j]):
-                # the real rows of each i, then the imaginary ones, cut to y's width
-                vs = [self._float_rows[i][c][1][:, :y.shape[1]] for i in degrees]
-                stack = np.concatenate([v[:len(v) // 2] for v in vs]
-                                       + [v[len(v) // 2:] for v in vs])
-                prod, ri, rj = stack @ y.T, len(stack) // 2, len(y) // 2
-                # the place q of each real row's degree, and its row a
-                q, a = zip(*[(q, a) for q, i in enumerate(degrees)
-                             for a in range((i + c) % 2, self.n, 2)])
-                block = q, a, slice((j + c) % 2, None, 2)
-                parts[0][block] = prod[:ri, :rj] + prod[ri:, rj:]
-                parts[1][block] = prod[ri:, :rj] - prod[:ri, rj:]
+            for c, y_i in enumerate(ys):
+                l, r = np.nonzero(np.add.outer(np.arange(i + 1), np.arange(self.n)) % 2 == c)
+                on = l <= max(j for j, _ in rows)
+                z = y_i @ moments[l[:, None] + l[on], r[:, None], r[on]]
+                for q, (j, y_j) in enumerate(rows):
+                    y = y_j[c]
+                    prod, ri, rj = z[:, :y.shape[1]] @ y.T, len(z) // 2, len(y) // 2
+                    block = q, slice((i + c) % 2, None, 2), slice((j + c) % 2, None, 2)
+                    parts[0][block] = prod[:ri, :rj] + prod[ri:, rj:]
+                    parts[1][block] = prod[ri:, :rj] - prod[:ri, rj:]
         out = np.empty(parts.shape[1:], dtype=complex)
         out.real, out.imag = _to_float(parts)
         return out
 
+    def pair_rows(self, top: int) -> Iterator[np.ndarray]:
+        """For i = 1..``top`` in turn, ``<P_i, P_j>`` for every j < i, stacked:
+        each ``Y_k`` is built once per pass, and each ``Z_i`` once."""
+        with self._lock, localcontext(_CONTEXT):
+            self.moment(2 * top)  # read below without the lock
+        ys = [self._class_rows(k) for k in range(top + 1)]
+        for i in range(1, top + 1):
+            yield self._pairs(ys[i], i, list(enumerate(ys[:i])))
+
     def pair_float(self, i: int, j: int) -> np.ndarray:
-        """``<P_i, P_j>``: the one-entry case of ``pair_column``."""
-        return self.pair_column(j, (i,))[0] if i >= j else self.pair_float(j, i).conj().T + 0.0
+        """``<P_i, P_j>``, with ``Z_i`` on the width of ``Y_j`` only; nothing is kept."""
+        if i < j:
+            return self.pair_float(j, i).conj().T + 0.0
+        with self._lock, localcontext(_CONTEXT):
+            self.moment(i + j)
+        return self._pairs(self._class_rows(i), i, [(j, self._class_rows(j))])[0]

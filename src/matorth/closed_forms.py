@@ -8,6 +8,7 @@ handled numerically by :mod:`matorth.orthogonal`.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from operator import index
 from typing import Sequence
@@ -106,7 +107,9 @@ def gamma_ratio(p: WeightParams, n: int) -> float:
                 / (2.0 + aa * b ** (n - 0.5) * n))
     scale = b ** -(n - 0.5)  # underflows benignly for large n
     den = 2.0 * scale + aa * n
-    if den == 0.0:  # scale and a tiny |a|^2 both underflow: take logs
+    # take logs where scale and a tiny |a|^2 both underflow, or where |a|^2 is
+    # subnormal or 0 and would carry too few digits, or none, into the ratio
+    if den == 0.0 or aa < sys.float_info.min:
         return math.exp(_log_gamma_value(p, n + 1) - _log_gamma_value(p, n))
     return (2.0 * scale + aa * b * (n + 1)) / den
 

@@ -452,6 +452,31 @@ class TestAsymptotics:
         rep = asymptotic_report(WeightParams(2, (1e-200,), 2.0), horizon=2000)
         assert rep.errors.shape == (2000,) and np.all(np.isfinite(rep.errors))
 
+    def test_e_n_where_a_squared_is_subnormal(self):
+        # |a|^2 = 1e-320 has 3 significant digits in double: gamma_ratio takes logs
+        ctx, b = decimal.Context(prec=40), decimal.Decimal("1.1")
+        c = ctx.power(10, -320)
+
+        def gamma(m):  # 2 + |a|^2 b^(m - 1/2) m
+            return ctx.add(2, ctx.multiply(c, ctx.multiply(
+                ctx.power(b, ctx.subtract(m, decimal.Decimal("0.5"))), m)))
+
+        def error(n):  # e_n against the limit diag(1 / sqrt(2), 1 / sqrt(2b))
+            d1 = ctx.sqrt(ctx.divide(gamma(n + 1), ctx.multiply(ctx.multiply(2, b), gamma(n))))
+            d2 = ctx.sqrt(ctx.divide(gamma(n - 1), ctx.multiply(2, gamma(n))))
+            l1, l2 = ctx.sqrt(ctx.divide(1, 2)), ctx.sqrt(ctx.divide(1, ctx.multiply(2, b)))
+            return float(max(ctx.abs(ctx.subtract(d1, l1)), ctx.abs(ctx.subtract(d2, l2))))
+        errors = asymptotic_report(WeightParams(2, (1e-160,), 1.1), horizon=8009).errors
+        assert max(abs(errors[n - 1] - error(n)) for n in range(7810, 8010)) < 1e-13
+
+    @pytest.mark.parametrize("a", [1.5e-154, 1e-100, 1e-3, 1.0])
+    @pytest.mark.parametrize("n", [1, 50, 500])
+    def test_gamma_ratio_keeps_the_direct_form_above_the_subnormals(self, a, n):
+        aa, b = a * a, 1.1
+        scale = b ** -(n - 0.5)
+        direct = (2.0 * scale + aa * b * (n + 1)) / (2.0 * scale + aa * n)
+        assert gamma_ratio(WeightParams(2, (a,), b), n).hex() == direct.hex()
+
     @pytest.mark.parametrize("horizon", [0, -3])
     def test_empty_horizon_rejected(self, horizon):
         with pytest.raises(ValueError, match="horizon"):

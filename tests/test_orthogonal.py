@@ -142,10 +142,11 @@ class TestMonicSequence:
     def test_pairing_rejects_degrees_that_are_not_integers(self, i, j):
         p = WeightParams(2, (0.25 + 0.9j,), 1.35)  # params unused elsewhere
         seq = monic_sequence(p, 3)
-        built = len(_mp.family(p)._float_rows)
+        fam = _mp.family(p)
+        built = len(fam._views), len(fam._moments)
         with pytest.raises(TypeError):
             seq.pairing(i, j)
-        assert len(_mp.family(p)._float_rows) == built  # nothing was built
+        assert (len(fam._views), len(fam._moments)) == built  # nothing was built
         assert seq.pairing(np.int64(3), 0).shape == (2, 2)
 
     def test_truncated_pairing_rejects_degrees_past_the_top(self):
@@ -564,11 +565,16 @@ def _per_term_pairings(fam: _mp._MpFamily, top: int) -> dict[tuple[int, int], np
 
 
 def _per_pair(fam: _mp._MpFamily, i: int, j: int) -> np.ndarray:
-    """``<P_i, P_j>``, i >= j, from the cached class rows, one pair at a
-    time: the reference for the stacked products of ``pair_column``."""
+    """``<P_i, P_j>``, i >= j, one pair at a time from fresh class rows: the
+    rows ``Y_i H`` on all of degree i's class columns, ``H[(k, r), (l, s)] =
+    S_{k+l}[r, s]`` built entry by entry, cut to the width of ``Y_j``. The
+    reference for the row pass ``pair_rows`` and for ``pairing``."""
     parts = np.zeros((2, fam.n, fam.n), dtype=object)
     with decimal.localcontext(_mp._CONTEXT):
-        for c, ((_, v), (y, _)) in enumerate(zip(fam._float_rows[i], fam._float_rows[j])):
+        for c, (yi, y) in enumerate(zip(fam._class_rows(i), fam._class_rows(j))):
+            cols = [(l, r) for l in range(i + 1) for r in range(fam.n) if (l + r) % 2 == c]
+            hankel = np.array([[fam.moment(k + l)[r, s] for l, s in cols] for k, r in cols])
+            v = yi @ hankel
             prod, ri, rj = v[:, :y.shape[1]] @ y.T, len(v) // 2, len(y) // 2
             block = slice((i + c) % 2, None, 2), slice((j + c) % 2, None, 2)
             parts[0][block] = prod[:ri, :rj] + prod[ri:, rj:]
@@ -579,6 +585,9 @@ def _per_pair(fam: _mp._MpFamily, i: int, j: int) -> np.ndarray:
 
 
 class TestPairColumn:
+    """Every entry of the gate's row pass ``pair_rows`` and of ``pairing``
+    has the bytes of its own pair's product, ``_per_pair``."""
+
     @pytest.mark.parametrize("p, nmax", [
         (WeightParams(2, (0.6 + 0.8j,), 2.0), 21), (WeightParams(2, (1.0,), 1e6), 14),
         (WeightParams(2, (-0.7,), 0.25), 0), (WeightParams(3, (0.8 - 0.3j, -1.2), 0.25), 12),
@@ -589,22 +598,19 @@ class TestPairColumn:
     def test_every_entry_equals_its_own_pair_product(self, p, nmax):
         seq = monic_sequence(p, nmax)
         fam, top = seq._family, seq.top_degree
-        for j in range(top + 1):
-            column = fam.pair_column(j, range(j, top + 1))
-            assert column.shape == (top + 1 - j, p.size, p.size)
-            for i, got in zip(range(j, top + 1), column):
-                want = _per_pair(fam, i, j)
-                assert got.tobytes() == want.tobytes(), (i, j)
-                assert seq.pairing(i, j).tobytes() == want.tobytes(), (i, j)
+        rows = [row.tobytes() for row in fam.pair_rows(top)]
+        assert len(rows) == top
+        for i in range(top + 1):
+            want = [_per_pair(fam, i, j) for j in range(i + 1)]
+            if i:
+                assert rows[i - 1] == np.array(want[:i]).tobytes(), i
+            for j, pair in enumerate(want):
+                assert seq.pairing(i, j).tobytes() == pair.tobytes(), (i, j)
                 if i > j:
                     assert (seq.pairing(j, i).tobytes()
-                            == (want.conj().T + 0.0).tobytes()), (i, j)
-        # any run of degrees, in any order, gives the same entries
-        runs = [range(top, top + 1), range(top // 2, top + 1), (top, 0)]
-        for degrees in runs:
-            column = fam.pair_column(0, degrees)
-            for i, got in zip(degrees, column):
-                assert got.tobytes() == _per_pair(fam, i, 0).tobytes(), (degrees, i)
+                            == (pair.conj().T + 0.0).tobytes()), (i, j)
+        # a shorter pass gives the same leading rows
+        assert [row.tobytes() for row in fam.pair_rows(top // 2)] == rows[:top // 2]
 
 
 class TestParityPairing:
@@ -663,16 +669,15 @@ class TestParityPairing:
     def test_cached_rows_hold_only_their_class(self):
         p = WeightParams(4, (0.9 - 0.4j, 1.2, 0.3 + 0.8j), 1.6)  # cold: params unused elsewhere
         top = 6
-        monic_sequence(p, top).pairing(top, 0)
-        rows = _mp.family(p)._float_rows
-        assert len(rows) == top + 1
-        for k, classes in enumerate(rows):
+        fam = monic_sequence(p, top)._family
+        for k in range(top + 1):
+            classes = fam._class_rows(k)
             assert len(classes) == 2
-            for c, (y, v) in enumerate(classes):
+            for c, y in enumerate(classes):
                 # rows a with (k + a) % 2 == c, real over imaginary parts, on the
                 # columns (power l <= k, column r) with (l + r) % 2 == c
                 width = sum((l + r) % 2 == c for l in range(k + 1) for r in range(4))
-                assert y.shape == v.shape == (2 * 2, width), (k, c)
+                assert y.shape == (2 * 2, width), (k, c)
                 assert width < (k + 1) * 4
 
 

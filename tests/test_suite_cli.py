@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 import matorth
 import matorth.closed_forms as cf
 import matorth.suite as suite
-from conftest import invalid_params
+from conftest import invalid_params, reachable_decimals
 from matorth import cli
 from matorth.cli import main
 from matorth.linalg import MatrixPolynomial, max_abs, worst
@@ -217,6 +217,16 @@ class TestRunSuite:
         assert checks["monic-orthogonality"].residual == worst(
             defect(n, m) for n in range(count) for m in range(n))
         assert checks["eigenvalue-equation"].residual == worst(map(deviation, range(count)))
+
+    def test_gate_and_pairing_keep_no_decimals(self):
+        p = WeightParams(2, (0.55 - 0.75j,), 2.15)  # cold: params unused elsewhere
+        seq = monic_sequence(p, 21)
+        fam = seq._family
+        built = reachable_decimals(fam)
+        assert check_map(run_suite(RunConfig(p, nmax=20)))["monic-orthogonality"].passed
+        seq.pairing(21, 20)
+        assert monic_sequence(p, 21)._family is fam
+        assert reachable_decimals(fam) == built
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
@@ -815,8 +825,9 @@ def test_every_exported_name_resolves(module):
 
 class TestAsymptoticsWindow:
     """``recurrence-asymptotics`` judges e_n on degrees 20-200, and again
-    past ``_settled_degree`` when b > 1 and gamma_n turns to its growing term
-    too late for that window; past the cap it SKIPs."""
+    past ``_settled_degree`` when gamma_n turns to its growing term (b > 1)
+    or away from its falling one (b < 1) too late for that window; past the
+    cap it SKIPs."""
 
     @staticmethod
     def asymptotics(p: WeightParams):
@@ -850,6 +861,31 @@ class TestAsymptoticsWindow:
         assert check.note == ("gamma_n settles past degree 9800, and the check stops "
                               "at degree 10000")
 
+    @pytest.mark.parametrize("b, start", [(0.9, 73), (0.99, 1019)])
+    def test_b_below_one_near_one_passes_past_the_settled_degree(self, b, start, capsys):
+        p = WeightParams(2, (1.0,), b)
+        # |a|^2 b^(n-1/2) n falls below 2 only past degree 20
+        assert suite._asymptotic_tail(p, 20, 200) == (math.inf, "tail not monotone")
+        assert main(["verify", "--a", "1", "--b", str(b), "--nmax", "3"]) == 0
+        assert "PASS  recurrence-asymptotics" in capsys.readouterr().out
+        check = self.asymptotics(p)
+        assert check.passed and not check.skipped and check.note == f"monotone from n={start}"
+        horizon = start + 200
+        assert check.residual == cf.asymptotic_report(p, horizon=horizon).error_at(horizon) < 0.02
+
+    def test_b_below_one_past_the_cap_skips(self):
+        p = WeightParams(2, (1e100,), 0.99)
+        assert suite._asymptotic_tail(p, 20, 200) == (math.inf, "tail not monotone")
+        assert suite._settled_degree(p) > suite._ASYMPTOTICS_CAP - 200
+        check = self.asymptotics(p)
+        assert check.skipped and check.passed and check.residual == 0.0
+
+    def test_subnormal_a_squared_passes(self):
+        p = WeightParams(2, (1e-160,), 1.1)  # |a|^2 = 1e-320
+        check = self.asymptotics(p)
+        assert check.passed and not check.skipped and check.note == "monotone from n=7809"
+        assert check.residual == cf.asymptotic_report(p, horizon=8009).error_at(8009) < 1e-4
+
     @pytest.mark.parametrize("p", [
         WeightParams(2, (1.0,), 0.25), WeightParams(2, (0.6 + 0.8j,), 2.0),
         WeightParams(2, (1.0,), 4.0), WeightParams(2, (1e-3,), 0.5),
@@ -861,7 +897,9 @@ class TestAsymptoticsWindow:
         assert check.note == "monotone from n=20"
 
     @pytest.mark.parametrize("b, a", [(1.003, 0.1), (1.01, 0.1), (1.05, 0.1), (1.2, 1e-3),
-                                      (2.0, 1e-3), (2.0, 1e-50), (8.0, 1e-12)])
+                                      (2.0, 1e-3), (2.0, 1e-50), (8.0, 1e-12), (0.5, 1e3),
+                                      (0.9, 1.0), (0.95, 1e-3), (0.99, 1.0), (0.99, 0.05),
+                                      (0.999, 0.01)])
     def test_e_n_no_longer_rises_past_the_settled_degree(self, b, a):
         p = WeightParams(2, (a,), b)
         start = suite._settled_degree(p)
