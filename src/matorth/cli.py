@@ -37,8 +37,8 @@ def _parse_a(text: str) -> tuple[complex, ...]:
         raise ValueError(f"cannot parse --a {text!r}: {exc}") from None
 
 
-# every subcommand reads --size, --a, --b and --out; _COMMANDS lists the
-# other flags each one reads, and main gives it no more
+# every subcommand reads --size, --a and --b; _COMMANDS lists the other
+# flags each one reads, and main gives it no more. Only export writes tables
 _OPTIONS = {
     "--size": dict(type=int, default=2, help="matrix size N (default 2)"),
     "--a": dict(default="1", help="comma-separated complex parameters, e.g. '1,0.5+0.5i'"),
@@ -126,12 +126,6 @@ def _cmd_orthopoly(args) -> int:
         if args.coeffs:
             for k, c in enumerate(poly.coeffs):
                 _print_matrix(f"P_{n} coeff t^{k}", c)
-    if args.out:
-        doc = {"params": params_to_dict(seq.params),
-               "polys": [[_matrix_to_json(c) for c in poly.coeffs]
-                         for poly in seq.polys],
-               "norms": [_matrix_to_json(m) for m in seq.norms]}
-        _write_json(args.out, doc)
     return 0
 
 
@@ -150,29 +144,14 @@ def _cmd_recurrence(args) -> int:
             _print_matrix("B_n", orth.B[n])
         _print_matrix("Chat_n", monic.C[n])
     print(f"max recurrence identity residual: {worst(monic.residuals):.3e}")
-    if args.out:
-        doc = {"params": params_to_dict(seq.params),
-               "orthonormal_A": [_matrix_to_json(m) for m in orth.A],
-               "orthonormal_B": [_matrix_to_json(m) for m in orth.B],
-               "monic_Bhat": [_matrix_to_json(m) for m in monic.B],
-               "monic_Chat": [_matrix_to_json(m) for m in monic.C],
-               "residuals": list(monic.residuals)}
-        _write_json(args.out, doc)
     return 0
 
 
 def _cmd_norms(args) -> int:
     seq = monic_sequence(_params(args), args.nmax)
     _note(seq.truncation_reason)
-    doc = {"params": params_to_dict(seq.params),
-           "monic_norms": [_matrix_to_json(m) for m in seq.norms]}
-    if seq.params.size == 2:  # before printing, as the closed norms may overflow
-        closed = cf._norms_table(seq.params, range(len(seq.norms)))[0]
-        doc["closed_monic"] = [_matrix_to_json(m) for m in closed]
     for n, m in enumerate(seq.norms):
         print(f"n={n}: diag {np.real(np.diag(m)).tolist()}")
-    if args.out:
-        _write_json(args.out, doc)
     return 0
 
 
@@ -199,18 +178,19 @@ def _cmd_export(args) -> int:
     return 0
 
 
-# subcommand: handler, help, the flags it reads besides --size, --a, --b, --out
+# subcommand: handler, help, the flags it reads besides --size, --a, --b
 _COMMANDS = {
-    "structure": (_cmd_structure, "print or export the structure matrices", ()),
+    "structure": (_cmd_structure, "print or export the structure matrices", ("--out",)),
     "verify": (_cmd_verify, "run the verification suite",
-               ("--nmax", "--seed", "--sweeps")),
+               ("--nmax", "--seed", "--sweeps", "--out")),
     "orthopoly": (_cmd_orthopoly, "monic orthogonal polynomials and norms",
                   ("--nmax", "--coeffs")),
     "recurrence": (_cmd_recurrence, "recurrence coefficient tables", ("--nmax",)),
     "norms": (_cmd_norms, "squared norms of the monic polynomials", ("--nmax",)),
     "asymptotics": (_cmd_asymptotics, "recurrence coefficient asymptotics (size 2)",
-                    ("--horizon",)),
-    "export": (_cmd_export, "write all tables to a directory", ("--nmax", "--format")),
+                    ("--horizon", "--out")),
+    "export": (_cmd_export, "write all tables to a directory",
+               ("--nmax", "--format", "--out")),
 }
 
 
@@ -229,7 +209,7 @@ def main(argv=None) -> int:
     for name in named or _COMMANDS:
         fn, text, own = _COMMANDS[name]
         sp = sub.add_parser(name, help=text)
-        for flag in ("--size", "--a", "--b", *own, "--out"):
+        for flag in ("--size", "--a", "--b", *own):
             sp.add_argument(flag, **_OPTIONS[flag])
         sp.set_defaults(fn=fn)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from decimal import Context, Decimal, localcontext
 from operator import index
 from typing import Sequence
 
@@ -87,7 +88,18 @@ def gamma_value(p: WeightParams, n: int) -> float:
     _require_2x2(p, n)
     if n == 0:
         return 2.0
-    return 2.0 + abs(p.a[0]) ** 2 * p.b ** (n - 0.5) * n
+    try:
+        return 2.0 + abs(p.a[0]) ** 2 * p.b ** (n - 0.5) * n
+    except OverflowError:  # b^(n - 1/2) overflows where |a|^2 b^(n - 1/2) n may not
+        # 40 digits in a context of its own: the log form cancels 2 log|a|
+        # against (n - 1/2) log(b) and is 7.6e-14 off at |a| = 1e-160,
+        # b = 1.1, n = 8000
+        with localcontext(Context(prec=40)):
+            value = float(2 + Decimal(abs(p.a[0])) ** 2
+                          * Decimal(p.b) ** (n - Decimal("0.5")) * n)
+    if math.isinf(value):
+        raise OverflowError(f"gamma_n overflows double at degree {n}")
+    return value
 
 
 def _log_gamma_value(p: WeightParams, n: int) -> float:

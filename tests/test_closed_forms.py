@@ -239,6 +239,32 @@ class TestNormalization:
     def test_gamma_example(self):
         assert gamma_value(WeightParams(2, (1.0,), 4.0), 1) == 4.0
 
+    @pytest.mark.parametrize("a, b, n, bits", [
+        (1.0, 4.0, 1, "0x1.0000000000000p+2"),
+        (0.6 + 0.8j, 2.0, 20, "0x1.c48c6401f0ac0p+23"),
+        (1e-160, 1.1, 7447, "0x1.0000001b32adep+1"),  # the last direct degree
+        (1e-3, 0.5, 100, "0x1.0000000000000p+1"),
+        (1.0, 1e6, 50, "0x1.31cfd3999f7b0p+992"),
+        (1e-100, 8.0, 300, "0x1.44c0ce7eb6603p+242")])
+    def test_gamma_keeps_the_direct_form_where_it_is_finite(self, a, b, n, bits):
+        assert gamma_value(WeightParams(2, (a,), b), n).hex() == bits
+
+    @pytest.mark.parametrize("n", [7448, 8000, 14000])
+    def test_gamma_where_b_to_the_n_overflows(self, n):
+        # b^(n - 1/2) overflows from n = 7448, while |a|^2 = 1e-320 keeps
+        # gamma_n finite; the reference takes the doubles' exact values
+        ctx = decimal.Context(prec=40)
+        a, b = decimal.Decimal.from_float(1e-160), decimal.Decimal.from_float(1.1)
+        exact = ctx.add(2, ctx.multiply(ctx.multiply(ctx.multiply(a, a), ctx.power(
+            b, ctx.subtract(n, decimal.Decimal("0.5")))), n))
+        assert abs(gamma_value(WeightParams(2, (1e-160,), 1.1), n) / float(exact) - 1.0) < 1e-14
+
+    def test_gamma_overflow_past_double(self):
+        with pytest.raises(OverflowError):
+            gamma_value(WeightParams(2, (1.0,), 1e6), 52)
+        with pytest.raises(OverflowError, match="degree 17000"):
+            gamma_value(WeightParams(2, (1e-160,), 1.1), 17000)
+
     def test_gauge_times_delta_is_leading(self):
         p = WeightParams(2, (1.1 - 0.4j,), 2.7)
         for n in (0, 1, 5, 12, 25):

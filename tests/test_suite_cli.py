@@ -11,6 +11,7 @@ import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -32,20 +33,21 @@ from matorth.weights import IdentityReport, WeightParams
 
 FLAGSHIP = WeightParams(2, (1.0,), 2.0)
 
-# the flags of each subcommand besides --size, --a, --b and --out
+# the flags of each subcommand besides --size, --a and --b; only export
+# writes tables, so orthopoly, recurrence and norms print and take no --out
 OWN_FLAGS = {
-    "structure": set(),
-    "verify": {"--nmax", "--seed", "--sweeps"},
+    "structure": {"--out"},
+    "verify": {"--nmax", "--seed", "--sweeps", "--out"},
     "orthopoly": {"--nmax", "--coeffs"},
     "recurrence": {"--nmax"},
     "norms": {"--nmax"},
-    "asymptotics": {"--horizon"},
-    "export": {"--nmax", "--format"},
+    "asymptotics": {"--horizon", "--out"},
+    "export": {"--nmax", "--format", "--out"},
 }
 # a valid value for each flag that some subcommand does not take, and for
 # the three that no subcommand takes since the gate policy is fixed
 FLAG_VALUES = {"--nmax": "3", "--grid": "-1:1:3", "--tol-abs": "1e-10",
-               "--tol-rel": "1e-8", "--seed": "1", "--format": "json"}
+               "--tol-rel": "1e-8", "--seed": "1", "--format": "json", "--out": "x"}
 REMOVED = [(command, flag) for command, own in OWN_FLAGS.items()
            for flag in FLAG_VALUES if flag not in own]
 # help, no or an unknown name, an option before the name, extra or unrecognized
@@ -270,7 +272,8 @@ def _reference_json_table(path, p, name, layout):
 
 
 def _reference_csv_table(path, p, name, layout):
-    """The CSV table writer as first released: one f-string per number."""
+    """The CSV table writer as first released: ``csv.writer``, one row per
+    entry, one f-string per number."""
     def flat(m):
         vals = []
         for i in range(m.shape[0]):
@@ -278,10 +281,12 @@ def _reference_csv_table(path, p, name, layout):
                 vals.extend([f"{m[i, j].real:.17g}", f"{m[i, j].imag:.17g}"])
         return vals
 
+    header = [f"e{i}{j}_{part}" for i in range(p.size) for j in range(p.size)
+              for part in ("re", "im")]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         if layout["kind"] == "matrix":
-            writer.writerow(["n"] + suite._flatten_header(p.size))
+            writer.writerow(["n"] + header)
             for off, m in enumerate(layout["data"]):
                 writer.writerow([layout["start_index"] + off] + flat(m))
         elif layout["kind"] == "scalar":
@@ -289,7 +294,7 @@ def _reference_csv_table(path, p, name, layout):
             for off, v in enumerate(layout["data"]):
                 writer.writerow([layout["start_index"] + off, f"{float(v):.17g}"])
         else:
-            writer.writerow(["n", "power"] + suite._flatten_header(p.size))
+            writer.writerow(["n", "power"] + header)
             for n, k, c in layout["data"]:
                 writer.writerow([n, k] + flat(c))
 
@@ -398,6 +403,28 @@ class TestExport:
             assert ((tmp_path / f"new.{fmt}").read_bytes()
                     == (tmp_path / f"ref.{fmt}").read_bytes()), fmt
 
+    @pytest.mark.parametrize("p, nmax", [
+        (WeightParams(2, (0.7 + 0.2j,), 0.25), 12),
+        (WeightParams(2, (1.0,), 1e6), 12),  # truncated at degree 10
+        (WeightParams(3, (0.8 - 0.3j, -1.2), 2.0), 8),
+        (WeightParams(4, (1.0, 0.5j, -0.7), 3.0), 6),
+        (WeightParams(5, (1.0, 1.0, 1.0, 1.0), 0.5), 5)])
+    def test_every_csv_table_has_the_csv_writer_bytes(self, tmp_path, monkeypatch, p, nmax):
+        layouts, write = {}, suite._write_csv_table
+
+        def kept(path, params, name, layout):
+            layouts[name] = layout
+            write(path, params, name, layout)
+
+        monkeypatch.setattr(suite, "_write_csv_table", kept)
+        manifest = export_tables(RunConfig(p, nmax, fmt="csv", out=str(tmp_path / "e")))
+        assert list(layouts) == list(manifest["tables"])
+        assert ({"gamma", "closed_monic_norms"} <= set(layouts)) == (p.size == 2)
+        for name, layout in layouts.items():
+            _reference_csv_table(tmp_path / "ref", p, name, layout)
+            assert ((tmp_path / "e" / f"{name}.csv").read_bytes()
+                    == (tmp_path / "ref").read_bytes()), name
+
     @pytest.mark.parametrize("b", [0.25, 1.0, 4.0])
     def test_size2_closed_form_tables_match_the_per_degree_forms(self, tmp_path, b):
         # the export takes them from one table; each degree keeps the bytes
@@ -501,11 +528,17 @@ class TestCli:
         assert main(["structure", "--size", "3", "--a", "1+0.5i,2", "--b", "0.7"]) == 0
 
     def test_orthopoly_export(self, tmp_path, capsys):
-        out = tmp_path / "polys.json"
-        assert main(["orthopoly", "--nmax", "4", "--out", str(out)]) == 0
-        doc = json.loads(out.read_text())
-        assert len(doc["polys"]) == 5
-        assert len(doc["norms"]) == 5
+        # orthopoly prints; export writes the polynomials and norms it prints
+        assert main(["export", "--nmax", "3", "--out", str(tmp_path)]) == 0
+        seq = monic_sequence(FLAGSHIP, 4)
+        polys = json.loads((tmp_path / "monic_polys.json").read_text())["data"]
+        assert [(row["n"], row["power"]) for row in polys] == [
+            (n, k) for n in range(5) for k in range(n + 1)]
+        assert [row["coeff"] for row in polys] == [
+            suite._matrix_to_json(c) for poly in seq.polys for c in poly.coeffs]
+        norms = json.loads((tmp_path / "monic_norms.json").read_text())["data"]
+        assert norms == [suite._matrix_to_json(m) for m in seq.norms]
+        assert len(norms) == 5
 
     def test_recurrence_command(self, capsys):
         assert main(["recurrence", "--nmax", "4"]) == 0
@@ -516,13 +549,17 @@ class TestCli:
 
     @pytest.mark.parametrize("b", ["0.25", "1", "4"])
     def test_norms_closed_monic_matches_the_per_degree_form(self, tmp_path, capsys, b):
-        # taken from one table; each degree keeps the bytes of closed_norms
-        out = tmp_path / "norms.json"
-        assert main(["norms", "--a", "0.7+0.2i", "--b", b, "--nmax", "12",
-                     "--out", str(out)]) == 0
+        # export takes them from one table; each degree keeps the bytes of
+        # closed_norms, over the degrees of monic_norms
+        assert main(["export", "--a", "0.7+0.2i", "--b", b, "--nmax", "11",
+                     "--out", str(tmp_path)]) == 0
         p = WeightParams(2, (0.7 + 0.2j,), float(b))
         expected = [suite._matrix_to_json(cf.closed_norms(p, n)[0]) for n in range(13)]
-        assert json.dumps(json.loads(out.read_text())["closed_monic"]) == json.dumps(expected)
+        doc = json.loads((tmp_path / "closed_monic_norms.json").read_text())
+        assert doc["start_index"] == 0
+        assert json.dumps(doc["data"]) == json.dumps(expected)
+        monic = json.loads((tmp_path / "monic_norms.json").read_text())["data"]
+        assert len(monic) == len(expected)
 
     def test_asymptotics_command(self, tmp_path, capsys):
         out = tmp_path / "asym.json"
@@ -591,23 +628,28 @@ class TestCli:
         assert exc.value.code == 0
         flags = re.findall(r"^\s+(--[\w-]+)", capsys.readouterr().out, re.M)
         assert len(flags) == len(set(flags))
-        assert set(flags) == {"--size", "--a", "--b", "--out"} | OWN_FLAGS[command]
+        assert set(flags) == {"--size", "--a", "--b"} | OWN_FLAGS[command]
 
     @pytest.mark.parametrize("command, flag", REMOVED)
-    def test_flag_a_subcommand_does_not_read_is_rejected(self, command, flag, capsys):
+    def test_flag_a_subcommand_does_not_read_is_rejected(self, command, flag, tmp_path,
+                                                        monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
         with pytest.raises(SystemExit) as exc:
             main([command, f"{flag}={FLAG_VALUES[flag]}"])
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command", ["verify", "orthopoly", "recurrence", "norms",
                                          "export"])
-    def test_negative_nmax_is_config_error(self, command, tmp_path, capsys):
-        assert main([command, "--nmax", "-1", "--out", str(tmp_path / "x")]) == 2
+    def test_negative_nmax_is_config_error(self, command, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        out = ["--out", "x"] if "--out" in OWN_FLAGS[command] else []
+        assert main([command, "--nmax", "-1", *out]) == 2
         captured = capsys.readouterr()
         assert "error: nmax must be >= 0" in captured.err
         assert captured.out == ""
-        assert not (tmp_path / "x").exists()
+        assert list(tmp_path.iterdir()) == []
 
     def test_a_default_verify_ignores_the_seed(self, tmp_path, capsys):
         docs = []
@@ -631,19 +673,21 @@ class TestCli:
 
     @pytest.mark.parametrize("command", list(OWN_FLAGS))
     @pytest.mark.parametrize("b", ["1e-20", "1e-100"])
-    def test_b_below_the_supported_range_is_config_error(self, command, b, tmp_path, capsys):
+    def test_b_below_the_supported_range_is_config_error(self, command, b, tmp_path,
+                                                           monkeypatch, capsys):
         # the last scale diagonal 1 + (b - 1) rounds to 0 in double precision
-        assert main([command, "--b", b, "--out", str(tmp_path / "x")]) == 2
+        monkeypatch.chdir(tmp_path)
+        out = ["--out", "x"] if "--out" in OWN_FLAGS[command] else []
+        assert main([command, "--b", b, *out]) == 2
         captured = capsys.readouterr()
         assert captured.err == (f"error: b = {float(b)} is below the supported range: a "
                                 "scale diagonal rounds to 0 in double precision\n")
         assert captured.out == ""
-        assert not (tmp_path / "x").exists()
+        assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("command", ["norms", "export"])
     @pytest.mark.parametrize("b, nmax", [("1e80", "30"), ("1e300", "3")])
-    def test_closed_form_overflow_is_config_error(self, command, b, nmax, tmp_path, capsys):
-        assert main([command, "--b", b, "--nmax", nmax, "--out", str(tmp_path / "x")]) == 2
+    def test_closed_form_overflow_is_config_error(self, b, nmax, tmp_path, capsys):
+        assert main(["export", "--b", b, "--nmax", nmax, "--out", str(tmp_path / "x")]) == 2
         captured = capsys.readouterr()
         errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
         assert len(errors) == 1 and "overflow" in errors[0]
@@ -677,7 +721,7 @@ def _every_parser_main(argv) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (fn, text, own) in cli._COMMANDS.items():
         sp = sub.add_parser(name, help=text)
-        for flag in ("--size", "--a", "--b", *own, "--out"):
+        for flag in ("--size", "--a", "--b", *own):
             sp.add_argument(flag, **cli._OPTIONS[flag])
         sp.set_defaults(fn=fn)
     args = parser.parse_args(argv)
@@ -826,8 +870,9 @@ def test_every_exported_name_resolves(module):
 class TestAsymptoticsWindow:
     """``recurrence-asymptotics`` judges e_n on degrees 20-200, and again
     past ``_settled_degree`` when gamma_n turns to its growing term (b > 1)
-    or away from its falling one (b < 1) too late for that window; past the
-    cap it SKIPs."""
+    or away from its falling one (b < 1) too late for that window. Where the
+    turn is not over by degree 200, it judges only past the settled degree;
+    past the cap it SKIPs."""
 
     @staticmethod
     def asymptotics(p: WeightParams):
@@ -889,12 +934,73 @@ class TestAsymptoticsWindow:
     @pytest.mark.parametrize("p", [
         WeightParams(2, (1.0,), 0.25), WeightParams(2, (0.6 + 0.8j,), 2.0),
         WeightParams(2, (1.0,), 4.0), WeightParams(2, (1e-3,), 0.5),
-        WeightParams(2, (1e-200,), 1.05),  # the limit sets in past degree 200
     ])
     def test_members_that_pass_on_degrees_20_to_200_keep_them(self, p):
         check = self.asymptotics(p)
         assert check.passed and (check.residual, check.note) == suite._asymptotic_tail(p, 20, 200)
         assert check.note == "monotone from n=20"
+
+    @pytest.mark.parametrize("b, a, start", [(0.995, 1.0, 2196), (0.997, 1e-3, 674),
+                                             (1.01, 1e-5, 2476)])
+    def test_a_window_before_the_settled_degree_is_not_judged(self, b, a, start):
+        p = WeightParams(2, (a,), b)
+        # e_n falls on degrees 20-200 and rises again before start
+        residual, note = suite._asymptotic_tail(p, 20, 200)
+        assert residual < 0.02 and note == "monotone from n=20"
+        assert suite._settled_degree(p) == start
+        errors = cf.asymptotic_report(p, horizon=start + 200).errors
+        assert np.any(np.diff(errors[199:start]) > 1e-15)
+        check = self.asymptotics(p)
+        assert check.passed and not check.skipped and check.note == f"monotone from n={start}"
+        assert check.residual == errors[-1] < 0.02
+
+    @pytest.mark.parametrize("b, a", [(0.999, 1.0), (1.05, 1e-200)])
+    def test_a_window_before_a_settled_degree_past_the_cap_skips(self, b, a, capsys):
+        # at b = 1.05, e_n holds 0.017 at every degree to 10000: gamma_n has
+        # not turned, and a flat e_n below the tolerance shows nothing
+        p = WeightParams(2, (a,), b)
+        residual, note = suite._asymptotic_tail(p, 20, 200)
+        assert residual < 0.02 and note == "monotone from n=20"
+        assert suite._settled_degree(p) > suite._ASYMPTOTICS_CAP - 200
+        check = self.asymptotics(p)
+        assert check.skipped and check.passed and check.residual == 0.0
+        assert main(["verify", "--a", str(a), "--b", str(b), "--nmax", "1"]) == 0
+        assert "SKIP  recurrence-asymptotics" in capsys.readouterr().out
+
+    def test_settled_degree_equals_the_whole_mask(self):
+        """``_settled_degree`` tests 1000 degrees at a time; the reference
+        tests all up to the cap at once. The first four b put the last short
+        degree at either side of a block edge, 1000 and 9000."""
+        def whole_mask(p):
+            n = np.arange(1, suite._ASYMPTOTICS_CAP + 1)
+            log_b = math.log(p.b)
+            if p.b < 1:
+                short = ((2 * math.log(abs(p.a[0])) + (n - 0.5) * log_b + np.log(n)
+                          > math.log(2) - 4)
+                         | (n < 1.01 * (2 * p.b / (1 - p.b) + 2)))
+            else:
+                short = (2 * math.log(abs(p.a[0])) + (n - 0.5) * log_b - np.log(n)
+                         < math.log(p.b - 1) + math.log(log_b) + 3)
+            return int(n[short][-1]) + 1 if short.any() else 1
+
+        edges = [x / (2 + x) for x in (c / 1.01 - 2 for c in (1000.5, 1001.5, 9000.5, 9001.5))]
+        bs = [*edges, *np.geomspace(1e-3, 0.9999, 25), *(1 + np.geomspace(1e-4, 1e6, 25))]
+        members = [WeightParams(2, (complex(a),), float(b))
+                   for b in bs for a in np.geomspace(1e-300, 1e3, 12)]
+        assert [suite._settled_degree(p) for p in members[:4 * 12:12]] == [1001, 1002, 9001, 9002]
+        assert [suite._settled_degree(p) for p in members] == [whole_mask(p) for p in members]
+
+    def test_settled_degree_holds_no_mask_of_every_degree(self):
+        # every verify asks; a mask of all 10000 degrees took 0.3 MB
+        p = WeightParams(2, (0.6 + 0.8j,), 2.0)
+        suite._settled_degree(p)
+        tracemalloc.start()
+        try:
+            suite._settled_degree(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
     @pytest.mark.parametrize("b, a", [(1.003, 0.1), (1.01, 0.1), (1.05, 0.1), (1.2, 1e-3),
                                       (2.0, 1e-3), (2.0, 1e-50), (8.0, 1e-12), (0.5, 1e3),
